@@ -98,10 +98,11 @@ crash:
 	RH_CRASH_DIR=$(abspath crash-artifacts) $(GO) test -race -run Crash -v ./internal/campaign/... ./cmd/rhfleet/...
 
 # Network chaos drill: shard workers own their shards through the
-# fenced lease service over loopback HTTP (rhfleet -lease-listen),
-# with seeded partition profiles and SIGKILLs injected into real
-# binaries — the merged summary must stay byte-identical to a
-# single-process run and no superseded writer may publish a record.
+# coordinator's self-hosted fenced lease service over loopback HTTP
+# (the only way a shard is owned), with seeded partition profiles and
+# SIGKILLs injected into real binaries — the merged summary must stay
+# byte-identical to a single-process run and no superseded writer may
+# publish a record.
 chaos-net:
 	mkdir -p crash-artifacts
 	RH_CRASH_DIR=$(abspath crash-artifacts) $(GO) test -race -run TestCrashShardNet -count=1 -v ./cmd/rhfleet/
@@ -124,11 +125,13 @@ chaos-fleet:
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./cmd/rhserved/
 
-# Short fuzz pass over the checkpoint parsers and the CRC trailer
-# codec; the committed corpora under internal/campaign/testdata/fuzz
-# replay on every plain `go test`.
+# Short fuzz pass over the checkpoint parsers, the CRC trailer codec
+# and the shard fence decoder; the committed corpora under
+# internal/{campaign,shard}/testdata/fuzz replay on every plain
+# `go test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzRecordCRCTrailer -fuzztime 30s ./internal/campaign/
+	$(GO) test -fuzz FuzzReadFence -fuzztime 30s ./internal/shard/
 
 check: build vet test race

@@ -18,7 +18,7 @@ type modeFlags struct {
 	worker      bool   // -worker
 	shardDir    string // -shard-dir
 	leaseURL    string // -lease-url
-	leaseListen string // -lease-listen
+	leaseListen string // -lease-listen, when given explicitly
 	workerIDSet bool   // -worker-id was given explicitly
 	slotsSet    bool   // -slots was given explicitly
 }
@@ -52,8 +52,10 @@ func validateModeFlags(f modeFlags) error {
 		return fmt.Errorf("-worker takes shard directories from its placements; drop -shard-dir")
 	case f.leaseListen != "" && f.coordinate <= 0:
 		return fmt.Errorf("-lease-listen is a coordinator flag; it requires -coordinate")
-	case f.leaseListen != "" && f.leaseURL != "":
-		return fmt.Errorf("-lease-listen and -lease-url are mutually exclusive: self-host the lease service or point at one, not both")
+	case f.coordinate > 0 && f.leaseURL != "":
+		return fmt.Errorf("-coordinate and -lease-url are mutually exclusive: the coordinator self-hosts its lease service (-lease-listen picks the address)")
+	case f.shard != "" && f.leaseURL == "":
+		return fmt.Errorf("-shard requires -lease-url (the lease service that owns the shard: a coordinator's or an rhserved)")
 	case f.workerIDSet && !f.worker:
 		return fmt.Errorf("-worker-id requires -worker")
 	case f.slotsSet && !f.worker:

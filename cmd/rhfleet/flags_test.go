@@ -15,11 +15,10 @@ func TestValidateModeFlags(t *testing.T) {
 		want string // "" = legal; otherwise a substring of the error
 	}{
 		{"plain campaign", modeFlags{}, ""},
-		{"shard worker", modeFlags{shard: "2/8", shardDir: "d"}, ""},
+		{"shard worker", modeFlags{shard: "2/8", shardDir: "d", leaseURL: "http://h:1"}, ""},
 		{"shard worker with remote leases", modeFlags{shard: "2/8", shardDir: "d", leaseURL: "http://h:1"}, ""},
 		{"coordinator", modeFlags{coordinate: 4, shardDir: "d"}, ""},
 		{"coordinator self-hosting leases", modeFlags{coordinate: 4, shardDir: "d", leaseListen: "127.0.0.1:0"}, ""},
-		{"coordinator against external leases", modeFlags{coordinate: 4, shardDir: "d", leaseURL: "http://h:1"}, ""},
 		{"merge", modeFlags{mergeShards: true, shardDir: "d"}, ""},
 		{"fleet worker", modeFlags{worker: true, leaseURL: "http://h:1"}, ""},
 		{"fleet worker with id and slots", modeFlags{worker: true, leaseURL: "http://h:1", workerIDSet: true, slotsSet: true}, ""},
@@ -41,6 +40,8 @@ func TestValidateModeFlags(t *testing.T) {
 		{"lease-listen without coordinate", modeFlags{leaseListen: "127.0.0.1:0"}, "requires -coordinate"},
 		{"lease-listen on a shard worker", modeFlags{shard: "1/2", shardDir: "d", leaseListen: ":0"}, "requires -coordinate"},
 		{"lease-listen and lease-url", modeFlags{coordinate: 2, shardDir: "d", leaseListen: ":0", leaseURL: "u"}, "mutually exclusive"},
+		{"coordinator against external leases", modeFlags{coordinate: 4, shardDir: "d", leaseURL: "http://h:1"}, "mutually exclusive"},
+		{"shard worker without lease url", modeFlags{shard: "2/8", shardDir: "d"}, "requires -lease-url"},
 
 		{"worker-id without worker", modeFlags{workerIDSet: true}, "requires -worker"},
 		{"slots without worker", modeFlags{slotsSet: true}, "requires -worker"},

@@ -112,14 +112,14 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
-		shardDir    = flag.String("shard-dir", "", "shard directory for -shard/-coordinate/-merge-shards (checkpoints, leases, spec.json)")
-		shardArg    = flag.String("shard", "", "run one shard worker: i/N (e.g. 2/8); requires -shard-dir")
+		shardDir    = flag.String("shard-dir", "", "shard directory for -shard/-coordinate/-merge-shards (checkpoints, fence files, spec.json)")
+		shardArg    = flag.String("shard", "", "run one shard worker: i/N (e.g. 2/8); requires -shard-dir and -lease-url")
 		coordinate  = flag.Int("coordinate", 0, "coordinate an N-way sharded run: spawn N rhfleet -shard workers over -shard-dir, reassign dead shards, merge")
 		mergeShards = flag.Bool("merge-shards", false, "merge the shard checkpoints in -shard-dir into one summary/artifact, then exit")
-		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "coordinator: kill a shard worker whose lease heartbeat is older than this")
+		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "shard lease TTL: a coordinator kills a worker whose heartbeat has been frozen this long, and a worker cut off from its lease service this long self-fences")
 		maxRespawn  = flag.Int("max-respawns", 3, "coordinator: give up on a shard after this many reassignments")
-		leaseURL    = flag.String("lease-url", "", "lease service base URL (e.g. http://10.0.0.1:8077): shard ownership moves from local flock to fenced remote leases — workers may run on other hosts")
-		leaseListen = flag.String("lease-listen", "", "coordinator: self-host the lease service on this address (e.g. 127.0.0.1:0) and hand its URL to spawned workers")
+		leaseURL    = flag.String("lease-url", "", "-shard/-worker: base URL of the lease service that owns the shards (a coordinator's -lease-listen or an rhserved, e.g. http://10.0.0.1:8077); workers may run on other hosts")
+		leaseListen = flag.String("lease-listen", "127.0.0.1:0", "coordinator: address of the lease service it self-hosts; spawned workers get its URL as -lease-url")
 		workerMode  = flag.Bool("worker", false, "join the fleet: register with the placement layer at -lease-url and run whatever shard placements its scheduler assigns")
 		workerID    = flag.String("worker-id", "", "worker: registration ID (default host:pid); re-using an ID supersedes the previous holder")
 		slots       = flag.Int("slots", 1, "worker: shard placements to run concurrently")
@@ -161,10 +161,16 @@ rhfleet processes per checkpoint.
 	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	// -lease-listen has a default address; only an explicit one is a
+	// role choice the flag matrix judges.
+	listenSet := ""
+	if explicit["lease-listen"] {
+		listenSet = *leaseListen
+	}
 	if err := validateModeFlags(modeFlags{
 		shard: *shardArg, coordinate: *coordinate, mergeShards: *mergeShards,
 		worker: *workerMode, shardDir: *shardDir,
-		leaseURL: *leaseURL, leaseListen: *leaseListen,
+		leaseURL: *leaseURL, leaseListen: listenSet,
 		workerIDSet: explicit["worker-id"], slotsSet: explicit["slots"],
 	}); err != nil {
 		fatalUsage(err)
@@ -222,8 +228,7 @@ rhfleet processes per checkpoint.
 		exit(runCoordinator(coordinatorConfig{
 			dir: *shardDir, shards: *coordinate, wire: ws, rsv: rsv,
 			faults: *faults, quiet: *quiet, timeout: *timeout, drainTO: *drainTO,
-			leaseTTL: *leaseTTL, maxRespawns: *maxRespawn,
-			leaseURL: *leaseURL, leaseListen: *leaseListen,
+			leaseTTL: *leaseTTL, maxRespawns: *maxRespawn, leaseListen: *leaseListen,
 			format: *format, sumOut: *sumOut, artOut: *artOut,
 		}))
 	case *mergeShards:

@@ -26,18 +26,18 @@ import (
 
 // The distributed modes. One campaign splits into N disjoint shards
 // (internal/shard), each an independent `rhfleet -shard i/N` process
-// with its own v2 checkpoint and flock-backed lease under -shard-dir;
-// `rhfleet -coordinate N` spawns and supervises them — reassigning a
-// dead or stalled shard's remaining jobs to a fresh worker — and
-// `rhfleet -merge-shards` folds the shard checkpoints into a summary
-// or artifact byte-identical to a single-process run.
+// with its own v2 checkpoint under -shard-dir, owned through a fenced
+// lease from the lease service at -lease-url; `rhfleet -coordinate N`
+// self-hosts that service (on -lease-listen), spawns and supervises
+// the workers — reassigning a dead or stalled shard's remaining jobs
+// to a fresh worker — and `rhfleet -merge-shards` folds the shard
+// checkpoints into a summary or artifact byte-identical to a
+// single-process run.
 //
-// With -lease-url (or a coordinator's -lease-listen), shard ownership
-// moves from local flocks to the fenced lease service: workers may run
-// on any host that can reach the URL and the shared -shard-dir, every
-// acquisition mints a monotonic fencing token enforced on each record
-// append, and the coordinator supervises liveness through lease
-// heartbeats instead of lease-file mtimes.
+// Workers may run on any host that can reach the lease URL and the
+// shared -shard-dir: every acquisition mints a monotonic fencing token
+// enforced on each record append, and the coordinator supervises
+// liveness through lease heartbeats.
 
 // shardWorkerConfig parameterizes one -shard i/N worker run.
 type shardWorkerConfig struct {
@@ -77,8 +77,9 @@ func leaseClient(baseURL, chaosSpec string, seed uint64, label string) (*leasesv
 }
 
 // runShardWorker is the -shard i/N mode: run exactly this shard's
-// slice of the grid, heartbeating the shard lease, and exit with the
-// same code conventions as a whole-campaign run.
+// slice of the grid under its lease from -lease-url, heartbeating
+// throughout, and exit with the same code conventions as a
+// whole-campaign run.
 func runShardWorker(cfg shardWorkerConfig) int {
 	a, err := shard.ParseAssignment(cfg.assignment)
 	if err != nil {
@@ -99,6 +100,10 @@ func runShardWorker(cfg shardWorkerConfig) int {
 		runner = inject.WrapRunner(runner, cfg.profile)
 		fmt.Fprintf(os.Stderr, "rhfleet: shard %s: fault injection active: %s (seed %d)\n", a, cfg.profile, cfg.profile.Seed)
 	}
+	client, err := leaseClient(cfg.leaseURL, cfg.netChaos, cfg.rsv.Spec.Seed, fmt.Sprintf("shard-%d", a.Index))
+	if err != nil {
+		fatalUsage(err)
+	}
 	start := time.Now()
 	rc := shard.RunConfig{
 		Dir:           cfg.dir,
@@ -107,16 +112,9 @@ func runShardWorker(cfg shardWorkerConfig) int {
 		Runner:        runner,
 		Drain:         drainCh,
 		ArmCheckpoint: armFailpoint,
+		Lease:         client,
+		LeaseTTL:      cfg.leaseTTL,
 		Log:           func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) },
-	}
-	if cfg.leaseURL != "" {
-		client, cerr := leaseClient(cfg.leaseURL, cfg.netChaos, cfg.rsv.Spec.Seed, fmt.Sprintf("shard-%d", a.Index))
-		if cerr != nil {
-			fatalUsage(cerr)
-		}
-		rc.Lease = client
-		rc.LeaseTTL = cfg.leaseTTL
-		rc.Owner = leasesvc.DefaultOwner()
 	}
 	if !cfg.quiet {
 		rc.Progress = func(done, total int, rec rh.CampaignRecord) {
@@ -288,48 +286,35 @@ type coordinatorConfig struct {
 	drainTO     time.Duration
 	leaseTTL    time.Duration
 	maxRespawns int
-	leaseURL    string
 	leaseListen string
 	format      string
 	sumOut      string
 	artOut      string
 }
 
-// leaseService resolves the coordinator's lease setup: -lease-listen
-// self-hosts a leasesvc.Service over HTTP and hands workers its URL;
-// -lease-url points everyone at an external service (rhserved). The
-// returned probe supervises workers through lease heartbeats, url is
-// what spawned workers get as -lease-url, svc is the self-hosted
-// service (nil otherwise) so the coordinator can mirror its local
-// workers into the worker registry, and shutdown closes the
-// self-hosted listener (no-op for external services).
-func leaseService(cfg coordinatorConfig, campaignHash string) (probe func(shard.Assignment) (shard.Probe, error), url string, svc *leasesvc.Service, shutdown func(), err error) {
-	switch {
-	case cfg.leaseListen != "":
-		ln, lerr := net.Listen("tcp", cfg.leaseListen)
-		if lerr != nil {
-			return nil, "", nil, nil, fmt.Errorf("lease-listen: %w", lerr)
-		}
-		svc = leasesvc.NewService(cfg.leaseTTL)
-		srv := &http.Server{
-			Handler:           svc.Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       120 * time.Second,
-		}
-		go srv.Serve(ln)
-		url = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "rhfleet: lease service listening on %s\n", url)
-		return shard.ServiceProbe(svc, campaignHash), url, svc, func() { srv.Close() }, nil
-	case cfg.leaseURL != "":
-		client := &leasesvc.Client{BaseURL: strings.TrimRight(cfg.leaseURL, "/"), Seed: cfg.rsv.Spec.Seed}
-		return shard.ServiceProbe(client, campaignHash), cfg.leaseURL, nil, func() {}, nil
+// serveLeases self-hosts the coordinator's lease service over HTTP on
+// addr, returning the service, the URL spawned workers get as
+// -lease-url, and a shutdown for the listener.
+func serveLeases(addr string, ttl time.Duration) (*leasesvc.Service, string, func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("lease-listen: %w", err)
 	}
-	return nil, "", nil, func() {}, nil
+	svc := leasesvc.NewService(ttl)
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+	go srv.Serve(ln)
+	url := "http://" + ln.Addr().String()
+	fmt.Fprintf(os.Stderr, "rhfleet: lease service listening on %s\n", url)
+	return svc, url, func() { srv.Close() }, nil
 }
 
 // runCoordinator is the -coordinate N mode: persist the wire spec,
-// spawn one rhfleet -shard worker per incomplete shard, supervise
-// leases, reassign dead shards, and merge.
+// self-host the lease service, spawn one rhfleet -shard worker per
+// incomplete shard, supervise leases, reassign dead shards, and merge.
 func runCoordinator(cfg coordinatorConfig) int {
 	if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
 		fatal(err)
@@ -359,11 +344,7 @@ func runCoordinator(cfg coordinatorConfig) int {
 	defer cancel()
 	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
 
-	norm, err := cfg.rsv.Spec.Normalize()
-	if err != nil {
-		fatal(err)
-	}
-	probe, leaseURL, leaseSvc, leaseShutdown, err := leaseService(cfg, norm.IdentityHash())
+	leases, leaseURL, leaseShutdown, err := serveLeases(cfg.leaseListen, cfg.leaseTTL)
 	if err != nil {
 		fatal(err)
 	}
@@ -376,9 +357,7 @@ func runCoordinator(cfg coordinatorConfig) int {
 			"-shard", a.String(),
 			"-shard-dir", cfg.dir,
 			"-spec", shard.SpecPath(cfg.dir),
-		}
-		if leaseURL != "" {
-			args = append(args, "-lease-url", leaseURL, "-lease-ttl", cfg.leaseTTL.String())
+			"-lease-url", leaseURL, "-lease-ttl", cfg.leaseTTL.String(),
 		}
 		if cfg.quiet {
 			args = append(args, "-quiet")
@@ -402,10 +381,9 @@ func runCoordinator(cfg coordinatorConfig) int {
 		Spec:        cfg.rsv.Spec,
 		Shards:      cfg.shards,
 		Spawn:       spawn,
-		Registry:    leaseSvc,
+		Leases:      leases,
 		LeaseTTL:    cfg.leaseTTL,
 		MaxRespawns: cfg.maxRespawns,
-		Probe:       probe,
 		Drain:       drainCh,
 		Log:         func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) },
 	})

@@ -15,8 +15,8 @@ import (
 )
 
 // The cross-machine drill: shard workers own their shards through the
-// fenced lease service over loopback HTTP instead of local flocks,
-// with deterministic network chaos (partitions, drops, lost
+// coordinator's fenced lease service over loopback HTTP, with
+// deterministic network chaos (partitions, drops, lost
 // responses) injected into the lease path and SIGKILLs landing
 // mid-checkpoint-write — and the merged summary must still be
 // byte-identical to a single-process run. Tests are named
@@ -100,8 +100,8 @@ func auditShards(t *testing.T, dir string, shards int) map[int]uint64 {
 }
 
 // TestCrashShardNetRemoteLeaseParity: a coordinated run whose shard
-// ownership lives entirely in the self-hosted lease service — no
-// local flock leases — converges byte-identically to the
+// ownership lives entirely in the self-hosted lease service
+// converges byte-identically to the
 // single-process run, every record carries the generation-0 fencing
 // token, and every fence file sits at the first token.
 func TestCrashShardNetRemoteLeaseParity(t *testing.T) {

@@ -122,15 +122,24 @@ func waitWorkersAlive(t *testing.T, d *daemon, n int) {
 // campaign submitted with "shards": 8 must complete entirely on the
 // three registered workers (the daemon spawns nothing), survive one
 // worker SIGKILLed mid-run and one straggler slowed by 400ms of
-// injected latency per lease call, and still publish the summary
-// byte-identical to a single-process rhfleet run of the same
-// campaign.
+// injected latency per lease call, move the straggler's queued shard
+// to a faster worker, and still publish the summary byte-identical to
+// a single-process rhfleet run of the same campaign.
+//
+// The campaign is sized so that rebalance is decisive rather than a
+// race: 48 jobs over 8 shards gives the straggler 6 jobs per shard,
+// each gated by a 400ms heartbeat. Its rate (~2.5 jobs/s) is measured
+// while its first shard is still running, and its queued shard alone
+// then puts its ETA seconds above the fast workers' — well past the
+// scheduler's TTL/2 margin. With 2 jobs per shard the straggler's
+// rate is known only as its first shard finishes, and its 2-job queue
+// (~1s) never clears that margin.
 func TestFleetChaosDrill(t *testing.T) {
 	// Reference bytes: the same campaign, one process, no daemon.
 	refDir := t.TempDir()
 	refSum := filepath.Join(refDir, "summary.json")
 	ref := exec.Command(rhfleetBinary(t),
-		"-mfrs", "A,B,C,D", "-modules", "4", "-exp", "hcfirst", "-scale", "tiny", "-seed", "7",
+		"-mfrs", "A,B,C,D", "-modules", "12", "-exp", "hcfirst", "-scale", "tiny", "-seed", "7",
 		"-workers", "2", "-quiet",
 		"-out", filepath.Join(refDir, "ref.jsonl"), "-summary", refSum)
 	if out, err := ref.CombinedOutput(); err != nil {
@@ -147,7 +156,7 @@ func TestFleetChaosDrill(t *testing.T) {
 	startFleetWorker(t, d.base, "w3", "-net-chaos", "latency=1:400ms")
 	waitWorkersAlive(t, d, 3)
 
-	st := submit(t, d, `{"kind":"hcfirst","mfrs":["A","B","C","D"],"modules_per_mfr":4,"scale":"tiny","seed":7,"workers":2,"shards":8}`)
+	st := submit(t, d, `{"kind":"hcfirst","mfrs":["A","B","C","D"],"modules_per_mfr":12,"scale":"tiny","seed":7,"workers":2,"shards":8}`)
 
 	// Wait until w1 demonstrably holds a shard lease — it is mid-shard
 	// right now — then SIGKILL it without any warning: the held lease
@@ -195,8 +204,8 @@ func TestFleetChaosDrill(t *testing.T) {
 	if !regexp.MustCompile(`reassigning|re-placing`).MatchString(log) {
 		t.Fatalf("no reassignment after SIGKILLing %s; log:\n%s", w1.id, log)
 	}
-	// The scheduler rebalanced queued work off the straggler.
-	if !regexp.MustCompile(`rebalance`).MatchString(log) {
+	// The scheduler rebalanced queued work off the straggler (w3).
+	if !regexp.MustCompile(`rebalance — reassigning queued shard from worker w3 `).MatchString(log) {
 		t.Fatalf("scheduler never rebalanced off the slow worker; log:\n%s", log)
 	}
 

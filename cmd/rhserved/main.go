@@ -106,6 +106,12 @@ func main() {
 		fatal(err)
 	}
 
+	// Take over SIGINT/SIGTERM before anything can reach the daemon: a
+	// signal sent right after the first /healthz answer must drain, not
+	// hit the default action and kill the process.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -133,8 +139,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		mgr.Close()

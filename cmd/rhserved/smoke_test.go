@@ -375,3 +375,19 @@ func TestServeSmokeHealthzDraining(t *testing.T) {
 		t.Fatal("healthz poller never observed the listener closing")
 	}
 }
+
+// TestServeSmokeEarlySIGTERM: a SIGTERM sent the instant /healthz
+// first answers 200 must still take the drain path and exit 0 — the
+// signal handler has to be in place before the daemon serves anything,
+// or the default action kills it. Several starts widen the window.
+func TestServeSmokeEarlySIGTERM(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		d := startDaemon(t, t.TempDir())
+		if code := getJSON(t, d.base+"/healthz", nil); code != http.StatusOK {
+			t.Fatalf("start %d: healthz = %d", i, code)
+		}
+		if code := d.signalAndWait(t, syscall.SIGTERM); code != 0 {
+			t.Fatalf("start %d: SIGTERM right after the first healthz 200: exit %d\nlog:\n%s", i, code, d.log())
+		}
+	}
+}

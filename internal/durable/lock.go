@@ -17,14 +17,3 @@ type Lock struct {
 
 // Path returns the lockfile path.
 func (l *Lock) Path() string { return l.path }
-
-// File exposes the held lockfile for callers that keep live state in
-// it — the shard lease writes its CRC-trailed heartbeat line through
-// this handle, so the liveness proof (the kernel-held flock) and the
-// progress report share one inode. Nil once released.
-func (l *Lock) File() *os.File {
-	if l == nil {
-		return nil
-	}
-	return l.f
-}

@@ -28,19 +28,6 @@ func AcquireLock(path string) (*Lock, error) {
 	return &Lock{f: f, path: path}, nil
 }
 
-// ProbeLock without flock can only consult existence: a present
-// lockfile is assumed held (a crashed holder looks alive until its
-// file is deleted by hand — the same tradeoff AcquireLock documents).
-func ProbeLock(path string) (held bool, err error) {
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("durable: probe %s: %w", path, err)
-	}
-	return true, nil
-}
-
 // Release deletes the lockfile. Safe to call on a nil Lock.
 func (l *Lock) Release() error {
 	if l == nil || l.f == nil {

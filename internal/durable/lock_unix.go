@@ -37,31 +37,6 @@ func AcquireLock(path string) (*Lock, error) {
 	return &Lock{f: f, path: path}, nil
 }
 
-// ProbeLock reports whether a live process holds the flock on path,
-// without disturbing the file's contents: it opens read-only and
-// takes (then immediately drops) a non-blocking shared flock. A
-// missing file probes as unheld. This is how a shard coordinator
-// tells a dead worker (flock dropped by the kernel) from a live one —
-// no PID bookkeeping, no stale-lockfile heuristics.
-func ProbeLock(path string) (held bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("durable: probe %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_SH|syscall.LOCK_NB); err != nil {
-		if err == syscall.EWOULDBLOCK {
-			return true, nil
-		}
-		return false, fmt.Errorf("durable: probe %s: %w", path, err)
-	}
-	syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
-	return false, nil
-}
-
 // Release removes the lockfile and drops the flock. Safe to call on a
 // nil Lock (no-op) so callers can Release unconditionally.
 func (l *Lock) Release() error {

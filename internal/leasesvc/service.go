@@ -1,8 +1,8 @@
-// Package leasesvc implements the shard lease service: the
-// cross-machine replacement for the local flock leases of
-// internal/shard. A fleet coordinator and its workers may live on
-// different hosts, where no kernel can revoke a dead worker's lock —
-// so ownership becomes a leased, fenced agreement instead:
+// Package leasesvc implements the shard lease service: the one way a
+// shard of an internal/shard campaign is owned, whether its worker is
+// a goroutine, a child process or a process on another host. No
+// kernel can revoke a remote worker's lock, so ownership is a leased,
+// fenced agreement:
 //
 //   - Acquire grants a shard lease keyed by (campaign identity hash,
 //     shard, of) and mints a monotonically increasing fencing token.
@@ -342,6 +342,30 @@ func (s *Service) Release(_ context.Context, key Key, token uint64) error {
 		// immediately instead of waiting out a TTL that no longer
 		// protects anyone.
 		st.lastAdvance = s.now().Add(-st.ttl - time.Second)
+	}
+	return nil
+}
+
+// RaiseFloor lifts key's fencing-token high-water mark to at least
+// token without granting anything, so the next Acquire mints a token
+// above it. A coordinator seeds each shard's floor from the fence
+// file already on disk before its first start: a fresh service would
+// otherwise mint tokens at or below that fence, fencing every new
+// attempt or handing a successor its orphaned predecessor's token.
+// In-process only; the wire protocol has no counterpart.
+func (s *Service) RaiseFloor(key Key, token uint64) error {
+	if err := key.Validate(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.leases[key]
+	if st == nil {
+		st = &state{}
+		s.leases[key] = st
+	}
+	if token > st.token {
+		st.token = token
 	}
 	return nil
 }

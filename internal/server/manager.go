@@ -428,8 +428,7 @@ func (m *Manager) runCampaign(r *runState) {
 		r.update(func(s *Status) { s.State = StateDrained })
 	default:
 		m.cfg.Log("campaign %s failed: %v", r.id, err)
-		r.update(func(s *Status) { s.State = StateFailed; s.Error = err.Error() })
-		m.persistStatus(r)
+		m.settle(r, func(s *Status) { s.State = StateFailed; s.Error = err.Error() })
 	}
 }
 
@@ -501,8 +500,7 @@ func (m *Manager) finish(r *runState, res *campaign.Result) error {
 		return fmt.Errorf("campaign %s: publishing artifact: %w", r.id, err)
 	}
 	m.cfg.Log("campaign %s done: artifact %s (%d bytes)", r.id, meta.ID, meta.Bytes)
-	r.update(func(s *Status) { s.State = StateDone; s.ArtifactID = meta.ID })
-	m.persistStatus(r)
+	m.settle(r, func(s *Status) { s.State = StateDone; s.ArtifactID = meta.ID })
 	return nil
 }
 
@@ -524,7 +522,8 @@ func (w *inprocWorker) Drain()      { w.drainOnce.Do(func() { close(w.drain) }) 
 
 // executeSharded fans one campaign across n in-process shard workers
 // under the shard coordinator: each worker runs its slice of the grid
-// with its own checkpoint and lease in <campaign>/shards, the
+// under a fenced lease from the coordinator's private lease service,
+// with its own checkpoint in <campaign>/shards, the
 // campaign's worker budget is divided among the shards, and the
 // merged result ingests byte-identical to an unsharded run. The same
 // directory and file formats as `rhfleet -coordinate` means the two
@@ -657,12 +656,11 @@ func (m *Manager) executeFleet(r *runState, n int) error {
 
 	r.update(func(s *Status) { s.State = StateRunning })
 	res, rep, err := shard.Coordinate(m.ctx, shard.Config{
-		Dir:      dir,
-		Spec:     cs,
-		Shards:   n,
-		Fleet:    m.cfg.Fleet,
-		LeaseTTL: m.cfg.Fleet.DefaultLeaseTTL(),
-		Drain:    m.drainCh,
+		Dir:    dir,
+		Spec:   cs,
+		Shards: n,
+		Leases: m.cfg.Fleet,
+		Drain:  m.drainCh,
 		Progress: func(done, total int) {
 			r.update(func(s *Status) { s.Done, s.Total = done, total })
 		},
@@ -711,13 +709,13 @@ func (m *Manager) ingest(r *runState, res *campaign.Result) (store.Meta, error) 
 	return m.store.Put(meta, payload)
 }
 
-// persistStatus records a terminal status atomically so restarts
-// serve it without re-running the campaign.
-func (m *Manager) persistStatus(r *runState) {
+// settle applies a terminal transition: the terminal status is
+// written to status.json first and published to subscribers second —
+// durable before acknowledged, as Submit does for the spec — so a
+// client that saw the terminal event can rely on a restart serving it.
+func (m *Manager) settle(r *runState, f func(*Status)) {
 	st := r.snapshot()
-	if !st.Terminal() {
-		return
-	}
+	f(&st)
 	b, err := json.MarshalIndent(st, "", "  ")
 	if err == nil {
 		err = durable.AtomicWriteFile(filepath.Join(r.dir, "status.json"), append(b, '\n'), 0o644)
@@ -725,6 +723,7 @@ func (m *Manager) persistStatus(r *runState) {
 	if err != nil {
 		m.cfg.Log("campaign %s: persisting status: %v", r.id, err)
 	}
+	r.update(f)
 }
 
 // Draining reports whether graceful shutdown has begun — the health

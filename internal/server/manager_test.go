@@ -314,3 +314,52 @@ func TestStatusPersistedAtomically(t *testing.T) {
 		t.Fatalf("persisted status = %+v", st)
 	}
 }
+
+// TestTerminalStatusDurableBeforePublished: a subscriber that receives
+// a terminal snapshot must find status.json already on disk with the
+// same content — for the done path and for the failure path alike.
+func TestTerminalStatusDurableBeforePublished(t *testing.T) {
+	failing := tinyFig5()
+	failing.Seed = 2
+	failing.JobTimeoutMS = 1 // every job misses its deadline
+	for _, tc := range []struct {
+		name  string
+		spec  Spec
+		state string
+	}{
+		{"done", tinyFig5(), StateDone},
+		{"failed", failing, StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mgr, _ := newTestManager(t, dir, ManagerConfig{})
+			sub, _, err := mgr.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, cancel, ok := mgr.Subscribe(sub.ID)
+			if !ok {
+				t.Fatal("subscribe failed")
+			}
+			defer cancel()
+			var last Status
+			for st := range ch {
+				last = st
+			}
+			if last.State != tc.state {
+				t.Fatalf("terminal state = %q (%s), want %q", last.State, last.Error, tc.state)
+			}
+			b, err := os.ReadFile(filepath.Join(dir, "campaigns", sub.ID, "status.json"))
+			if err != nil {
+				t.Fatalf("terminal %s published before status.json was written: %v", last.State, err)
+			}
+			var persisted Status
+			if err := json.Unmarshal(b, &persisted); err != nil {
+				t.Fatal(err)
+			}
+			if persisted != last {
+				t.Fatalf("persisted status %+v differs from the published %+v", persisted, last)
+			}
+		})
+	}
+}

@@ -16,13 +16,10 @@ import (
 // an exec'd rhfleet subprocess or an in-process goroutine; the
 // coordinator does not care which.
 type WorkerHandle interface {
-	// Wait blocks until the worker has fully stopped. For in-process
-	// workers this must not return before the shard lease is
-	// released, or the respawned successor will find the lease held.
-	// Wait returns nil only when the worker finished its shard
-	// cleanly; any other outcome (crash, drain, failed jobs) is a
-	// non-nil error, and the coordinator re-reads the checkpoint to
-	// decide what remains.
+	// Wait blocks until the worker has fully stopped. Wait returns nil
+	// only when the worker finished its shard cleanly; any other
+	// outcome (crash, drain, failed jobs) is a non-nil error, and the
+	// coordinator re-reads the checkpoint to decide what remains.
 	Wait() error
 	// Kill stops the worker immediately (SIGKILL or context cancel).
 	Kill()
@@ -34,7 +31,10 @@ type DrainableWorker interface{ Drain() }
 
 // SpawnFunc starts a worker for one shard. gen is 0 for the first
 // spawn and increments on every reassignment of that shard — the seam
-// crash drills use to arm a failpoint on one generation only.
+// crash drills use to arm a failpoint on one generation only. ctx
+// carries the coordinator's lease service: an in-process worker's
+// RunShard picks it up when its RunConfig.Lease is nil, and an exec'd
+// worker is handed the service's URL instead.
 type SpawnFunc func(ctx context.Context, a Assignment, gen int) (WorkerHandle, error)
 
 // Config configures a Coordinate run.
@@ -46,27 +46,23 @@ type Config struct {
 	// Shards is the partition width N (>= 1).
 	Shards int
 	// Spawn starts one shard worker — local placement, where the
-	// coordinator owns the worker processes. Exactly one of Spawn and
-	// Fleet must be set.
+	// coordinator owns the worker processes. When nil, the coordinator
+	// places shards onto workers registered with Leases' worker
+	// registry instead (rhfleet -worker processes pulling assignments
+	// over /v1/workers/beat) and rebalances queued shards off slow
+	// workers. Supervision — stall kill, reassignment bounded by
+	// MaxRespawns, completion judged from checkpoints on disk — is the
+	// same code path either way.
 	Spawn SpawnFunc
-	// Fleet selects fleet placement: instead of spawning anything, the
-	// coordinator schedules shards onto workers registered with this
-	// lease service's worker registry (rhfleet -worker processes
-	// pulling assignments over /v1/workers/beat), watches their shard
-	// leases for liveness and throughput, and rebalances queued shards
-	// off slow workers. Supervision — stall kill, reassignment bounded
-	// by MaxRespawns, completion judged from checkpoints on disk — is
-	// the exact code path local placement uses.
-	Fleet *leasesvc.Service
-	// Registry, in local (Spawn) mode, mirrors each spawned worker
-	// into this service's worker registry, so GET /v1/workers reports
-	// local workers the same way it reports a real fleet — local
-	// coordination as the degenerate case of placement. Observational
-	// only: correctness still rests on shard leases. Ignored in fleet
-	// mode, where workers register themselves.
-	Registry *leasesvc.Service
+	// Leases is the lease service every shard attempt is owned
+	// through: attempts acquire fenced leases from it, and the
+	// coordinator watches them for liveness and progress. When nil,
+	// Coordinate runs a private in-memory service with LeaseTTL as its
+	// default TTL. Fleet placement (Spawn nil) requires it.
+	Leases *leasesvc.Service
 	// LeaseTTL is how long a held lease may go without a heartbeat
-	// before the worker is declared stalled and killed. Default 15s.
+	// before the worker is declared stalled and killed. Default: the
+	// lease service's default TTL (15s for a private service).
 	LeaseTTL time.Duration
 	// Poll is the lease-probe interval. Default LeaseTTL/4.
 	Poll time.Duration
@@ -74,16 +70,8 @@ type Config struct {
 	// the campaign rather than respawning a crash-looping worker
 	// forever. Default 3.
 	MaxRespawns int
-	// Probe, when non-nil, replaces the local flock probe — a
-	// remote-lease coordinator supervises its workers through the
-	// lease service (ServiceProbe) instead of the filesystem. The
-	// stall judgment on top is identical either way: heartbeat Seq
-	// monotonicity on the coordinator's clock (StallTracker), with
-	// wall-clock age only as the no-heartbeat fallback. Fleet mode
-	// defaults this to ServiceProbe over Fleet.
-	Probe func(a Assignment) (Probe, error)
 	// Progress, when non-nil, receives campaign-wide done/total as
-	// observed through the shard leases (fleet mode only; done is
+	// observed through the shard leases (fleet placement only; done is
 	// monotone because lease progress survives fencing handovers).
 	Progress func(done, total int)
 	// Drain, when delivered or closed, stops the run gracefully:
@@ -93,6 +81,11 @@ type Config struct {
 	// Log, when non-nil, receives one-line progress messages.
 	Log func(format string, args ...any)
 }
+
+// leasesKey carries the coordinator's lease service, as a
+// leasesvc.API, to spawned in-process attempts through the spawn
+// context.
+type leasesKey struct{}
 
 // exitEvent is one shard attempt's termination as seen by the event
 // loop — a local worker process exiting, or (fleet mode) the shard's
@@ -105,8 +98,8 @@ type exitEvent struct {
 
 // Coordinate supervises an N-way sharded campaign run to completion:
 // start an attempt per incomplete shard (spawn a worker locally, or
-// place the shard onto a registered fleet worker), probe leases to
-// catch dead and stalled workers, reassign a dead shard's remaining
+// place the shard onto a registered fleet worker), watch the shard
+// leases to catch stalled workers, reassign a dead shard's remaining
 // jobs to a fresh attempt (bounded by MaxRespawns), and finally merge
 // the shard checkpoints into one result byte-identical to a
 // single-process run.
@@ -125,11 +118,12 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	if cfg.Shards < 1 {
 		return nil, nil, fmt.Errorf("shard: Config.Shards must be >= 1, got %d", cfg.Shards)
 	}
-	if cfg.Spawn == nil && cfg.Fleet == nil {
-		return nil, nil, fmt.Errorf("shard: Config.Spawn is required")
-	}
-	if cfg.Spawn != nil && cfg.Fleet != nil {
-		return nil, nil, fmt.Errorf("shard: Config.Spawn and Config.Fleet are mutually exclusive")
+	svc := cfg.Leases
+	if svc == nil {
+		if cfg.Spawn == nil {
+			return nil, nil, fmt.Errorf("shard: Config.Spawn or Config.Leases is required")
+		}
+		svc = leasesvc.NewService(cfg.LeaseTTL)
 	}
 	logf := cfg.Log
 	if logf == nil {
@@ -137,7 +131,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	}
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
-		ttl = 15 * time.Second
+		ttl = svc.DefaultLeaseTTL()
 	}
 	poll := cfg.Poll
 	if poll <= 0 {
@@ -156,15 +150,10 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	}
 	defer coordLock.Release()
 
-	probe := cfg.Probe
-	if probe == nil {
-		if cfg.Fleet != nil {
-			probe = ServiceProbe(cfg.Fleet, spec.IdentityHash())
-		} else {
-			probe = func(a Assignment) (Probe, error) {
-				return ProbeLease(LeasePath(cfg.Dir, a))
-			}
-		}
+	ctx = context.WithValue(ctx, leasesKey{}, leasesvc.API(svc))
+	hash := spec.IdentityHash()
+	leaseKey := func(a Assignment) leasesvc.Key {
+		return leasesvc.Key{Campaign: hash, Shard: a.Index, Of: a.Of}
 	}
 	stalls := &StallTracker{}
 	parts := Partition(cfg.Shards)
@@ -174,23 +163,34 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	// stall judgment, reassignment bounds, disk-is-truth completion —
 	// is shared.
 	var exec executor
-	if cfg.Fleet != nil {
-		exec = newFleetExecutor(cfg.Fleet, cfg.Dir, spec, parts, ttl, logf, cfg.Progress)
+	if cfg.Spawn == nil {
+		exec = newFleetExecutor(svc, cfg.Dir, spec, parts, ttl, logf, cfg.Progress)
 	} else {
-		exec = newLocalExecutor(cfg.Spawn, cfg.Registry, cfg.Dir, spec.IdentityHash(), ttl, logf, len(parts))
+		exec = newLocalExecutor(cfg.Spawn, svc, hash, len(parts))
 	}
 	defer exec.Close()
 
-	active := make(map[int]int, cfg.Shards) // shard index → current generation
+	// active maps a running shard to its generation and to its lease's
+	// token when the attempt started: a later token is the attempt's
+	// own acquisition, the only lease whose silence counts as a stall.
+	type attempt struct {
+		gen  int
+		base uint64
+	}
+	active := make(map[int]attempt, cfg.Shards)
 	gens := make(map[int]int, cfg.Shards)
 	done := make(map[int]bool, cfg.Shards)
 
 	start := func(a Assignment) error {
+		var base uint64
+		if v, ok, err := svc.View(ctx, leaseKey(a)); err == nil && ok {
+			base = v.Token
+		}
 		gen := gens[a.Index]
 		if err := exec.Start(ctx, a, gen); err != nil {
 			return fmt.Errorf("shard %s: spawn: %w", a, err)
 		}
-		active[a.Index] = gen
+		active[a.Index] = attempt{gen: gen, base: base}
 		return nil
 	}
 
@@ -207,6 +207,15 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 		}
 		if haveCkpt {
 			logf("shard %s: resuming, %d job(s) remaining", a, len(missing))
+		}
+		// Seed the lease's token floor from the fence already on disk,
+		// so the first acquisition outranks every earlier writer.
+		fence, err := ReadFence(FencePath(cfg.Dir, a))
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := svc.RaiseFloor(leaseKey(a), fence); err != nil {
+			return nil, nil, err
 		}
 		if err := start(a); err != nil {
 			return nil, nil, err
@@ -236,23 +245,22 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 		case <-ticker.C:
 			// Let the executor observe the world first: fleet placement
 			// watches leases and worker registrations here (and may
-			// synthesize exit events); local placement heartbeats its
-			// registry mirror.
+			// synthesize exit events).
 			exec.Tick()
-			// A dead worker surfaces through its exit event; the probe
-			// exists for stragglers — alive (lease held) but silent.
-			// Staleness is judged by Seq monotonicity on our own
-			// clock, so a clock-skewed host with an advancing Seq is
-			// never mistaken for a stall.
-			for idx := range active {
+			// A dead worker surfaces through its exit event; the lease
+			// watch exists for stragglers — alive but silent. Staleness
+			// is judged by Seq monotonicity on our own clock, so a
+			// clock-skewed host with an advancing Seq is never mistaken
+			// for a stall.
+			for idx, at := range active {
 				a := parts[idx]
-				p, err := probe(a)
-				if err != nil {
+				v, ok, err := svc.View(ctx, leaseKey(a))
+				if err != nil || !ok || v.Token <= at.base {
 					continue
 				}
-				if stalls.Stalled(idx, p, ttl) {
-					logf("shard %s: stalled (heartbeat seq %d frozen for > %s, pid %d); killing",
-						a, p.Info.Seq, ttl, p.Info.PID)
+				if stalls.Stalled(idx, v, ttl) {
+					logf("shard %s: stalled (heartbeat seq %d frozen for > %s, owner %s); killing",
+						a, v.Seq, ttl, v.Owner)
 					exec.Kill(a)
 				}
 			}
@@ -293,6 +301,13 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 				a, ev.gen, len(missing), ev.err, gens[ev.idx])
 			if err := start(a); err != nil {
 				return nil, nil, err
+			}
+			// Fence the dead generation out while its successor boots.
+			// The successor's acquisition mints the next token, so its
+			// own raise then finds the fence already in place and the
+			// atomic write leaves its path to the first record.
+			if err := RaiseFence(FencePath(cfg.Dir, a), active[ev.idx].base+1); err != nil {
+				logf("shard %s: fencing out gen %d: %v", a, ev.gen, err)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/durable"
+	"rowhammer/internal/leasesvc"
 	"rowhammer/internal/shard"
 )
 
@@ -174,6 +175,12 @@ func (w *stalledWorker) Kill()       { w.once.Do(func() { close(w.kill) }) }
 func TestCoordinateKillsStalledShard(t *testing.T) {
 	spec := testSpec()
 	dir := t.TempDir()
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttl := 150 * time.Millisecond
+	svc := leasesvc.NewService(ttl)
 	healthy := inProcessSpawn(dir, spec, func(shard.Assignment, int) campaign.Runner { return pureRunner })
 	var stalledGen0 bool
 	spawn := func(ctx context.Context, a shard.Assignment, gen int) (shard.WorkerHandle, error) {
@@ -182,15 +189,12 @@ func TestCoordinateKillsStalledShard(t *testing.T) {
 			w := &stalledWorker{done: make(chan struct{}), kill: make(chan struct{})}
 			go func() {
 				defer close(w.done)
-				lease, err := shard.AcquireLease(shard.LeasePath(dir, a), shard.LeaseInfo{
-					Shard: a.Index, Of: a.Of, Spec: spec.IdentityHash(),
-				})
-				if err != nil {
+				key := leasesvc.Key{Campaign: norm.IdentityHash(), Shard: a.Index, Of: a.Of}
+				if _, err := svc.Acquire(ctx, key, "stalled", ttl); err != nil {
 					w.err = err
 					return
 				}
 				<-w.kill // hang, never beating, until the coordinator kills us
-				lease.Release()
 				w.err = errors.New("killed while stalled")
 			}()
 			return w, nil
@@ -198,8 +202,8 @@ func TestCoordinateKillsStalledShard(t *testing.T) {
 		return healthy(ctx, a, gen)
 	}
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
-		Dir: dir, Spec: spec, Shards: 2,
-		LeaseTTL: 150 * time.Millisecond, Poll: 30 * time.Millisecond,
+		Dir: dir, Spec: spec, Shards: 2, Leases: svc,
+		LeaseTTL: ttl, Poll: 30 * time.Millisecond,
 		Spawn: spawn,
 	})
 	if err != nil {

@@ -2,17 +2,15 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"rowhammer/internal/leasesvc"
 )
 
 // executor abstracts how one shard attempt runs — the single seam
-// between Coordinate's supervision loop and the three historical
-// execution paths (local subprocesses, in-process goroutines, remote
-// fleet workers). The loop calls every method from one goroutine;
+// between Coordinate's supervision loop and the places an attempt can
+// run (local subprocesses, in-process goroutines, remote fleet
+// workers). The loop calls every method from one goroutine;
 // implementations surface attempt terminations on Events, at most one
 // outstanding event per shard.
 type executor interface {
@@ -41,38 +39,28 @@ type executor interface {
 
 // localExecutor runs attempts through a SpawnFunc — exec'd rhfleet
 // subprocesses or in-process goroutines; it does not care which. When
-// a registry mirror is configured, each spawned worker is registered
-// under a synthetic identity and heartbeaten on the coordinator's
-// tick, so /v1/workers reports a locally coordinated run exactly the
-// way it reports a fleet: local coordination is the degenerate case
-// of placement where every worker runs one shard and lives next door.
+// an attempt exits it frees whatever shard lease the attempt still
+// holds: the process is gone, so nobody can be fenced by the release,
+// and the successor acquires at once instead of waiting out a TTL —
+// a SIGKILLed child hands over as fast as a kernel-dropped lock would.
 type localExecutor struct {
 	spawn SpawnFunc
-	reg   *leasesvc.Service // optional mirror; nil outside -lease-listen runs
-	dir   string
+	svc   *leasesvc.Service
 	hash  string
-	ttl   time.Duration
-	logf  func(format string, args ...any)
 
 	events chan exitEvent
 
 	mu      sync.Mutex
 	handles map[int]WorkerHandle
-	regTok  map[int]uint64
-	regSeq  map[int]uint64
 }
 
-func newLocalExecutor(spawn SpawnFunc, reg *leasesvc.Service, dir, hash string, ttl time.Duration, logf func(string, ...any), shards int) *localExecutor {
+func newLocalExecutor(spawn SpawnFunc, svc *leasesvc.Service, hash string, shards int) *localExecutor {
 	return &localExecutor{
-		spawn: spawn, reg: reg, dir: dir, hash: hash, ttl: ttl, logf: logf,
+		spawn: spawn, svc: svc, hash: hash,
 		events:  make(chan exitEvent, shards),
 		handles: make(map[int]WorkerHandle, shards),
-		regTok:  make(map[int]uint64, shards),
-		regSeq:  make(map[int]uint64, shards),
 	}
 }
-
-func mirrorID(idx int) string { return fmt.Sprintf("local/shard-%d", idx) }
 
 func (e *localExecutor) Start(ctx context.Context, a Assignment, gen int) error {
 	h, err := e.spawn(ctx, a, gen)
@@ -82,16 +70,27 @@ func (e *localExecutor) Start(ctx context.Context, a Assignment, gen int) error 
 	e.mu.Lock()
 	e.handles[a.Index] = h
 	e.mu.Unlock()
-	e.register(a, gen)
 	go func() {
 		werr := h.Wait()
+		e.release(a)
 		e.mu.Lock()
 		delete(e.handles, a.Index)
 		e.mu.Unlock()
-		e.deregister(a.Index)
 		e.events <- exitEvent{idx: a.Index, gen: gen, err: werr}
 	}()
 	return nil
+}
+
+// release frees shard a's lease at its current token. The attempt has
+// exited and the loop starts no successor before consuming its exit
+// event, so the current token can only be this attempt's (or an
+// older, already released one, for which Release is a no-op).
+func (e *localExecutor) release(a Assignment) {
+	ctx := context.Background()
+	key := leasesvc.Key{Campaign: e.hash, Shard: a.Index, Of: a.Of}
+	if v, ok, err := e.svc.View(ctx, key); err == nil && ok {
+		e.svc.Release(ctx, key, v.Token)
+	}
 }
 
 func (e *localExecutor) Kill(a Assignment) {
@@ -117,27 +116,9 @@ func (e *localExecutor) Drain(a Assignment) {
 	}
 }
 
-// Tick heartbeats the registry mirror for every live local worker, so
-// their registrations stay Alive by the same Seq-monotonicity
-// discipline a real fleet worker satisfies for itself.
-func (e *localExecutor) Tick() {
-	if e.reg == nil {
-		return
-	}
-	ctx := context.Background()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for idx := range e.handles {
-		tok, ok := e.regTok[idx]
-		if !ok {
-			continue
-		}
-		e.regSeq[idx]++
-		if _, err := e.reg.WorkerBeat(ctx, mirrorID(idx), tok, e.regSeq[idx]); err != nil {
-			delete(e.regTok, idx)
-		}
-	}
-}
+// Tick has nothing to observe: a local attempt's end surfaces through
+// its exit, and stalls are judged by the coordinator from the lease.
+func (e *localExecutor) Tick() {}
 
 func (e *localExecutor) Events() <-chan exitEvent { return e.events }
 
@@ -150,40 +131,5 @@ func (e *localExecutor) Close() {
 	e.mu.Unlock()
 	for i := 0; i < n; i++ {
 		<-e.events
-	}
-}
-
-func (e *localExecutor) register(a Assignment, gen int) {
-	if e.reg == nil {
-		return
-	}
-	ctx := context.Background()
-	id := mirrorID(a.Index)
-	g, err := e.reg.RegisterWorker(ctx, id, fmt.Sprintf("gen-%d", gen), 1, e.ttl)
-	if err != nil {
-		e.logf("shard %s: registry mirror: %v", a, err)
-		return
-	}
-	e.mu.Lock()
-	e.regTok[a.Index] = g.Token
-	e.regSeq[a.Index] = 0
-	e.mu.Unlock()
-	p := leasesvc.Placement{Campaign: e.hash, Dir: e.dir, Shard: a.Index, Of: a.Of}
-	if err := e.reg.Assign(id, p); err != nil {
-		e.logf("shard %s: registry mirror: %v", a, err)
-	}
-}
-
-func (e *localExecutor) deregister(idx int) {
-	if e.reg == nil {
-		return
-	}
-	e.mu.Lock()
-	tok, ok := e.regTok[idx]
-	delete(e.regTok, idx)
-	delete(e.regSeq, idx)
-	e.mu.Unlock()
-	if ok {
-		e.reg.DeregisterWorker(context.Background(), mirrorID(idx), tok)
 	}
 }

@@ -140,7 +140,7 @@ func TestFleetCoordinateHappyPath(t *testing.T) {
 	var progressed bool
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 4,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
 		Progress: func(done, total int) {
 			if done > 0 && total == len(campaign.Expand(spec)) {
 				progressed = true
@@ -204,7 +204,7 @@ func TestFleetCoordinateWorkerLossReassigns(t *testing.T) {
 	defer cancel()
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 3,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
 		Log: func(f string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(f, args...))
@@ -262,7 +262,7 @@ func TestFleetCoordinateBoundsUnstartablePlacement(t *testing.T) {
 	defer ccancel()
 	_, _, err := shard.Coordinate(cctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
 		Log: t.Logf,
 	})
 	if err == nil {
@@ -273,42 +273,6 @@ func TestFleetCoordinateBoundsUnstartablePlacement(t *testing.T) {
 	}
 	cancel()
 	<-done
-}
-
-// TestLocalCoordinateMirrorsWorkersIntoRegistry: local coordination is
-// the degenerate case of placement — with a Registry configured, each
-// spawned worker appears in /v1/workers under a synthetic identity,
-// and is deregistered when it exits.
-func TestLocalCoordinateMirrorsWorkersIntoRegistry(t *testing.T) {
-	spec := testSpec()
-	dir := t.TempDir()
-	svc := leasesvc.NewService(time.Second)
-	_, rep, err := shard.Coordinate(context.Background(), shard.Config{
-		Dir: dir, Spec: spec, Shards: 3, Registry: svc,
-		LeaseTTL: time.Second, Poll: 20 * time.Millisecond,
-		Spawn: inProcessSpawn(dir, spec, func(shard.Assignment, int) campaign.Runner { return pureRunner }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("incomplete: %v", rep.Missing)
-	}
-	ws := svc.Workers()
-	if len(ws) != 3 {
-		t.Fatalf("registry mirror holds %d workers, want 3: %+v", len(ws), ws)
-	}
-	for _, w := range ws {
-		if !strings.HasPrefix(w.ID, "local/shard-") {
-			t.Fatalf("mirror id = %q", w.ID)
-		}
-		if w.Alive {
-			t.Fatalf("worker %s still alive after its shard completed", w.ID)
-		}
-		if w.Token == 0 {
-			t.Fatalf("worker %s never registered", w.ID)
-		}
-	}
 }
 
 // TestFleetCoordinateNoWorkersBounded: a fleet campaign whose worker
@@ -322,7 +286,7 @@ func TestFleetCoordinateNoWorkersBounded(t *testing.T) {
 	defer cancel()
 	_, _, err := shard.Coordinate(ctx, shard.Config{
 		Dir: t.TempDir(), Spec: spec, Shards: 2, MaxRespawns: 1,
-		Fleet: svc, LeaseTTL: 100 * time.Millisecond, Poll: 20 * time.Millisecond,
+		Leases: svc, LeaseTTL: 100 * time.Millisecond, Poll: 20 * time.Millisecond,
 		Log: t.Logf,
 	})
 	if !errors.Is(err, shard.ErrNoWorkers) {
@@ -404,7 +368,7 @@ func TestFleetForeignBusySlotIsNotStarvation(t *testing.T) {
 	defer ccancel()
 	_, rep, err := shard.Coordinate(cctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
 		Log: t.Logf,
 	})
 	if err != nil {

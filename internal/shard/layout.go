@@ -8,22 +8,19 @@ import (
 // Shard directory layout. One campaign's distributed run lives in a
 // single directory:
 //
-//	<dir>/spec.json          wire spec the workers were spawned with
-//	<dir>/coordinator.lock   one coordinator per directory (flock)
-//	<dir>/shard-0003.ckpt    shard 3's v2 checkpoint (shard-stamped header)
-//	<dir>/shard-0003.ckpt.lease  shard 3's lease (flock + heartbeat)
+//	<dir>/spec.json               wire spec the workers were spawned with
+//	<dir>/coordinator.lock        one coordinator per directory (flock)
+//	<dir>/shard-0003.ckpt         shard 3's v2 checkpoint (shard-stamped header)
+//	<dir>/shard-0003.ckpt.fence   shard 3's fencing high-water token
 //
 // Checkpoint names are zero-padded so shell globs and directory
-// listings sort in shard order.
+// listings sort in shard order. Shard leases themselves live in the
+// lease service, not in the directory; the fence file is what a
+// restarted service is seeded from.
 
 // CheckpointPath returns the shard's checkpoint path under dir.
 func CheckpointPath(dir string, a Assignment) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.ckpt", a.Index))
-}
-
-// LeasePath returns the shard's lease path under dir.
-func LeasePath(dir string, a Assignment) string {
-	return CheckpointPath(dir, a) + ".lease"
 }
 
 // SpecPath returns the persisted wire-spec path under dir.

@@ -10,17 +10,15 @@ import (
 	"rowhammer/internal/leasesvc"
 )
 
-// Remote-lease mode: when RunConfig.Lease is set, the shard's
-// ownership lives in a lease service (leasesvc) instead of a local
-// flock — the configuration that lets workers run on hosts that do
-// not share a kernel with the coordinator. The protocol differences
-// from flock mode, all of which exist because a network can lie in
-// ways a kernel cannot:
+// Shard ownership lives in a lease service (leasesvc), in process or
+// across the network, and the protocol is built for a network that
+// can lie in ways a kernel cannot:
 //
-//   - Acquisition is *patient*: a predecessor's lease outlives its
-//     process by up to TTL (nobody can revoke it remotely), so a
-//     respawned worker polls acquire until the service ages the old
-//     lease out, instead of failing fast the way flock mode does.
+//   - Acquisition is *patient*: a predecessor's lease can outlive its
+//     process by up to TTL when nobody is left to release it, so an
+//     acquirer polls until the service ages the old lease out instead
+//     of failing fast. A coordinator that watched its worker exit
+//     releases the lease itself, so its respawns acquire at once.
 //   - Every acquisition carries a monotonic fencing token, raised
 //     into the shard's fence file before the first append; the
 //     checkpoint writer enforces it per record (FencedWriter).
@@ -29,6 +27,10 @@ import (
 //     failure does it self-fence — drain in-flight work, flush the
 //     checkpoint, stop — rather than racing a successor that the
 //     coordinator may already have started.
+
+// acquirePatience bounds, in lease TTLs, how long acquisition waits
+// for a held lease to age out.
+const acquirePatience = 4
 
 // remoteKeeper owns one held remote lease: it beats, watches for
 // supersession, and trips the self-fence channel.
@@ -48,22 +50,21 @@ type remoteKeeper struct {
 	fencedOnce sync.Once
 }
 
-// acquireRemoteLease acquires the shard lease from the service,
-// patiently: ErrHeld answers are polled (the predecessor's lease has
-// up to TTL left to age out), transport failures ride the client's
-// own retry policy, and the loop gives up after patience (default
-// 4×TTL) without an acquisition.
-func acquireRemoteLease(ctx context.Context, svc leasesvc.API, key leasesvc.Key, owner string, ttl, patience time.Duration, logf func(string, ...any)) (*remoteKeeper, error) {
+// acquireLease acquires the shard lease from the service, patiently:
+// ErrHeld answers are polled (the predecessor's lease has up to TTL
+// left to age out), transport failures ride the client's own retry
+// policy, and the loop gives up after acquirePatience TTLs without an
+// acquisition. ttl 0 means the default TTL of an in-process service,
+// leasesvc.DefaultTTL otherwise.
+func acquireLease(ctx context.Context, svc leasesvc.API, key leasesvc.Key, owner string, ttl time.Duration, logf func(string, ...any)) (*remoteKeeper, error) {
 	if ttl <= 0 {
 		ttl = leasesvc.DefaultTTL
+		if s, ok := svc.(*leasesvc.Service); ok {
+			ttl = s.DefaultLeaseTTL()
+		}
 	}
-	if patience <= 0 {
-		patience = 4 * ttl
-	}
+	patience := acquirePatience * ttl
 	poll := ttl / 4
-	if poll <= 0 {
-		poll = time.Second
-	}
 	deadline := time.Now().Add(patience)
 	for {
 		grant, err := svc.Acquire(ctx, key, owner, ttl)
@@ -162,34 +163,5 @@ func (k *remoteKeeper) release() {
 	defer cancel()
 	if err := k.svc.Release(ctx, k.key, k.token); err != nil && !errors.Is(err, leasesvc.ErrUnknown) {
 		k.logf("shard %d/%d: releasing lease: %v", k.key.Shard, k.key.Of, err)
-	}
-}
-
-// ServiceProbe adapts lease-service views into the coordinator's
-// Probe shape, so Coordinate supervises remote-lease workers through
-// the exact code path it uses for flock workers: Held comes from the
-// service's own expiry judgment, Seq/Done/Total from the last
-// heartbeat, and Age is the service-clock time since Seq advanced.
-func ServiceProbe(svc leasesvc.API, campaignHash string) func(Assignment) (Probe, error) {
-	return func(a Assignment) (Probe, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		v, ok, err := svc.View(ctx, leasesvc.Key{Campaign: campaignHash, Shard: a.Index, Of: a.Of})
-		if err != nil {
-			return Probe{}, err
-		}
-		if !ok {
-			return Probe{}, nil
-		}
-		return Probe{
-			Held:   v.Held,
-			InfoOK: true,
-			Info: LeaseInfo{
-				Version: leaseVersion, Shard: a.Index, Of: a.Of,
-				Spec: campaignHash, Seq: v.Seq, Done: v.Done, Total: v.Total,
-			},
-			Age:   v.SinceAdvance,
-			Token: v.Token,
-		}, nil
 	}
 }

@@ -68,9 +68,10 @@ func (f *partitionableAPI) View(ctx context.Context, key leasesvc.Key) (leasesvc
 	return f.inner.View(ctx, key)
 }
 
-// Remote-lease happy path: a coordinator supervising lease-service
-// workers via ServiceProbe merges byte-identical to a single-process
-// run, every record is fenced with token 1, and nothing is duplicated.
+// Remote-lease happy path: a coordinator supervising workers that own
+// their shards through an explicitly handed lease service merges
+// byte-identical to a single-process run, every record is fenced with
+// token 1, and nothing is duplicated.
 func TestRemoteLeaseHappyPath(t *testing.T) {
 	spec := testSpec()
 	single, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: pureRunner})
@@ -78,10 +79,6 @@ func TestRemoteLeaseHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := summarize(t, single)
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	svc := leasesvc.NewService(time.Second)
 	dir := t.TempDir()
@@ -101,8 +98,7 @@ func TestRemoteLeaseHappyPath(t *testing.T) {
 	}
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 3, Spawn: spawn,
-		LeaseTTL: time.Second,
-		Probe:    shard.ServiceProbe(svc, norm.IdentityHash()),
+		Leases: svc, LeaseTTL: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +150,10 @@ func TestRemoteZombieFenced(t *testing.T) {
 	dir := t.TempDir()
 	parts := shard.Partition(2)
 
-	// Shard 1 runs cleanly in local-flock mode — mixed-mode merges
-	// must work, and it keeps the drill focused on shard 0.
+	// Shard 1 runs cleanly up front, keeping the drill focused on
+	// shard 0.
 	if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner, Lease: svc,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -342,51 +338,120 @@ func TestFenceFileSemantics(t *testing.T) {
 	}
 }
 
+// discardWriter accepts every record; it stands in for the checkpoint
+// behind a FencedWriter whose fence is the only thing under test.
+type discardWriter struct{}
+
+func (discardWriter) WriteRecord(campaign.Record) error { return nil }
+
+// TestCoordinateSeedsTokenFloorFromFence: a shard directory whose
+// fence files already sit at token 5 — left by an earlier coordinator
+// and its lease service — is taken over by a fresh service. Coordinate
+// must seed each lease's token floor from the fence on disk, so the
+// first acquisition mints token 6: the run converges byte-identical,
+// and a lingering writer still holding token 5 is fenced on its next
+// append. Without the floor the fresh service mints tokens 1..4, all
+// below the fence, and every attempt is refused until MaxRespawns.
+func TestCoordinateSeedsTokenFloorFromFence(t *testing.T) {
+	spec := testSpec()
+	single, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: pureRunner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := summarize(t, single)
+
+	dir := t.TempDir()
+	parts := shard.Partition(3)
+	for _, a := range parts {
+		if err := shard.RaiseFence(shard.FencePath(dir, a), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orphan := shard.NewFencedWriter(discardWriter{}, shard.FencePath(dir, parts[0]), 5)
+	if err := orphan.WriteRecord(campaign.Record{Key: "A/0"}); err != nil {
+		t.Fatalf("token-5 writer refused before the takeover: %v", err)
+	}
+
+	svc := leasesvc.NewService(time.Second)
+	spawn := func(ctx context.Context, a shard.Assignment, gen int) (shard.WorkerHandle, error) {
+		wctx, cancel := context.WithCancel(ctx)
+		w := &procWorker{cancel: cancel, drain: make(chan struct{}), done: make(chan struct{})}
+		go func() {
+			defer close(w.done)
+			defer cancel()
+			_, w.err = shard.RunShard(wctx, shard.RunConfig{
+				Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner,
+				Drain: w.drain, BeatEvery: 10 * time.Millisecond,
+				Lease: svc, LeaseTTL: time.Second,
+			})
+		}()
+		return w, nil
+	}
+	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
+		Dir: dir, Spec: spec, Shards: len(parts), Spawn: spawn,
+		Leases: svc, MaxRespawns: 1, Poll: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("coordinate over a fenced directory: %v", err)
+	}
+	if !rep.Complete() {
+		t.Fatalf("incomplete: %v", rep.Missing)
+	}
+	if got := summarize(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("summary differs:\n%s\nwant:\n%s", got, want)
+	}
+	for _, a := range parts {
+		if token, err := shard.ReadFence(shard.FencePath(dir, a)); err != nil || token != 6 {
+			t.Fatalf("shard %s fence = %d (%v), want 6", a, token, err)
+		}
+	}
+	if err := orphan.WriteRecord(campaign.Record{Key: "A/0"}); !errors.Is(err, shard.ErrFenced) {
+		t.Fatalf("token-5 writer after the takeover = %v, want ErrFenced", err)
+	}
+}
+
 // Satellite 1: staleness is judged by Seq monotonicity on the
-// observer's clock — a clock-skewed host whose heartbeat file looks
-// ancient is NOT stalled while its Seq advances, and a frozen Seq is
-// stalled even when the file's mtime stays fresh.
+// observer's clock — a clock-skewed host whose lease looks ancient on
+// its service's clock is NOT stalled while its Seq advances, and a
+// frozen Seq is stalled once the observer has watched it frozen for
+// longer than ttl, whether or not the service still calls it held.
 func TestStallTrackerSeqMonotonicity(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := &shard.StallTracker{Now: func() time.Time { return now }}
 	ttl := time.Second
-	probe := func(seq uint64, age time.Duration, infoOK bool) shard.Probe {
-		return shard.Probe{Held: true, InfoOK: infoOK, Age: age,
-			Info: shard.LeaseInfo{Seq: seq}}
+	view := func(seq uint64, held bool, since time.Duration) leasesvc.View {
+		return leasesvc.View{Held: held, Token: 1, Seq: seq, SinceAdvance: since}
 	}
 
-	// Advancing Seq with an absurd wall-clock age (skewed host): never
-	// stalled.
+	// Advancing Seq with an absurd service-side age (skewed host):
+	// never stalled.
 	for seq := uint64(1); seq <= 4; seq++ {
 		now = now.Add(900 * time.Millisecond)
-		if tr.Stalled(0, probe(seq, 48*time.Hour, true), ttl) {
-			t.Fatalf("seq %d advancing but declared stalled (wall-clock age must not matter)", seq)
+		if tr.Stalled(0, view(seq, true, 48*time.Hour), ttl) {
+			t.Fatalf("seq %d advancing but declared stalled (the service clock must not matter)", seq)
 		}
 	}
-	// Frozen Seq with a perfectly fresh file mtime: stalled once the
+	// Frozen Seq that the service reports fresh: stalled once the
 	// observer has watched it frozen for > ttl.
-	if tr.Stalled(0, probe(4, 0, true), ttl) {
+	if tr.Stalled(0, view(4, true, 0), ttl) {
 		t.Fatal("frozen seq declared stalled before ttl elapsed")
 	}
 	now = now.Add(ttl + time.Millisecond)
-	if !tr.Stalled(0, probe(4, 0, true), ttl) {
+	if !tr.Stalled(0, view(4, true, 0), ttl) {
 		t.Fatal("seq frozen for > ttl not declared stalled")
+	}
+	// A lease the service has expired is still a silent holder.
+	if !tr.Stalled(0, view(4, false, 2*ttl), ttl) {
+		t.Fatal("expired lease with a frozen seq not declared stalled")
 	}
 	// A fresh generation after Forget starts a new clock.
 	tr.Forget(0)
-	if tr.Stalled(0, probe(4, 0, true), ttl) {
+	if tr.Stalled(0, view(4, true, 0), ttl) {
 		t.Fatal("stalled immediately after Forget")
 	}
-	// No readable heartbeat: fall back to wall-clock age.
-	if !tr.Stalled(1, probe(0, 2*ttl, false), ttl) {
-		t.Fatal("no-heartbeat probe with old file not stalled via fallback")
-	}
-	if tr.Stalled(1, probe(0, ttl/2, false), ttl) {
-		t.Fatal("no-heartbeat probe with fresh file declared stalled")
-	}
-	// Unheld probes are never stalled.
-	if tr.Stalled(2, shard.Probe{Held: false, Age: time.Hour}, ttl) {
-		t.Fatal("unheld lease declared stalled")
+	// No TTL, no stall judgment.
+	if tr.Stalled(1, view(1, true, time.Hour), 0) {
+		t.Fatal("stall declared with ttl 0")
 	}
 }
 
@@ -399,29 +464,28 @@ func TestStallTrackerTokenHandover(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := &shard.StallTracker{Now: func() time.Time { return now }}
 	ttl := time.Second
-	probe := func(token, seq uint64) shard.Probe {
-		return shard.Probe{Held: true, InfoOK: true, Token: token,
-			Info: shard.LeaseInfo{Seq: seq}}
+	view := func(token, seq uint64) leasesvc.View {
+		return leasesvc.View{Held: true, Token: token, Seq: seq}
 	}
 
 	// Predecessor (token 1) beats up to seq 9, then dies frozen.
-	tr.Stalled(0, probe(1, 9), ttl)
+	tr.Stalled(0, view(1, 9), ttl)
 	now = now.Add(ttl + time.Millisecond)
-	if !tr.Stalled(0, probe(1, 9), ttl) {
+	if !tr.Stalled(0, view(1, 9), ttl) {
 		t.Fatal("frozen predecessor not declared stalled")
 	}
 	// Successor acquires token 2; its seq 1 < 9 must not read as
 	// frozen.
-	if tr.Stalled(0, probe(2, 1), ttl) {
+	if tr.Stalled(0, view(2, 1), ttl) {
 		t.Fatal("successor with fresh token declared stalled on predecessor's seq")
 	}
 	// And its own clock only trips after its own ttl of frozen seq.
 	now = now.Add(ttl / 2)
-	if tr.Stalled(0, probe(2, 1), ttl) {
+	if tr.Stalled(0, view(2, 1), ttl) {
 		t.Fatal("successor stalled before its own ttl elapsed")
 	}
 	now = now.Add(ttl)
-	if !tr.Stalled(0, probe(2, 1), ttl) {
+	if !tr.Stalled(0, view(2, 1), ttl) {
 		t.Fatal("successor genuinely frozen for > ttl not declared stalled")
 	}
 }
@@ -441,9 +505,10 @@ func TestCoordinateReassignsCorruptInteriorShard(t *testing.T) {
 
 	dir := t.TempDir()
 	parts := shard.Partition(2)
+	svc := leasesvc.NewService(0)
 	for _, a := range parts {
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner,
+			Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner, Lease: svc,
 		}); err != nil {
 			t.Fatal(err)
 		}

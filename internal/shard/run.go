@@ -39,41 +39,46 @@ type RunConfig struct {
 	// Log, when non-nil, receives one-line progress messages.
 	Log func(format string, args ...any)
 
-	// Lease, when non-nil, selects remote-lease mode: ownership comes
-	// from this lease service instead of a local flock, acquisition
-	// mints a fencing token that is raised into the shard's fence
-	// file and stamped into (and enforced on) every record append,
-	// and heartbeat failures degrade gracefully — after LeaseTTL of
-	// continuous failure the worker self-fences: drains in-flight
-	// work, flushes its checkpoint, and returns campaign.ErrDrained.
+	// Lease is the lease service the shard is owned through:
+	// acquisition mints a fencing token that is raised into the
+	// shard's fence file and stamped into (and enforced on) every
+	// record append, and heartbeat failures degrade gracefully — after
+	// LeaseTTL of continuous failure the worker self-fences: drains
+	// in-flight work, flushes its checkpoint, and returns
+	// campaign.ErrDrained. When nil, RunShard uses the service of the
+	// coordinator that spawned it (carried in ctx); outside a
+	// coordinator it is required.
 	Lease leasesvc.API
-	// LeaseTTL is the TTL requested at acquisition (default
-	// leasesvc.DefaultTTL). Remote mode only.
+	// LeaseTTL is the TTL requested at acquisition (default: the
+	// service's own).
 	LeaseTTL time.Duration
-	// LeasePatience bounds how long acquisition waits for a held
-	// lease to age out (default 4×TTL). Remote mode only.
-	LeasePatience time.Duration
 	// Owner labels the acquisition in the service for diagnostics
-	// (default host:pid). Remote mode only.
+	// (default host:pid).
 	Owner string
 }
 
-// RunShard executes one shard of a campaign: acquire the shard lease
-// (a local flock, or a remote lease service when cfg.Lease is set),
-// resume from the shard checkpoint, run exactly the assigned jobs
-// through the engine, and heartbeat the lease throughout. On return
-// the lease is released; on SIGKILL the kernel releases the flock (or
-// the service ages the remote lease out). The checkpoint survives
-// either way, which is what makes the shard's remaining jobs
-// computable by whoever takes over — and in remote mode the fence
-// file guarantees whoever took over is the only one still able to
-// write.
+// RunShard executes one shard of a campaign: acquire the shard's
+// fenced lease, resume from the shard checkpoint, run exactly the
+// assigned jobs through the engine, and heartbeat the lease
+// throughout. On return the lease is released; on SIGKILL the
+// spawning coordinator releases it (or, with nobody watching, the
+// service ages it out). The checkpoint survives either way, which is
+// what makes the shard's remaining jobs computable by whoever takes
+// over — and the fence file guarantees whoever took over is the only
+// one still able to write.
 func RunShard(ctx context.Context, cfg RunConfig) (*campaign.Result, error) {
 	if err := cfg.Assignment.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Runner == nil {
 		return nil, fmt.Errorf("shard: RunConfig.Runner is required")
+	}
+	svc := cfg.Lease
+	if svc == nil {
+		svc, _ = ctx.Value(leasesKey{}).(leasesvc.API)
+	}
+	if svc == nil {
+		return nil, fmt.Errorf("shard: RunConfig.Lease is required outside a coordinator")
 	}
 	spec, err := cfg.Spec.Normalize()
 	if err != nil {
@@ -87,59 +92,43 @@ func RunShard(ctx context.Context, cfg RunConfig) (*campaign.Result, error) {
 	only := a.Filter(spec)
 	ckptPath := CheckpointPath(cfg.Dir, a)
 
-	// Ownership: flock locally, leased-and-fenced remotely.
-	var beatFn func(done, total int)
-	var keeper *remoteKeeper
-	drain := cfg.Drain
-	if cfg.Lease != nil {
-		owner := cfg.Owner
-		if owner == "" {
-			owner = leasesvc.DefaultOwner()
-		}
-		key := leasesvc.Key{Campaign: spec.IdentityHash(), Shard: a.Index, Of: a.Of}
-		keeper, err = acquireRemoteLease(ctx, cfg.Lease, key, owner, cfg.LeaseTTL, cfg.LeasePatience, logf)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", a, err)
-		}
-		defer keeper.release()
-		if err := RaiseFence(FencePath(cfg.Dir, a), keeper.token); err != nil {
-			return nil, fmt.Errorf("shard %s: %w", a, err)
-		}
-		logf("shard %s: remote lease acquired, fencing token %d (ttl %s)", a, keeper.token, keeper.ttl)
-		beatFn = func(done, total int) {
-			// Bounded so a wedged network cannot pile up beats; a
-			// deadline here is network weather, cancellation of ctx is
-			// shutdown — keeper.beat tells them apart.
-			bctx, cancel := context.WithTimeout(ctx, beatTimeout(keeper.ttl))
-			keeper.beat(bctx, done, total)
-			cancel()
-		}
-		// Self-fencing merges into the drain path: fenced or drained,
-		// the engine stops dispatch, finishes in-flight jobs, and the
-		// checkpoint keeps every record that made it.
-		merged := make(chan struct{})
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-keeper.fenced:
-				close(merged)
-			case <-cfg.Drain:
-				close(merged)
-			case <-stop:
-			}
-		}()
-		drain = merged
-	} else {
-		lease, lerr := AcquireLease(LeasePath(cfg.Dir, a), LeaseInfo{
-			Shard: a.Index, Of: a.Of, Spec: spec.IdentityHash(), Total: len(only),
-		})
-		if lerr != nil {
-			return nil, fmt.Errorf("shard %s: %w", a, lerr)
-		}
-		defer lease.Release()
-		beatFn = func(done, total int) { lease.Beat(done, total) }
+	owner := cfg.Owner
+	if owner == "" {
+		owner = leasesvc.DefaultOwner()
 	}
+	key := leasesvc.Key{Campaign: spec.IdentityHash(), Shard: a.Index, Of: a.Of}
+	keeper, err := acquireLease(ctx, svc, key, owner, cfg.LeaseTTL, logf)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", a, err)
+	}
+	defer keeper.release()
+	if err := RaiseFence(FencePath(cfg.Dir, a), keeper.token); err != nil {
+		return nil, fmt.Errorf("shard %s: %w", a, err)
+	}
+	logf("shard %s: remote lease acquired, fencing token %d (ttl %s)", a, keeper.token, keeper.ttl)
+	beatFn := func(done, total int) {
+		// Bounded so a wedged network cannot pile up beats; a deadline
+		// here is network weather, cancellation of ctx is shutdown —
+		// keeper.beat tells them apart.
+		bctx, cancel := context.WithTimeout(ctx, beatTimeout(keeper.ttl))
+		keeper.beat(bctx, done, total)
+		cancel()
+	}
+	// Self-fencing merges into the drain path: fenced or drained, the
+	// engine stops dispatch, finishes in-flight jobs, and the
+	// checkpoint keeps every record that made it.
+	drain := make(chan struct{})
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-keeper.fenced:
+			close(drain)
+		case <-cfg.Drain:
+			close(drain)
+		case <-stop:
+		}
+	}()
 
 	rep, err := campaign.LoadCheckpointReport(ckptPath, campaign.ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
@@ -166,12 +155,9 @@ func RunShard(ctx context.Context, cfg RunConfig) (*campaign.Result, error) {
 	if err := cw.WriteHeader(); err != nil {
 		return nil, fmt.Errorf("shard %s: %w", a, err)
 	}
-	// In remote mode every append re-checks the fence file, so a
-	// worker superseded mid-run is refused at its very next record.
-	var records campaign.RecordWriter = cw
-	if keeper != nil {
-		records = NewFencedWriter(cw, FencePath(cfg.Dir, a), keeper.token)
-	}
+	// Every append re-checks the fence file, so a worker superseded
+	// mid-run is refused at its very next record.
+	records := NewFencedWriter(cw, FencePath(cfg.Dir, a), keeper.token)
 
 	// Heartbeats: every finished job, plus an idle ticker so a shard
 	// deep inside one long job still proves progress to the lease.
@@ -222,10 +208,8 @@ func RunShard(ctx context.Context, cfg RunConfig) (*campaign.Result, error) {
 	if cerr := cw.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if keeper != nil && err != nil {
-		if why, fenced := keeper.selfFenced(); fenced && errors.Is(err, campaign.ErrDrained) {
-			err = fmt.Errorf("shard %s: self-fenced (%s): %w", a, why, err)
-		}
+	if why, fenced := keeper.selfFenced(); fenced && errors.Is(err, campaign.ErrDrained) {
+		err = fmt.Errorf("shard %s: self-fenced (%s): %w", a, why, err)
 	}
 	return res, err
 }

@@ -10,24 +10,25 @@
 // single-process run, no matter how the work was split, how often
 // shards died and resumed, or which process re-ran a reassigned job.
 //
-// Fault tolerance is built on two artifacts per shard, both owned by
-// internal/durable primitives:
+// Fault tolerance rests on two things per shard:
 //
 //   - the shard checkpoint (campaign v2 format, shard-stamped header)
 //     records exactly which jobs are done, so a dead shard's
 //     *remaining* jobs are computable by anyone holding the file;
-//   - the shard lease — a flock-guarded, CRC-trailed heartbeat file —
-//     proves liveness: the kernel drops the flock the instant the
-//     holder dies (SIGKILL included), and a holder that is alive but
-//     wedged stops refreshing the heartbeat, so a coordinator can
-//     distinguish dead, stalled and healthy workers without any IPC.
+//   - the shard lease, held in a lease service (internal/leasesvc),
+//     proves ownership and liveness: every acquisition mints a
+//     fencing token that the shard's fence file and every record
+//     append enforce, and a holder that is alive but wedged stops
+//     advancing its heartbeat sequence.
 //
 // Coordinate supervises N workers through a process-agnostic Spawn
 // seam (exec'd rhfleet subprocesses, or in-process engine goroutines
-// under rhserved), detects death and stalls by lease, and reassigns a
-// dead shard's remaining jobs to a fresh worker that resumes from the
-// dead shard's checkpoint — the straggler path that keeps one bad
-// machine from stalling a 10k-module fleet.
+// under rhserved) or through fleet placement, always over one lease
+// service: it frees a dead worker's lease the moment the worker
+// exits, kills a stalled one, and reassigns a dead shard's remaining
+// jobs to a fresh worker that resumes from the dead shard's
+// checkpoint — the straggler path that keeps one bad machine from
+// stalling a 10k-module fleet.
 package shard
 
 import (

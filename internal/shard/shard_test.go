@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rowhammer/internal/campaign"
+	"rowhammer/internal/leasesvc"
 	"rowhammer/internal/shard"
 )
 
@@ -24,6 +25,11 @@ func pureRunner(ctx context.Context, spec campaign.Spec, job campaign.Job) (camp
 		Series:  map[string][]float64{"hc": {float64(seed % 7), float64(seed % 13)}},
 	}, nil
 }
+
+// testLeases owns the shards of the tests that call RunShard directly.
+// One service for the whole package keeps every shard's tokens
+// monotone, as one long-lived lease service would.
+var testLeases = leasesvc.NewService(0)
 
 func testSpec() campaign.Spec {
 	return campaign.Spec{
@@ -109,7 +115,7 @@ func TestShardedRunMergesByteIdentical(t *testing.T) {
 			dir := t.TempDir()
 			for _, a := range shard.Partition(n) {
 				if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-					Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner,
+					Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner, Lease: testLeases,
 					BeatEvery: 10 * time.Millisecond,
 				}); err != nil {
 					t.Fatalf("shard %s: %v", a, err)
@@ -156,7 +162,7 @@ func TestShardResumeAfterPartialRun(t *testing.T) {
 		return pureRunner(ctx, s, j)
 	}
 	_, err = shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[0], Spec: spec, Runner: slowRunner,
+		Dir: dir, Assignment: parts[0], Spec: spec, Runner: slowRunner, Lease: testLeases,
 		Drain: drain, BeatEvery: 10 * time.Millisecond,
 	})
 	if !errors.Is(err, campaign.ErrDrained) {
@@ -165,7 +171,7 @@ func TestShardResumeAfterPartialRun(t *testing.T) {
 
 	// A successor resumes shard 0's checkpoint and finishes the slice.
 	res0, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner, Lease: testLeases,
 		BeatEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -175,7 +181,7 @@ func TestShardResumeAfterPartialRun(t *testing.T) {
 		t.Fatalf("resume should skip the 2 checkpointed jobs, skipped %d", res0.Skipped)
 	}
 	if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner, Lease: testLeases,
 		BeatEvery: 10 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
@@ -201,7 +207,7 @@ func TestRunShardRejectsForeignCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	parts := shard.Partition(2)
 	if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner, Lease: testLeases,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +218,7 @@ func TestRunShardRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner, Lease: testLeases,
 	})
 	if !errors.Is(err, campaign.ErrShardMismatch) {
 		t.Fatalf("want ErrShardMismatch, got %v", err)
@@ -227,12 +233,12 @@ func TestMergeShardsRejectsForeignCampaign(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	for _, a := range shard.Partition(2) {
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dirA, Assignment: a, Spec: specA, Runner: pureRunner,
+			Dir: dirA, Assignment: a, Spec: specA, Runner: pureRunner, Lease: testLeases,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dirB, Assignment: a, Spec: specB, Runner: pureRunner,
+			Dir: dirB, Assignment: a, Spec: specB, Runner: pureRunner, Lease: testLeases,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +290,7 @@ func TestMergeShardsMissingJobs(t *testing.T) {
 	// pre-header) — the merge must tolerate it and report the gap.
 	for _, i := range []int{0, 2} {
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dir, Assignment: parts[i], Spec: spec, Runner: pureRunner,
+			Dir: dir, Assignment: parts[i], Spec: spec, Runner: pureRunner, Lease: testLeases,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -309,9 +315,6 @@ func TestLayoutPaths(t *testing.T) {
 	dir := "/tmp/x"
 	if got := shard.CheckpointPath(dir, a); got != filepath.Join(dir, "shard-0003.ckpt") {
 		t.Fatalf("CheckpointPath = %s", got)
-	}
-	if got := shard.LeasePath(dir, a); got != filepath.Join(dir, "shard-0003.ckpt.lease") {
-		t.Fatalf("LeasePath = %s", got)
 	}
 	if got := shard.CheckpointPaths(dir, 2); len(got) != 2 || got[0] == got[1] {
 		t.Fatalf("CheckpointPaths = %v", got)

@@ -3,19 +3,18 @@ package shard
 import (
 	"sync"
 	"time"
+
+	"rowhammer/internal/leasesvc"
 )
 
 // StallTracker judges shard staleness by heartbeat Seq monotonicity
-// on the *observer's* clock, with wall-clock file age only as a
-// fallback. The failure it exists to prevent: a worker on a host
-// with a skewed clock writes heartbeats whose mtimes look ancient to
-// the coordinator — Probe.Age alone would declare it stalled and
-// kill a perfectly healthy worker. The tracker instead remembers,
-// per shard, the last Seq it saw and when *it* saw it change; a
-// holder is stalled only when its Seq has been frozen for longer
-// than TTL of the observer's own time. Only when a probe carries no
-// readable heartbeat at all (InfoOK false — torn line, pre-first-
-// beat) does the mtime age remain the best available signal.
+// on the *observer's* clock. The failure it exists to prevent: a
+// worker on a host with a skewed clock must never look stalled while
+// its Seq advances. The tracker remembers, per shard, the last Seq it
+// saw and when *it* saw it change; a holder is stalled when its Seq
+// has been frozen for longer than TTL of the observer's own time —
+// whether or not the service has meanwhile expired the lease, since a
+// wedged holder's lease expires on exactly that schedule.
 type StallTracker struct {
 	// Now is the observer clock; time.Now when nil. A test seam.
 	Now func() time.Time
@@ -37,17 +36,11 @@ func (t *StallTracker) now() time.Time {
 	return time.Now()
 }
 
-// Stalled reports whether shard idx's probe shows a holder that is
-// alive but frozen for longer than ttl.
-func (t *StallTracker) Stalled(idx int, p Probe, ttl time.Duration) bool {
-	if !p.Held || ttl <= 0 {
-		t.Forget(idx)
+// Stalled reports whether shard idx's lease, as observed in v, has a
+// holder whose heartbeat Seq has been frozen for longer than ttl.
+func (t *StallTracker) Stalled(idx int, v leasesvc.View, ttl time.Duration) bool {
+	if ttl <= 0 {
 		return false
-	}
-	if !p.InfoOK {
-		// No heartbeat to judge by — fall back to file age, exactly
-		// the pre-tracker behavior.
-		return p.Age > ttl
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -60,8 +53,8 @@ func (t *StallTracker) Stalled(idx int, p Probe, ttl time.Duration) bool {
 	// zero, so comparing it against the predecessor's high-water Seq
 	// would brand a freshly-acquired successor as frozen. Reset the
 	// clock instead.
-	if !ok || p.Token != s.token || p.Info.Seq > s.seq {
-		t.seen[idx] = stallSeen{token: p.Token, seq: p.Info.Seq, at: now}
+	if !ok || v.Token != s.token || v.Seq > s.seq {
+		t.seen[idx] = stallSeen{token: v.Token, seq: v.Seq, at: now}
 		return false
 	}
 	return now.Sub(s.at) > ttl
