@@ -2,7 +2,6 @@ package faultmodel
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -16,24 +15,39 @@ import (
 // times, "which cells in this row flip under this effective hammer
 // count?". The reference path (disturbReference) answers by re-hashing
 // every bit of the row on every call. This kernel instead memoizes,
-// per (bank, row), the full candidate-cell set with all hash-derived
-// parameters precomputed, sorted ascending by rel — the cell threshold
-// relative to the row HCfirst. A disturb call then binary-searches the
-// cutoff reachable at the ledger's effective hammer count and walks
-// only the candidates below it, evaluating the remaining per-call
-// predicates lazily per candidate. The walk is trial-batched: the
-// cutoff search and the trial-independent predicates (stored data
-// orientation, gating temperature, aggressor coupling) run once per
-// candidate, and only the per-trial noise comparison runs per salt,
-// each salt accumulating its own flip bitplane (see disturbBatch and
-// the replay cache in replay.go).
+// per (bank, row), a candidate-cell set with all hash-derived
+// parameters precomputed, sorted ascending by (rel, bit) — rel being
+// the cell threshold relative to the row HCfirst. A disturb call first
+// computes the cutoff reachable at the ledger's effective hammer count,
+// then binary-searches it in the set and walks only the candidates
+// below it, evaluating the remaining per-call predicates lazily per
+// candidate. The walk is trial-batched: the cutoff search and the
+// trial-independent predicates (stored data orientation, gating
+// temperature, aggressor coupling) run once per candidate, and only
+// the per-trial noise comparison runs per salt, each salt accumulating
+// its own flip bitplane (see disturbBatch and the replay cache in
+// replay.go).
+//
+// A set is cover-bounded: it holds exactly the cells with rel ≤ its
+// cover, because a walk never reaches past its cutoff. A row's first
+// touch builds up to the cutoff of that call; a later call with a
+// higher cutoff rebuilds with the cover raised by at least 2^(1/α),
+// which roughly doubles the expected cell count (cells below a
+// threshold grow as threshold^α), so the total build work of a row
+// stays within about twice its final set. A set that admits every
+// vulnerable cell has cover +Inf and is never rebuilt. The builder
+// skips most out-of-cover cells before paying for math.Pow (a padded
+// bound on the uniform draw, see buildCandidates), orders the kept
+// cells with a stable O(n) radix sort on rel's IEEE-754 bits, and
+// resolves the temperature gates only for them, into one exact-size
+// allocation.
 //
 // Equivalence with the reference path is load-bearing: the builder
 // replays the exact hash draws and float expressions of
 // disturbReference (rel grouping included — float multiplication is
-// not associative), and the differential tests in kernel_test.go
-// assert bit-identical flip sets across profiles, temperatures, data
-// patterns, seeds, and salts.
+// not associative), and the differential tests in kernel_test.go and
+// cover_test.go assert bit-identical flip sets across profiles,
+// temperatures, data patterns, seeds, salts and cover ladders.
 
 // tempMargin is half of the 5 °C test step (exclusive): the slack
 // around a cell's vulnerable range and gap point.
@@ -42,12 +56,12 @@ const tempMargin = 2.4
 // candidate is one vulnerable cell of a row with every hash-derived
 // parameter resolved at build time. 48 bytes.
 type candidate struct {
-	rel    float64 // mult × colFactor: threshold ≡ rowHC × rel (sort key)
-	h      uint64  // per-cell hash (feeds the salted trial noise)
-	loGate float64 // reject when tempC < loGate (−Inf: censored at 50 °C)
-	hiGate float64 // reject when tempC > hiGate (+Inf: censored at 90 °C)
-	gapT   float64 // skipped interior temperature point (NaN: no gap)
-	bit    int32
+	rel     float64 // mult × colFactor: threshold ≡ rowHC × rel (sort key)
+	h       uint64  // per-cell hash (feeds the salted trial noise)
+	loGate  float64 // reject when tempC < loGate (−Inf: censored at 50 °C)
+	hiGate  float64 // reject when tempC > hiGate (+Inf: censored at 90 °C)
+	gapT    float64 // skipped interior temperature point (NaN: no gap)
+	bit     int32
 	charged uint8 // 1 ⇒ true-cell
 }
 
@@ -55,10 +69,19 @@ type candidate struct {
 // the LRU.
 const candidateBytes = 48
 
+// candSet is one row's cached candidate cells: every vulnerable cell
+// with rel ≤ cover, sorted by (rel, bit). cover is +Inf once the set
+// holds every vulnerable cell of the row.
+type candSet struct {
+	cells []candidate
+	cover float64
+}
+
 // candCacheBudgetBytes bounds the total candidate-cache memory per
 // cache (shared across every model attached to it). 64 MiB holds
-// hundreds of rows at bench geometries and ~20 rows at the paper-scale
-// 64 Ki-bit geometry.
+// hundreds of complete rows at bench geometries and ~170 at the
+// paper-scale 8192-bit geometry (~390 KB of candidates per complete
+// row); cover-bounded rows take less.
 const candCacheBudgetBytes = 64 << 20
 
 // candShardCount is the power-of-two number of candLRU shards. Each
@@ -67,35 +90,74 @@ const candCacheBudgetBytes = 64 << 20
 // shards instead of serializing on one cache.
 const candShardCount = 8
 
-// buildCandidates generates the sorted candidate set of one row. The
-// per-cell draws mirror disturbReference exactly, using the
-// fixed-arity hash fast paths (bit-identical to the variadic Hash64).
-func (m *Model) buildCandidates(bank, row int) []candidate {
+// boundPad relatively pads the kernel's float bounds — the walk cutoff
+// and the builder's pre-Pow bound on the uniform draw — so that a few
+// ulps of rounding can never exclude a cell the exact compares would
+// accept; like trialNoiseFloor/Ceil, it only makes a bound more
+// conservative.
+const boundPad = 1 + 1e-9
+
+// buildCandidates generates the (rel, bit)-sorted candidate set of one
+// row holding exactly the cells with rel ≤ cover. The per-cell draws
+// mirror disturbReference exactly, using the fixed-arity hash fast
+// paths (bit-identical to the variadic Hash64).
+func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 	rowBits := m.geo.RowBits()
 	cw := m.geo.ChipWidth
 	chips := m.geo.Chips
-	cells := make([]candidate, 0, rowBits)
+	alpha := m.p.TailAlpha
+	invAlpha := 1 / alpha
+	// rel = (rowBits·u)^(1/α)·cf (mult clamped from below) is at most
+	// cover only if rowBits·u ≤ cover^α·cf^(−α); cells above the padded
+	// bound are skipped without a Pow, the rest get the exact check.
+	bound := math.Pow(cover, alpha) * boundPad
+	keys := m.buildKeys[:0]
+	vulnerable := 0
 	// The (seed, bank, row) fold is shared by every bit of the row;
 	// Hash64Suffix completes it per bit, bit-identically to Hash64x4.
 	prefix := rng.HashPrefix(m.seed, uint64(bank), uint64(row))
-	for bit := 0; bit < rowBits; bit++ {
-		h := rng.Hash64Suffix(prefix, uint64(bit))
-
-		u := rng.Uniform01(rng.Hash64x2(h, keyCellMult1))
-		if u > m.p.VulnFrac {
-			continue
+	// bit = (col·chips + chip)·cw + line, so this nest visits bits in
+	// ascending order without dividing per bit.
+	bit := 0
+	for col := 0; col < m.geo.ColumnsPerRow; col++ {
+		for chip := 0; chip < chips; chip++ {
+			cfs := m.colFactor[chip][col*cw : (col+1)*cw]
+			negs := m.cfNegAlpha[chip][col*cw : (col+1)*cw]
+			for line := 0; line < cw; line, bit = line+1, bit+1 {
+				h := rng.Hash64Suffix(prefix, uint64(bit))
+				u := rng.Uniform01(rng.Hash64x2(h, keyCellMult1))
+				if u > m.p.VulnFrac {
+					continue
+				}
+				vulnerable++
+				x := float64(rowBits) * u
+				if x > bound*negs[line] {
+					continue
+				}
+				mult := math.Pow(x, invAlpha)
+				if mult < minCellMult {
+					mult = minCellMult
+				}
+				rel := mult * cfs[line]
+				if rel > cover {
+					continue
+				}
+				keys = append(keys, relBit{key: math.Float64bits(rel), bit: int32(bit)})
+			}
 		}
-		mult := math.Pow(float64(rowBits)*u, 1/m.p.TailAlpha)
-		if mult < minCellMult {
-			mult = minCellMult
-		}
+	}
+	if len(keys) == vulnerable {
+		cover = math.Inf(1)
+	}
+	if cap(m.buildTmp) < len(keys) {
+		m.buildTmp = make([]relBit, cap(keys))
+	}
+	sorted := radixSortRelBits(keys, m.buildTmp[:len(keys)])
+	m.buildKeys = keys
 
-		line := bit % cw
-		rest := bit / cw
-		chip := rest % chips
-		col := rest / chips
-		rel := mult * m.colFactor[chip][col*cw+line]
-
+	cells := make([]candidate, len(sorted))
+	for i, k := range sorted {
+		h := rng.Hash64Suffix(prefix, uint64(k.bit))
 		// Resolve the temperature range and gap draws once; censored
 		// bounds become infinite gates and "no gap" becomes NaN, so
 		// the walk needs only three float compares.
@@ -119,69 +181,107 @@ func (m *Model) buildCandidates(bank, row int) []candidate {
 				gapT = lo + float64(5*(pick+1))
 			}
 		}
-
-		cells = append(cells, candidate{
-			rel:     rel,
+		cells[i] = candidate{
+			rel:     math.Float64frombits(k.key),
 			h:       h,
 			loGate:  loGate,
 			hiGate:  hiGate,
 			gapT:    gapT,
-			bit:     int32(bit),
+			bit:     k.bit,
 			charged: uint8(h & 1),
-		})
-	}
-	// The (rel, bit) key is unique per cell, so any sorting algorithm
-	// yields the same array; SortFunc avoids sort.Slice's reflection-
-	// based swapper on this hot build path.
-	slices.SortFunc(cells, func(a, b candidate) int {
-		if a.rel != b.rel {
-			if a.rel < b.rel {
-				return -1
-			}
-			return 1
 		}
-		return int(a.bit - b.bit)
-	})
-	return cells
+	}
+	return candSet{cells: cells, cover: cover}
 }
 
-// candidates returns the row's candidate set, building and caching it
-// on first use. The returned slice is read-only: it may be shared
-// with other models attached to the same cache on other goroutines.
-func (m *Model) candidates(bank, row int) []candidate {
-	key := uint64(bank)<<32 | uint64(uint32(row))
-	if cs, ok := m.candCache.get(key); ok {
-		return cs
+// relBit is one kept cell's sort record: the IEEE-754 bits of its rel
+// (for rel > 0 the bit patterns order exactly like the floats) and its
+// bit index.
+type relBit struct {
+	key uint64
+	bit int32
+}
+
+// radixSortRelBits sorts a by key with a stable LSD radix sort over
+// 8-bit digits, skipping digits on which every key agrees, and returns
+// the buffer holding the result (a or tmp; len(tmp) == len(a)). a
+// arrives in ascending bit order and stability keeps equal keys in that
+// order, so the result is exactly the (rel, bit) order.
+func radixSortRelBits(a, tmp []relBit) []relBit {
+	n := int32(len(a))
+	if n < 2 {
+		return a
 	}
-	cs := m.buildCandidates(bank, row)
-	m.candCache.put(key, cs)
-	return cs
+	var counts [8][256]int32
+	for _, e := range a {
+		k := e.key
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := a, tmp
+	for d := range counts {
+		shift := uint(8 * d)
+		c := &counts[d]
+		if c[byte(src[0].key>>shift)] == n {
+			continue
+		}
+		var sum int32
+		for i, v := range c {
+			c[i] = sum
+			sum += v
+		}
+		for _, e := range src {
+			b := byte(e.key >> shift)
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// candidatesUpTo returns a candidate set of the row holding at least
+// every cell with rel ≤ cut, building or extending the cached set as
+// needed. The returned slice is read-only: it may be shared with other
+// models attached to the same cache on other goroutines.
+func (m *Model) candidatesUpTo(bank, row int, cut float64) []candidate {
+	key := uint64(bank)<<32 | uint64(uint32(row))
+	set, ok := m.candCache.get(key, cut)
+	if ok && set.cover >= cut {
+		return set.cells
+	}
+	cover := cut
+	if ok {
+		cover = max(cut, set.cover*math.Pow(2, 1/m.p.TailAlpha))
+	}
+	set = m.buildCandidates(bank, row, cover)
+	m.candCache.put(key, set)
+	return set.cells
 }
 
 // disturbBatch is the trial-batched kernel walk. A cell can flip only
 // when heff·coupling ≥ rowHC·rel·noise with coupling ≤ 1 and noise ≥
-// exp(−σ·zmax), so candidates with rel above the inflated cutoff are
-// unreachable under every salt and the sorted order lets a binary
-// search skip them all at once. masks[i] (len == len(ctx.Data), zeroed
-// here) and flips[i] receive salt i's flip bitplane and count.
+// trialNoiseFloor, so candidates with rel above heff/rowHC (divided by
+// the noise floor when salted, padded by boundPad) are unreachable
+// under every salt: the set is only built up to that cutoff and the
+// sorted order lets a binary search skip everything past it. masks[i]
+// (len == len(ctx.Data), zeroed here) and flips[i] receive salt i's
+// flip bitplane and count.
 func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, heff, tempC float64, salts []uint64, masks [][]uint64, flips []int) {
 	for i := range masks {
 		clearWords(masks[i])
 		flips[i] = 0
 	}
-	cells := m.candidates(ctx.Bank, ctx.Row)
 
-	cut := heff / (rp.hc * minCoupling)
-	salted := false
+	cut := heff / rp.hc * boundPad
 	for _, s := range salts {
 		if s != 0 {
-			salted = true
+			cut /= trialNoiseFloor
 			break
 		}
 	}
-	if salted {
-		cut *= math.Exp(trialNoiseSigma * trialNoiseZMax)
-	}
+	cells := m.candidatesUpTo(ctx.Bank, ctx.Row, cut)
 	n := sort.Search(len(cells), func(i int) bool { return cells[i].rel > cut })
 
 	up, down := ctx.Up, ctx.Down
@@ -252,13 +352,23 @@ type candShard struct {
 	entries     map[uint64]*candEntry
 	head        *candEntry // most recently used
 	tail        *candEntry
+	stats       candStats
 }
 
 type candEntry struct {
 	key        uint64
-	cells      []candidate
+	set        candSet
 	bytes      int
 	prev, next *candEntry
+}
+
+// candStats counts one shard's traffic, under the shard lock.
+type candStats struct {
+	hits       int // lookups whose cached cover reached the cutoff
+	misses     int // lookups of an uncached row
+	extensions int // lookups whose cached cover fell short of the cutoff
+	cells      int // candidates materialized by the builds put here
+	evictions  int
 }
 
 // newCandLRU builds a sharded LRU holding at most budgetBytes of
@@ -288,31 +398,46 @@ func (l *candLRU) shardFor(key uint64) *candShard {
 	return &l.shards[h&(candShardCount-1)]
 }
 
-func (l *candLRU) get(key uint64) ([]candidate, bool) {
+// get returns the cached set of key, if any, for a walk reaching cut;
+// the caller extends it when its cover falls short.
+func (l *candLRU) get(key uint64, cut float64) (candSet, bool) {
 	s := l.shardFor(key)
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
+		s.stats.misses++
 		s.mu.Unlock()
-		return nil, false
+		return candSet{}, false
+	}
+	if e.set.cover >= cut {
+		s.stats.hits++
+	} else {
+		s.stats.extensions++
 	}
 	s.moveToFront(e)
-	cells := e.cells
+	set := e.set
 	s.mu.Unlock()
-	return cells, true
+	return set, true
 }
 
-func (l *candLRU) put(key uint64, cells []candidate) {
-	cost := len(cells) * candidateBytes
+// put caches set under key. An entry is never replaced by one of
+// smaller cover: models sharing the cache extend the same row
+// concurrently, and the widest build must win.
+func (l *candLRU) put(key uint64, set candSet) {
+	cost := len(set.cells) * candidateBytes
 	s := l.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.stats.cells += len(set.cells)
 	if e, ok := s.entries[key]; ok {
+		if set.cover < e.set.cover {
+			return
+		}
 		s.bytes += cost - e.bytes
-		e.cells, e.bytes = cells, cost
+		e.set, e.bytes = set, cost
 		s.moveToFront(e)
 	} else {
-		e := &candEntry{key: key, cells: cells, bytes: cost}
+		e := &candEntry{key: key, set: set, bytes: cost}
 		s.entries[key] = e
 		s.pushFront(e)
 		s.bytes += cost
@@ -325,7 +450,24 @@ func (l *candLRU) put(key uint64, cells []candidate) {
 		s.unlink(evict)
 		delete(s.entries, evict.key)
 		s.bytes -= evict.bytes
+		s.stats.evictions++
 	}
+}
+
+// stats sums the shards' traffic counters (test and diagnostic use).
+func (l *candLRU) stats() candStats {
+	var t candStats
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.Lock()
+		t.hits += s.stats.hits
+		t.misses += s.stats.misses
+		t.extensions += s.stats.extensions
+		t.cells += s.stats.cells
+		t.evictions += s.stats.evictions
+		s.mu.Unlock()
+	}
+	return t
 }
 
 // totalBytes sums the cached candidate bytes across shards (test and

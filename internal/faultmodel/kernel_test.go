@@ -196,13 +196,15 @@ func TestKernelLRUBoundsMemory(t *testing.T) {
 		t.Fatalf("per-shard budgets sum to %d, want %d (± rounding)", sum, candCacheBudgetBytes)
 	}
 
-	// Shrink to ~4 average rows per shard and touch far more rows.
+	// Shrink to ~4 complete rows per shard and touch far more rows,
+	// hammered hard enough (8M) that their cover-bounded sets are
+	// complete: the worst case for memory.
 	perRow := len(m.candidates(0, 8)) * candidateBytes
 	budget := 32 * perRow
 	small := newCandLRU(budget)
 	m.candCache = small
 	for row := 8; row < 8+256; row++ {
-		led := mkLedger(150_000, 34.5, 16.5, 50)
+		led := mkLedger(8_000_000, 34.5, 16.5, 50)
 		disturbRow(m, 0, row, led, 0, ^uint64(0))
 	}
 	if got := small.totalBytes(); got > budget {

@@ -3,6 +3,7 @@ package faultmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/rng"
@@ -59,7 +60,8 @@ const trialNoiseZMax = 4.0
 // padded by a relative epsilon so the bounds stay conservative even if
 // math.Exp is not perfectly monotone at the truncation boundary. The
 // kernel walk uses them to decide unambiguous cells without paying for
-// the Box-Muller draw; cells inside the band get the exact factor.
+// the Box-Muller draw (cells inside the band get the exact factor), and
+// the floor to bound its salted cutoff.
 var (
 	trialNoiseFloor = math.Exp(-trialNoiseSigma*trialNoiseZMax) * (1 - 1e-12)
 	trialNoiseCeil  = math.Exp(trialNoiseSigma*trialNoiseZMax) * (1 + 1e-12)
@@ -86,24 +88,27 @@ type Config struct {
 
 // Model implements dram.Disturber with the calibrated per-cell
 // parametric RowHammer model. A Model belongs to exactly one module
-// and is not safe for concurrent use.
+// and is not safe for concurrent use; Fork gives another goroutine its
+// own model of the same module.
 type Model struct {
+	// Per-module state, immutable after NewModel and shared by forks.
 	p      *Profile
 	seed   uint64
 	geo    dram.Geometry
 	baseHC float64
-
-	// colFactor[chip][arrayCol]: per-column threshold multipliers.
-	colFactor [][]float64
+	// colFactor[chip][arrayCol]: per-column threshold multipliers;
+	// cfNegAlpha holds colFactor^(−TailAlpha), the builder's pre-Pow
+	// bound (kernel.go).
+	colFactor  [][]float64
+	cfNegAlpha [][]float64
 	// tempCum is the cumulative probability of p.TempClusters.
 	tempCum []float64
-
-	rowCache map[uint64]rowParams
 	// candCache memoizes per-(bank,row) candidate-cell sets, the
 	// threshold-sorted working set of the disturb kernel (kernel.go).
-	// Sharded and lock-protected; may be shared between the models of
-	// cloned benches (ShareKernelCache).
+	// Sharded and lock-protected, so forks share it.
 	candCache *candLRU
+
+	rowCache map[uint64]rowParams
 	// replay memoizes whole disturb evaluations by exact input
 	// (replay.go); per-model, unlocked.
 	replay *replayCache
@@ -121,6 +126,8 @@ type Model struct {
 	maskArena []uint64
 	walkMasks [][]uint64
 	walkFlips []int
+	// buildKeys/buildTmp are buildCandidates' radix-sort buffers.
+	buildKeys, buildTmp []relBit
 }
 
 type rowParams struct {
@@ -161,24 +168,38 @@ func NewModel(cfg Config) (*Model, error) {
 	designKey := rng.Hash64(uint64(len(cfg.Profile.Name)), uint64(cfg.Profile.Name[0]), keyColDesign)
 	arrayCols := m.geo.ChipRowBits()
 	wp := cfg.Profile.ColProcessWeight
+	alpha := cfg.Profile.TailAlpha
+	minNegAlpha := math.Pow(minColFactor, -alpha)
+	// The design deviate depends on the column alone: draw it once per
+	// column, not once per (chip, column).
+	design := make([]float64, arrayCols)
+	for c := range design {
+		design[c] = rng.NormalFromHash(
+			rng.Hash64x3(designKey, uint64(c), 1),
+			rng.Hash64x3(designKey, uint64(c), 2),
+		)
+	}
 	m.colFactor = make([][]float64, m.geo.Chips)
+	m.cfNegAlpha = make([][]float64, m.geo.Chips)
 	for chip := range m.colFactor {
 		m.colFactor[chip] = make([]float64, arrayCols)
+		m.cfNegAlpha[chip] = make([]float64, arrayCols)
 		for c := 0; c < arrayCols; c++ {
-			zd := rng.NormalFromHash(
-				rng.Hash64(designKey, uint64(c), 1),
-				rng.Hash64(designKey, uint64(c), 2),
-			)
+			zd := design[c]
 			zp := rng.NormalFromHash(
-				rng.Hash64(m.seed, keyColProc, uint64(chip), uint64(c), 1),
-				rng.Hash64(m.seed, keyColProc, uint64(chip), uint64(c), 2),
+				rng.Hash64x5(m.seed, keyColProc, uint64(chip), uint64(c), 1),
+				rng.Hash64x5(m.seed, keyColProc, uint64(chip), uint64(c), 2),
 			)
 			zc := math.Sqrt(1-wp)*zd + math.Sqrt(wp)*zp
-			f := math.Exp(cfg.Profile.ColSigma * zc)
+			lf := cfg.Profile.ColSigma * zc
+			f := math.Exp(lf)
+			// f^(−α) to within a few ulps, at the price of one Exp.
+			negAlpha := math.Exp(-alpha * lf)
 			if f < minColFactor {
-				f = minColFactor
+				f, negAlpha = minColFactor, minNegAlpha
 			}
 			m.colFactor[chip][c] = f
+			m.cfNegAlpha[chip][c] = negAlpha
 		}
 	}
 
@@ -222,19 +243,26 @@ func (m *Model) SetTrialSalts(salts []uint64) {
 	m.batchSalts = append(m.batchSalts[:0], salts...)
 }
 
-// ShareKernelCache attaches this model to src's candidate-set cache.
-// Candidate sets are pure functions of (profile, module seed,
-// geometry), so sharing is only valid between models with identical
-// identity — cloned measurement cores of one bench — and lets
-// parallel cores stop rebuilding each other's rows. The sharded cache
-// is safe for concurrent use; each model itself remains
-// single-goroutine.
-func (m *Model) ShareKernelCache(src *Model) error {
-	if m.seed != src.seed || m.p.Name != src.p.Name || m.geo != src.geo {
-		return fmt.Errorf("faultmodel: cannot share kernel cache across different module identities")
+// Fork returns a model of the same module for another goroutine. It
+// shares m's immutable per-module state — profile, seed, geometry,
+// base HC, column-factor tables, temperature distribution — and its
+// sharded candidate cache, so parallel measurement cores neither
+// re-derive the tables nor rebuild each other's rows. Its row cache,
+// replay cache, salts and scratch start empty, as in a fresh NewModel.
+// Fork may run concurrently with m's use.
+func (m *Model) Fork() *Model {
+	return &Model{
+		p:          m.p,
+		seed:       m.seed,
+		geo:        m.geo,
+		baseHC:     m.baseHC,
+		colFactor:  m.colFactor,
+		cfNegAlpha: m.cfNegAlpha,
+		tempCum:    m.tempCum,
+		candCache:  m.candCache,
+		rowCache:   make(map[uint64]rowParams),
+		replay:     newReplayCache(),
 	}
-	m.candCache = src.candCache
-	return nil
 }
 
 // rowParamsFor returns (caching) the per-row parameters.
@@ -320,14 +348,11 @@ func ledgerTempC(led *dram.RowLedger) float64 {
 // the profile's cluster distribution. lo==50 / hi==90 are censored
 // bounds: the true range extends beyond the tested window.
 func (m *Model) cellTempRange(h uint64) (lo, hi float64) {
-	u := rng.Uniform01(rng.Hash64(h, keyCellRange))
-	for i, cum := range m.tempCum {
-		if u <= cum {
-			c := m.p.TempClusters[i]
-			return c.LoC, c.HiC
-		}
-	}
-	c := m.p.TempClusters[len(m.p.TempClusters)-1]
+	u := rng.Uniform01(rng.Hash64x2(h, keyCellRange))
+	// The first cluster whose cumulative probability reaches u; the
+	// running sums never decrease, so a binary search finds it.
+	i, _ := slices.BinarySearch(m.tempCum, u)
+	c := m.p.TempClusters[min(i, len(m.tempCum)-1)]
 	return c.LoC, c.HiC
 }
 

@@ -8,10 +8,10 @@ import (
 	"rowhammer/internal/rng"
 )
 
-// mkCells builds a candidate slice of the given length (contents are
+// mkCells builds a candidate set of the given length (contents are
 // irrelevant to the cache; only the byte cost matters).
-func mkCells(n int) []candidate {
-	return make([]candidate, n)
+func mkCells(n int) candSet {
+	return candSet{cells: make([]candidate, n)}
 }
 
 // TestPropertyShardedEvictionRespectsBudget drives random put/get
@@ -29,7 +29,7 @@ func TestPropertyShardedEvictionRespectsBudget(t *testing.T) {
 			h := rng.Hash64x2(seed, uint64(i))
 			key := h % 97
 			if h&1 == 0 {
-				l.get(key)
+				l.get(key, 0)
 				continue
 			}
 			// Sizes up to the full shard budget (64 candidates).
@@ -71,8 +71,8 @@ func TestShardedLRUConcurrentGetPut(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				h := rng.Hash64x2(uint64(w), uint64(i))
 				key := h % keys
-				if cells, ok := l.get(key); ok {
-					_ = len(cells)
+				if set, ok := l.get(key, 0); ok {
+					_ = len(set.cells)
 					continue
 				}
 				l.put(key, mkCells(int(h>>8)%32+1))

@@ -82,19 +82,22 @@ func Hash64x5(a, b, c, d, e uint64) uint64 {
 //
 // for every x. Loops that hash many tuples sharing a common prefix
 // (the disturb kernel hashes (seed, bank, row, bit) for every bit of a
-// row) hoist the shared fold out of the loop.
+// row) hoist the shared fold out of the loop. The prefix is the fold
+// state already advanced by the splitmix64 round the next Mix applies
+// to it, so that round is hoisted too.
 func HashPrefix(keys ...uint64) uint64 {
 	h := hashSeed
 	for _, k := range keys {
 		h = Mix(h, k)
 	}
-	return h
+	return splitmix64(h)
 }
 
-// Hash64Suffix completes a hash from a HashPrefix fold state and the
-// final tuple element. 0 allocs/op.
+// Hash64Suffix completes a hash from a HashPrefix prefix and the final
+// tuple element: the rest of Mix(fold, last), then the final round.
+// 0 allocs/op.
 func Hash64Suffix(prefix, last uint64) uint64 {
-	return splitmix64(Mix(prefix, last))
+	return splitmix64(splitmix64(prefix ^ (last + golden64)))
 }
 
 // HashString hashes a string into a 64-bit value, for keying

@@ -83,6 +83,11 @@ func NewBench(cfg BenchConfig) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newBench(cfg, model)
+}
+
+// newBench assembles a bench around model from a normalized config.
+func newBench(cfg BenchConfig, model *faultmodel.Model) (*Bench, error) {
 	mod, err := dram.NewModule(dram.ModuleConfig{
 		Geometry:     cfg.Geometry,
 		Timing:       cfg.Timing,
@@ -113,21 +118,15 @@ func NewBench(cfg BenchConfig) (*Bench, error) {
 }
 
 // Clone builds an independent bench with the same configuration: a
-// fresh module, fault model, executor, and thermal chamber replaying
-// the same deterministic construction. The parallel measurement cores
-// use clones as hermetic per-shard devices under test.
+// fresh module, executor, and thermal chamber replaying the same
+// deterministic construction, around a Fork of the fault model. The
+// fork shares the module's immutable tables and sharded kernel cache
+// (candidate sets are pure functions of the module, so sharing only
+// deduplicates work) and starts with empty per-model caches, exactly
+// like a freshly built model. The parallel measurement cores use
+// clones as hermetic per-shard devices under test.
 func (b *Bench) Clone() (*Bench, error) {
-	nb, err := NewBench(b.cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Clones rebuild the same deterministic candidate sets, so sharing
-	// the parent's sharded kernel cache only deduplicates work; the
-	// shards' locks keep concurrent cores from serializing on it.
-	if err := nb.Model.ShareKernelCache(b.Model); err != nil {
-		return nil, err
-	}
-	return nb, nil
+	return newBench(b.cfg, b.Model.Fork())
 }
 
 // SetTemperature drives the thermal chamber to tempC, waits for the
