@@ -109,13 +109,16 @@ chaos-net:
 	RH_CRASH_DIR=$(abspath crash-artifacts) $(GO) test -race -run TestCrashShardNet -count=1 -v ./cmd/rhfleet/
 
 # Fleet placement drill: the real rhserved daemon fans a sharded
-# campaign out across three real `rhfleet -worker` processes — one
-# slowed by injected lease-client latency — then one healthy worker is
-# SIGKILLed mid-run. The scheduler must rebalance off the straggler,
-# reassign the dead worker's shards, and the published artifact must
-# stay byte-identical to a single-process rhfleet run.
+# campaign out across three real `rhfleet -worker` processes and its
+# own fleet member — one worker slowed by injected lease-client
+# latency — then one healthy worker is SIGKILLed mid-run. The
+# scheduler must rebalance off the straggler, reassign the dead
+# worker's shards, and the published artifact must stay
+# byte-identical to a single-process rhfleet run. On failure the
+# daemon and worker logs land in crash-artifacts/chaos-fleet/.
 chaos-fleet:
-	$(GO) test -race -run TestFleetChaosDrill -count=1 -v ./cmd/rhserved/
+	mkdir -p crash-artifacts
+	RH_CRASH_DIR=$(abspath crash-artifacts) $(GO) test -race -run TestFleetChaosDrill -count=1 -v ./cmd/rhserved/
 
 # Serve-smoke suite: drive the real rhserved binary end to end —
 # start it on a temp store, submit a fig5 campaign over HTTP, stream

@@ -47,7 +47,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -458,18 +457,10 @@ func armDrainSignals(ctx context.Context, cancel context.CancelFunc, drainTO tim
 // workers.
 func buildWireSpec(specPath, mfrs string, modules int, kind string, seed uint64, scale, temps string,
 	workers, retries int, jobTO, backoff time.Duration, breaker, wdog int) (server.Spec, error) {
-	var ws server.Spec
 	if specPath != "" {
-		b, err := os.ReadFile(specPath)
-		if err != nil {
-			return ws, err
-		}
-		if err := json.Unmarshal(b, &ws); err != nil {
-			return ws, fmt.Errorf("parsing %s: %w", specPath, err)
-		}
-		return ws, nil
+		return server.ReadSpec(specPath)
 	}
-	ws = server.Spec{
+	ws := server.Spec{
 		Kind:             kind,
 		ModulesPerMfr:    modules,
 		Seed:             seed,

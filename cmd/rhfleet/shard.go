@@ -117,14 +117,7 @@ func runShardWorker(cfg shardWorkerConfig) int {
 		Log:           func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) },
 	}
 	if !cfg.quiet {
-		rc.Progress = func(done, total int, rec rh.CampaignRecord) {
-			status := "ok"
-			if rec.Err != "" {
-				status = "FAILED: " + rec.Err
-			}
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s [%d/%d] %-24s %s (%.1fs elapsed)\n",
-				a, done, total, rec.Key, status, time.Since(start).Seconds())
-		}
+		rc.Progress = shardProgress(a, start)
 	}
 	res, err := shard.RunShard(ctx, rc)
 	if res != nil {
@@ -152,6 +145,18 @@ func runShardWorker(cfg shardWorkerConfig) int {
 		}
 	}
 	return 0
+}
+
+// shardProgress reports each finished job of shard a on stderr.
+func shardProgress(a shard.Assignment, start time.Time) func(done, total int, rec rh.CampaignRecord) {
+	return func(done, total int, rec rh.CampaignRecord) {
+		status := "ok"
+		if rec.Err != "" {
+			status = "FAILED: " + rec.Err
+		}
+		fmt.Fprintf(os.Stderr, "rhfleet: shard %s [%d/%d] %-24s %s (%.1fs elapsed)\n",
+			a, done, total, rec.Key, status, time.Since(start).Seconds())
+	}
 }
 
 // fleetWorkerCfg parameterizes a -worker process: a fleet member that
@@ -200,25 +205,9 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) }
 
 	run := func(ctx context.Context, p leasesvc.Placement, drain <-chan struct{}) error {
-		specPath := shard.SpecPath(p.Dir)
-		b, err := os.ReadFile(specPath)
+		rsv, err := server.ResolvePlacement(p)
 		if err != nil {
 			return err
-		}
-		var ws server.Spec
-		if err := json.Unmarshal(b, &ws); err != nil {
-			return fmt.Errorf("parsing %s: %w", specPath, err)
-		}
-		raw, err := ws.CampaignSpec()
-		if err != nil {
-			return err
-		}
-		rsv, err := server.Resolve(raw)
-		if err != nil {
-			return err
-		}
-		if got := rsv.Spec.IdentityHash(); got != p.Campaign {
-			return fmt.Errorf("placement names campaign %s but %s resolves to %s", p.Campaign, specPath, got)
 		}
 		runner := rsv.Runner
 		if cfg.profile != nil {
@@ -238,15 +227,7 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 			Log:           logf,
 		}
 		if !cfg.quiet {
-			start := time.Now()
-			rc.Progress = func(done, total int, rec rh.CampaignRecord) {
-				status := "ok"
-				if rec.Err != "" {
-					status = "FAILED: " + rec.Err
-				}
-				fmt.Fprintf(os.Stderr, "rhfleet: shard %s [%d/%d] %-24s %s (%.1fs elapsed)\n",
-					a, done, total, rec.Key, status, time.Since(start).Seconds())
-			}
+			rc.Progress = shardProgress(a, time.Now())
 		}
 		_, err = shard.RunShard(ctx, rc)
 		return err

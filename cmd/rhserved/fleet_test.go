@@ -22,6 +22,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rowhammer/internal/server"
 )
 
 var (
@@ -119,9 +121,9 @@ func waitWorkersAlive(t *testing.T, d *daemon, n int) {
 }
 
 // TestFleetChaosDrill is the end-to-end placement-layer drill. A
-// campaign submitted with "shards": 8 must complete entirely on the
-// three registered workers (the daemon spawns nothing), survive one
-// worker SIGKILLed mid-run and one straggler slowed by 400ms of
+// campaign submitted with "shards": 8 must complete on the fleet —
+// the three registered workers plus the daemon's own member — survive
+// one worker SIGKILLed mid-run and one straggler slowed by 400ms of
 // injected latency per lease call, move the straggler's queued shard
 // to a faster worker, and still publish the summary byte-identical to
 // a single-process rhfleet run of the same campaign.
@@ -152,9 +154,11 @@ func TestFleetChaosDrill(t *testing.T) {
 
 	d := startDaemon(t, t.TempDir(), "-lease-ttl", "2s")
 	w1 := startFleetWorker(t, d.base, "w1")
-	startFleetWorker(t, d.base, "w2")
-	startFleetWorker(t, d.base, "w3", "-net-chaos", "latency=1:400ms")
-	waitWorkersAlive(t, d, 3)
+	w2 := startFleetWorker(t, d.base, "w2")
+	w3 := startFleetWorker(t, d.base, "w3", "-net-chaos", "latency=1:400ms")
+	t.Cleanup(func() { saveDrillLogs(t, d, w1, w2, w3) })
+	// The three workers plus the daemon's own member.
+	waitWorkersAlive(t, d, 4)
 
 	st := submit(t, d, `{"kind":"hcfirst","mfrs":["A","B","C","D"],"modules_per_mfr":12,"scale":"tiny","seed":7,"workers":2,"shards":8}`)
 
@@ -216,13 +220,39 @@ func TestFleetChaosDrill(t *testing.T) {
 	}
 }
 
+// saveDrillLogs writes the daemon's and each worker's log under
+// $RH_CRASH_DIR/chaos-fleet when the test failed, where CI picks them
+// up. Without RH_CRASH_DIR the failure message carries the daemon log.
+func saveDrillLogs(t *testing.T, d *daemon, workers ...*fleetWorker) {
+	base := os.Getenv("RH_CRASH_DIR")
+	if base == "" || !t.Failed() {
+		return
+	}
+	dir := filepath.Join(base, "chaos-fleet")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Logf("saving drill logs: %v", err)
+		return
+	}
+	logs := map[string]string{"rhserved": d.log()}
+	for _, w := range workers {
+		logs[w.id] = w.logs.String()
+	}
+	for name, text := range logs {
+		if err := os.WriteFile(filepath.Join(dir, name+".log"), []byte(text), 0o644); err != nil {
+			t.Logf("saving drill logs: %v", err)
+		}
+	}
+}
+
 // TestFleetWorkersEndpointShape pins the operator-facing JSON of
 // GET /v1/workers and GET /v1/stats against a live daemon with one
-// registered worker — the wire schema EXPERIMENTS.md documents.
+// registered worker — the wire schema EXPERIMENTS.md documents — and
+// that the daemon's own member is listed beside it with the slots its
+// flags derive: -max-active × -worker-budget.
 func TestFleetWorkersEndpointShape(t *testing.T) {
-	d := startDaemon(t, t.TempDir(), "-lease-ttl", "2s")
+	d := startDaemon(t, t.TempDir(), "-lease-ttl", "2s", "-max-active", "3", "-worker-budget", "2")
 	startFleetWorker(t, d.base, "shape-w")
-	waitWorkersAlive(t, d, 1)
+	waitWorkersAlive(t, d, 2)
 
 	resp, err := http.Get(d.base + "/v1/workers")
 	if err != nil {
@@ -233,13 +263,26 @@ func TestFleetWorkersEndpointShape(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
 		t.Fatal(err)
 	}
-	if len(views) != 1 {
-		t.Fatalf("got %d workers, want 1", len(views))
+	byID := map[string]map[string]any{}
+	for _, v := range views {
+		id, _ := v["id"].(string)
+		byID[id] = v
+	}
+	w, ok := byID["shape-w"]
+	if !ok {
+		t.Fatalf("worker shape-w not listed: %v", views)
 	}
 	for _, key := range []string{"id", "token", "alive", "slots", "seq", "ttl_ms"} {
-		if _, ok := views[0][key]; !ok {
-			t.Fatalf("GET /v1/workers entry missing %q: %v", key, views[0])
+		if _, ok := w[key]; !ok {
+			t.Fatalf("GET /v1/workers entry missing %q: %v", key, w)
 		}
+	}
+	local, ok := byID[server.LocalWorkerID]
+	if !ok {
+		t.Fatalf("the daemon's own member %q is not listed: %v", server.LocalWorkerID, views)
+	}
+	if local["alive"] != true || local["slots"] != float64(3*2) {
+		t.Fatalf("daemon member = %v, want alive with 6 slots (-max-active 3 × -worker-budget 2)", local)
 	}
 
 	var stats map[string]any
@@ -251,7 +294,7 @@ func TestFleetWorkersEndpointShape(t *testing.T) {
 			t.Fatalf("GET /v1/stats missing %q: %v", key, stats)
 		}
 	}
-	if stats["workers_registered"].(float64) < 1 {
-		t.Fatalf("workers_registered = %v, want >= 1", stats["workers_registered"])
+	if stats["workers_registered"].(float64) < 2 {
+		t.Fatalf("workers_registered = %v, want >= 2", stats["workers_registered"])
 	}
 }

@@ -4,6 +4,13 @@
 // per-campaign worker budgets, crash-safe v2 checkpoints), and serves
 // the resulting artifacts from an indexed, queryable on-disk store.
 //
+// Sharded campaigns ("shards": N) are placed across the daemon's fleet:
+// the daemon registers its own in-process member (worker ID rhserved,
+// -max-active × -worker-budget slots) with its worker registry, and
+// rhfleet -worker processes on other hosts may join it over
+// /v1/workers. Every shard attempt runs under a fenced lease from the
+// same service.
+//
 // Usage:
 //
 //	rhserved -store /var/lib/rhserved
@@ -91,8 +98,9 @@ func main() {
 
 	// One lease service carries both halves of the placement layer:
 	// fenced shard leases under /v1/leases and the worker registry
-	// under /v1/workers. Sharded campaigns fan out across registered
-	// workers when any are alive, and run in-process otherwise.
+	// under /v1/workers. Every sharded campaign is placed across the
+	// workers registered here — the manager's own member, which
+	// NewManager registers, and any rhfleet -worker that joins.
 	fleet := leasesvc.NewService(*leaseTTL)
 
 	mgr, err := server.NewManager(st, server.ManagerConfig{

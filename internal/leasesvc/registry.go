@@ -67,7 +67,7 @@ type WorkerView struct {
 	// TTL — the scheduler only places onto live workers.
 	Alive bool `json:"alive"`
 	// Slots is the worker's declared parallel capacity.
-	Slots int `json:"slots"`
+	Slots int    `json:"slots"`
 	Seq   uint64 `json:"seq"`
 	// SinceAdvance is service-clock time since Seq last advanced.
 	SinceAdvance time.Duration `json:"since_advance_ms"`
@@ -227,6 +227,7 @@ func (s *Service) Assign(id string, p Placement) error {
 		}
 	}
 	w.assignments = append(w.assignments, p)
+	s.notifyLocked()
 	return nil
 }
 
@@ -245,6 +246,9 @@ func (s *Service) Unassign(id string, p Placement) {
 		if have != p {
 			kept = append(kept, have)
 		}
+	}
+	if len(kept) < len(w.assignments) {
+		s.notifyLocked()
 	}
 	w.assignments = kept
 }

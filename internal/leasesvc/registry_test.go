@@ -216,3 +216,69 @@ func TestWorkerRegistryGC(t *testing.T) {
 		t.Fatalf("re-register after sweep: %v", err)
 	}
 }
+
+// TestChangedSignalsLeaseAndPlacementChanges: every lease or placement
+// mutation closes the Changed channel handed out before it, and a
+// worker's own registration and heartbeats never do — a worker that
+// wakes on Changed and beats must not wake itself again.
+func TestChangedSignalsLeaseAndPlacementChanges(t *testing.T) {
+	s := NewService(time.Second)
+	ctx := context.Background()
+	key := testKey()
+	p := testPlacement(0)
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+
+	ch := s.Changed()
+	g, err := s.RegisterWorker(ctx, "w1", "hostA:1", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WorkerBeat(ctx, "w1", g.Token, 1); err != nil {
+		t.Fatal(err)
+	}
+	if closed(ch) {
+		t.Fatal("RegisterWorker or WorkerBeat closed Changed: a waking worker would re-trigger itself")
+	}
+
+	var grant Grant
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Assign", func() error { return s.Assign("w1", p) }},
+		{"Acquire", func() (err error) { grant, err = s.Acquire(ctx, key, "w1", 0); return err }},
+		{"Beat", func() error { return s.Beat(ctx, key, grant.Token, Beat{Seq: 1, Done: 1, Total: 4}) }},
+		{"Release", func() error { return s.Release(ctx, key, grant.Token) }},
+		{"Unassign", func() error { s.Unassign("w1", p); return nil }},
+	} {
+		ch := s.Changed()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !closed(ch) {
+			t.Fatalf("%s did not close the previously returned Changed channel", step.name)
+		}
+		if closed(s.Changed()) {
+			t.Fatalf("after %s, Changed returned an already-closed channel", step.name)
+		}
+	}
+
+	// A heartbeat answer carrying assignments is still not a change.
+	if err := s.Assign("w1", p); err != nil {
+		t.Fatal(err)
+	}
+	ch = s.Changed()
+	if ps, err := s.WorkerBeat(ctx, "w1", g.Token, 2); err != nil || len(ps) != 1 {
+		t.Fatalf("WorkerBeat = %v, %v", ps, err)
+	}
+	if closed(ch) {
+		t.Fatal("WorkerBeat closed Changed")
+	}
+}

@@ -158,6 +158,8 @@ type Service struct {
 	ttl     time.Duration
 	now     func() time.Time
 	stats   Stats
+	// changed is closed and replaced on every lease or placement change.
+	changed chan struct{}
 }
 
 // Stats are the service's operational counters — the handover-churn
@@ -207,7 +209,27 @@ func NewService(defaultTTL time.Duration) *Service {
 	if defaultTTL <= 0 {
 		defaultTTL = DefaultTTL
 	}
-	return &Service{leases: map[Key]*state{}, workers: map[string]*workerState{}, ttl: defaultTTL, now: time.Now}
+	return &Service{leases: map[Key]*state{}, workers: map[string]*workerState{}, ttl: defaultTTL, now: time.Now, changed: make(chan struct{})}
+}
+
+// Changed returns a channel that is closed at the next change to a
+// lease or a placement: a granted Acquire, an accepted Beat or
+// Release, and an Assign or Unassign that alters a worker's
+// assignments. Worker registrations and worker heartbeats never close
+// it, so a worker that wakes on it to beat cannot wake itself. Each
+// close is followed by a fresh channel; take it before reading the
+// state it guards, so no change between the read and the next wait is
+// missed.
+func (s *Service) Changed() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.changed
+}
+
+// notifyLocked wakes every Changed waiter. Caller holds s.mu.
+func (s *Service) notifyLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // SetNow replaces the service clock — the test seam for expiry
@@ -277,6 +299,7 @@ func (s *Service) Acquire(_ context.Context, key Key, owner string, ttl time.Dur
 	st.seq = 0
 	st.lastAdvance = s.now()
 	s.stats.LeaseAcquires++
+	s.notifyLocked()
 	return Grant{Token: st.token, TTL: ttl}, nil
 }
 
@@ -320,6 +343,7 @@ func (s *Service) Beat(_ context.Context, key Key, token uint64, b Beat) error {
 		st.total = b.Total
 	}
 	s.stats.LeaseBeats++
+	s.notifyLocked()
 	return nil
 }
 
@@ -342,6 +366,7 @@ func (s *Service) Release(_ context.Context, key Key, token uint64) error {
 		// immediately instead of waiting out a TTL that no longer
 		// protects anyone.
 		st.lastAdvance = s.now().Add(-st.ttl - time.Second)
+		s.notifyLocked()
 	}
 	return nil
 }

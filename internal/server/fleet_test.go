@@ -3,9 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,29 +12,13 @@ import (
 )
 
 // fleetWorkerRun builds the Run func a fleet worker uses — the exact
-// steps `rhfleet -worker` performs per placement: load the persisted
-// wire spec from the placement's shard directory, resolve it, check
-// the campaign identity, and run the shard under the fenced lease.
+// steps `rhfleet -worker` performs per placement: resolve the
+// placement's persisted spec and run the shard under the fenced lease.
 func fleetWorkerRun(fleet *leasesvc.Service, ttl time.Duration) func(context.Context, leasesvc.Placement, <-chan struct{}) error {
 	return func(ctx context.Context, p leasesvc.Placement, drain <-chan struct{}) error {
-		b, err := os.ReadFile(shard.SpecPath(p.Dir))
+		rsv, err := ResolvePlacement(p)
 		if err != nil {
 			return err
-		}
-		var ws Spec
-		if err := json.Unmarshal(b, &ws); err != nil {
-			return err
-		}
-		raw, err := ws.CampaignSpec()
-		if err != nil {
-			return err
-		}
-		rsv, err := Resolve(raw)
-		if err != nil {
-			return err
-		}
-		if got := rsv.Spec.IdentityHash(); got != p.Campaign {
-			return fmt.Errorf("placement names campaign %s, spec resolves to %s", p.Campaign, got)
 		}
 		_, err = shard.RunShard(ctx, shard.RunConfig{
 			Dir:        p.Dir,
@@ -71,8 +53,8 @@ func waitLiveWorkers(t *testing.T, fleet *leasesvc.Service, n int) {
 }
 
 // TestFleetSubmitByteIdenticalArtifact: a sharded campaign submitted
-// to a manager with live registered workers runs entirely on the
-// fleet — the manager spawns nothing — and publishes an artifact
+// to a manager with live registered workers is placed across them and
+// the manager's own member alike, and publishes an artifact
 // byte-identical to the unsharded in-process run. The workers resolve
 // the persisted spec.json themselves, so this also pins the wire
 // round-trip a real rhfleet -worker performs.
@@ -127,10 +109,10 @@ func TestFleetSubmitByteIdenticalArtifact(t *testing.T) {
 	}
 }
 
-// TestFleetFallsBackInProcessWhenEmpty: a Fleet with no live workers
-// must not strand sharded campaigns — they run in-process, the
-// degenerate case.
-func TestFleetFallsBackInProcessWhenEmpty(t *testing.T) {
+// TestFleetLocalMemberRunsEmptyFleet: a Fleet with no workers of its
+// own does not strand sharded campaigns — the manager's own member is
+// registered with it, and every shard is placed there.
+func TestFleetLocalMemberRunsEmptyFleet(t *testing.T) {
 	fleet := leasesvc.NewService(500 * time.Millisecond)
 	mgr, _ := newTestManager(t, t.TempDir(), ManagerConfig{Fleet: fleet})
 	spec := tinyFig5()
@@ -144,13 +126,12 @@ func TestFleetFallsBackInProcessWhenEmpty(t *testing.T) {
 	}
 }
 
-// TestFleetFallsBackWhenFleetVanishes: the fleet-vs-in-process choice
-// is not one-shot. When every registered worker dies mid-campaign,
-// the scheduler's bounded no-worker wait surfaces ErrNoWorkers and
-// the manager finishes the remaining shards in-process — the campaign
-// completes instead of pinning one of the max-active slots on
-// "waiting" forever.
-func TestFleetFallsBackWhenFleetVanishes(t *testing.T) {
+// TestFleetLocalMemberFinishesWhenFleetVanishes: when every external
+// worker dies mid-campaign, their shards' leases lapse and the
+// scheduler reassigns them to the one member left — the manager's
+// own — so the campaign completes instead of pinning one of the
+// max-active slots on "waiting" forever.
+func TestFleetLocalMemberFinishesWhenFleetVanishes(t *testing.T) {
 	ttl := 150 * time.Millisecond
 	fleet := leasesvc.NewService(ttl)
 	wctx, wcancel := context.WithCancel(context.Background())
@@ -205,9 +186,99 @@ func TestFleetFallsBackWhenFleetVanishes(t *testing.T) {
 	<-workerDone
 
 	if s := waitTerminal(t, mgr, sub.ID); s.State != StateDone {
-		t.Fatalf("vanished-fleet campaign = %+v, want done via in-process fallback", s)
+		t.Fatalf("vanished-fleet campaign = %+v, want done on the local member", s)
 	}
 	if _, _, err := st.Get(sub.ID); err != nil {
-		t.Fatalf("artifact missing after fallback: %v", err)
+		t.Fatalf("artifact missing after the fleet vanished: %v", err)
+	}
+}
+
+// TestShardedNoPollTickOnCriticalPath: with the shipped 15s lease TTL
+// the coordinator's poll tick is TTL/4 = 3.75s apart, yet a 4-shard
+// campaign finishes far sooner — every placement, lease acquisition
+// and release reaches the scheduler and the local member as a change
+// signal, so no attempt waits on a tick.
+func TestShardedNoPollTickOnCriticalPath(t *testing.T) {
+	mgr, _ := newTestManager(t, t.TempDir(), ManagerConfig{})
+	spec := tinyFig5()
+	spec.Shards = 4
+	start := time.Now()
+	sub, _, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := waitTerminal(t, mgr, sub.ID); s.State != StateDone {
+		t.Fatalf("sharded run: %+v", s)
+	}
+	if took, tick := time.Since(start), leasesvc.DefaultTTL/4; took >= tick/2 {
+		t.Fatalf("4-shard campaign took %v; a poll tick (%v) is on its critical path", took, tick)
+	}
+}
+
+// TestShardedFailedCountFromMerge: lease progress carries only
+// done/total, so a sharded campaign's failed-job count comes from the
+// merge — a campaign whose jobs fail ends failed with Status.Failed
+// equal to the failed records in its shard checkpoints.
+func TestShardedFailedCountFromMerge(t *testing.T) {
+	dir := t.TempDir()
+	mgr, _ := newTestManager(t, dir, ManagerConfig{})
+	spec := tinyFig5()
+	spec.Seed = 2
+	spec.JobTimeoutMS = 1 // every job misses its deadline
+	spec.Shards = 2
+	sub, _, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, mgr, sub.ID)
+	if final.State != StateFailed {
+		t.Fatalf("campaign with failing jobs: %+v", final)
+	}
+	raw, err := spec.CampaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsv, err := Resolve(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := shard.MergeShards(rsv.Spec, shard.CheckpointPaths(filepath.Join(dir, "campaigns", sub.ID, "shards"), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed == 0 || final.Failed != rep.Failed || final.Done != rep.Records {
+		t.Fatalf("status %+v, want failed=%d done=%d from the merged checkpoints", final, rep.Failed, rep.Records)
+	}
+}
+
+// TestShardedStatusEventsBounded: fleet progress is published only
+// when done/total changes, so a sharded campaign's subscribers see at
+// most one snapshot per job plus the running and terminal
+// transitions — not one per lease heartbeat or scheduler wake-up.
+func TestShardedStatusEventsBounded(t *testing.T) {
+	mgr, _ := newTestManager(t, t.TempDir(), ManagerConfig{})
+	spec := tinyFig5()
+	spec.Shards = 4
+	sub, _, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel, ok := mgr.Subscribe(sub.ID)
+	if !ok {
+		t.Fatal("subscribe failed")
+	}
+	defer cancel()
+	<-ch // the snapshot current at subscription
+	events := 0
+	var last Status
+	for st := range ch {
+		events++
+		last = st
+	}
+	if last.State != StateDone {
+		t.Fatalf("terminal snapshot %+v", last)
+	}
+	if events > last.Total+2 {
+		t.Fatalf("%d status events for %d jobs, want at most %d", events, last.Total, last.Total+2)
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/durable"
@@ -90,18 +92,23 @@ type ManagerConfig struct {
 	// WorkerBudget caps each campaign's worker pool (0 = no cap) so
 	// concurrent campaigns cannot oversubscribe the machine.
 	WorkerBudget int
-	// Fleet, when non-nil, is the daemon's lease service. Sharded
-	// campaigns are fanned out across workers registered with its
-	// worker registry (rhfleet -worker processes pulling placements)
-	// whenever at least one is alive at start; with no fleet — or an
-	// empty one — shards run in-process, the degenerate case of the
-	// same coordinator. A fleet that vanishes mid-campaign is bounded
-	// the same way: once every worker has been gone past the
-	// scheduler's patience, the remaining shards finish in-process.
+	// Fleet is the daemon's lease service and worker registry; nil
+	// selects a private in-memory one. Every sharded campaign is placed
+	// across the workers registered with it: the manager's own
+	// in-process member (LocalWorkerID, MaxActive × WorkerBudget slots,
+	// or MaxActive × GOMAXPROCS without a budget) and any rhfleet
+	// -worker processes that joined over HTTP. The local member means
+	// the fleet is never empty.
 	Fleet *leasesvc.Service
-	// Log, when non-nil, receives one-line progress messages.
+	// Log, when non-nil, receives one-line progress messages. It is
+	// called concurrently: from every running campaign and from the
+	// manager's fleet member.
 	Log func(format string, args ...any)
 }
+
+// LocalWorkerID is the worker-registry ID of the manager's own fleet
+// member.
+const LocalWorkerID = "rhserved"
 
 // Manager schedules campaigns over the engine and publishes results
 // into the artifact store. All methods are safe for concurrent use.
@@ -121,17 +128,21 @@ type Manager struct {
 	drainCh  chan struct{}
 }
 
-// NewManager builds a manager over an open store and recovers any
-// campaigns persisted under it: terminal campaigns are served from
-// their status files; interrupted ones (queued, running or drained at
-// the time of the crash or shutdown) are re-enqueued and resume from
-// their v2 checkpoints.
+// NewManager builds a manager over an open store, registers its own
+// member with the fleet, and recovers any campaigns persisted under
+// the store: terminal campaigns are served from their status files;
+// interrupted ones (queued, running or drained at the time of the
+// crash or shutdown) are re-enqueued and resume from their v2
+// checkpoints.
 func NewManager(st *store.Store, cfg ManagerConfig) (*Manager, error) {
 	if cfg.MaxActive < 1 {
 		cfg.MaxActive = 1
 	}
 	if cfg.Log == nil {
 		cfg.Log = func(string, ...any) {}
+	}
+	if cfg.Fleet == nil {
+		cfg.Fleet = leasesvc.NewService(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -142,11 +153,85 @@ func NewManager(st *store.Store, cfg ManagerConfig) (*Manager, error) {
 		runs:    make(map[string]*runState),
 		drainCh: make(chan struct{}),
 	}
+	if err := m.join(); err != nil {
+		m.Close()
+		return nil, err
+	}
 	if err := m.recover(); err != nil {
-		cancel()
+		m.Close()
 		return nil, err
 	}
 	return m, nil
+}
+
+// join starts the manager's own fleet member and returns once it is
+// registered, so no campaign — a recovered one included — is ever
+// placed onto a fleet the member has not joined yet. The member runs
+// until the manager drains or closes.
+func (m *Manager) join() error {
+	per := m.cfg.WorkerBudget
+	if per < 1 {
+		per = runtime.GOMAXPROCS(0)
+	}
+	reg := &joinSignal{Service: m.cfg.Fleet, joined: make(chan struct{})}
+	exited := make(chan error, 1)
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		exited <- shard.RunWorker(m.ctx, shard.WorkerConfig{
+			Registry: reg,
+			ID:       LocalWorkerID,
+			Slots:    m.cfg.MaxActive * per,
+			TTL:      m.cfg.Fleet.DefaultLeaseTTL(),
+			Run:      m.runPlacement,
+			Drain:    m.drainCh,
+			Log:      m.cfg.Log,
+		})
+	}()
+	select {
+	case <-reg.joined:
+		return nil
+	case err := <-exited:
+		return fmt.Errorf("server: local fleet member: %w", err)
+	}
+}
+
+// joinSignal is the fleet service as the local member sees it, plus a
+// signal closed by the member's first successful registration.
+type joinSignal struct {
+	*leasesvc.Service
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (j *joinSignal) RegisterWorker(ctx context.Context, id, owner string, slots int, ttl time.Duration) (leasesvc.Grant, error) {
+	g, err := j.Service.RegisterWorker(ctx, id, owner, slots, ttl)
+	if err == nil {
+		j.once.Do(func() { close(j.joined) })
+	}
+	return g, err
+}
+
+// runPlacement runs one shard placed on the local member — the same
+// resolve-and-run every rhfleet -worker performs.
+func (m *Manager) runPlacement(ctx context.Context, p leasesvc.Placement, drain <-chan struct{}) error {
+	rsv, err := ResolvePlacement(p)
+	if err != nil {
+		return err
+	}
+	_, err = shard.RunShard(ctx, shard.RunConfig{
+		Dir:        p.Dir,
+		Assignment: shard.Assignment{Index: p.Shard, Of: p.Of},
+		Spec:       rsv.Spec,
+		Runner:     rsv.Runner,
+		Drain:      drain,
+		// Beat on the registry's cadence, well inside the lease TTL
+		// however short -lease-ttl is.
+		BeatEvery: m.cfg.Fleet.DefaultLeaseTTL() / 4,
+		Lease:     m.cfg.Fleet,
+		Owner:     LocalWorkerID,
+	})
+	return err
 }
 
 func (m *Manager) campaignsDir() string { return filepath.Join(m.store.Dir(), "campaigns") }
@@ -169,14 +254,9 @@ func (m *Manager) recover() error {
 			continue
 		}
 		id := e.Name()
-		specBytes, err := os.ReadFile(filepath.Join(dir, id, "spec.json"))
+		wire, err := ReadSpec(filepath.Join(dir, id, "spec.json"))
 		if err != nil {
 			m.cfg.Log("recover: %s: unreadable spec, skipping: %v", id, err)
-			continue
-		}
-		var wire Spec
-		if err := json.Unmarshal(specBytes, &wire); err != nil {
-			m.cfg.Log("recover: %s: corrupt spec, skipping: %v", id, err)
 			continue
 		}
 		r, err := m.newRun(wire)
@@ -368,18 +448,24 @@ func (r *runState) snapshot() Status {
 	return r.status
 }
 
-// update mutates the status under the run's lock and publishes the
-// new snapshot to subscribers. Slow subscribers miss intermediate
-// snapshots (newest-wins, non-blocking) but never the terminal one:
-// when the status is terminal the channels are drained and closed
-// after the final send.
+// update mutates the status under the run's lock and, when that
+// changed it, publishes the new snapshot to subscribers — a caller
+// may report the same progress many times (the fleet scheduler does
+// on every wake-up) without each report becoming an event. Slow
+// subscribers miss intermediate snapshots (newest-wins, non-blocking)
+// but never the terminal one: when the status is terminal the
+// channels are drained and closed after the final send.
 func (r *runState) update(f func(*Status)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return
 	}
+	before := r.status
 	f(&r.status)
+	if r.status == before {
+		return
+	}
 	for ch := range r.subs {
 		select {
 		case ch <- r.status:
@@ -504,130 +590,16 @@ func (m *Manager) finish(r *runState, res *campaign.Result) error {
 	return nil
 }
 
-// inprocWorker adapts a RunShard goroutine to the coordinator's
-// WorkerHandle: Kill cancels the worker's context, Drain stops its
-// dispatch gracefully, and Wait does not return until RunShard has
-// released the shard lease.
-type inprocWorker struct {
-	cancel    context.CancelFunc
-	drainOnce sync.Once
-	drain     chan struct{}
-	done      chan struct{}
-	err       error
-}
-
-func (w *inprocWorker) Wait() error { <-w.done; return w.err }
-func (w *inprocWorker) Kill()       { w.cancel() }
-func (w *inprocWorker) Drain()      { w.drainOnce.Do(func() { close(w.drain) }) }
-
-// executeSharded fans one campaign across n in-process shard workers
-// under the shard coordinator: each worker runs its slice of the grid
-// under a fenced lease from the coordinator's private lease service,
-// with its own checkpoint in <campaign>/shards, the
-// campaign's worker budget is divided among the shards, and the
-// merged result ingests byte-identical to an unsharded run. The same
-// directory and file formats as `rhfleet -coordinate` means the two
-// supervision paths share one on-disk truth and one merge.
-func (m *Manager) executeSharded(r *runState, n int) error {
-	if live := m.liveFleetWorkers(); live > 0 {
-		m.cfg.Log("campaign %s: fanning %d shard(s) out across %d registered fleet worker(s)", r.id, n, live)
-		err := m.executeFleet(r, n)
-		if !errors.Is(err, shard.ErrNoWorkers) {
-			return err
-		}
-		// The whole fleet vanished mid-campaign. The shard checkpoints
-		// on disk are the truth either way, so finish the remaining
-		// jobs in-process — the degenerate case this campaign would
-		// have started as had the fleet been empty at submit.
-		m.cfg.Log("campaign %s: fleet vanished (%v); finishing remaining shards in-process", r.id, err)
-	}
-	cs := r.resolved.Spec
-	dir := filepath.Join(r.dir, "shards")
-
-	// Divide the campaign's worker budget among shards; identity is
-	// unaffected (Workers is a scheduling knob).
-	shardSpec := cs
-	if per := cs.Workers / n; per > 0 {
-		shardSpec.Workers = per
-	} else {
-		shardSpec.Workers = 1
-	}
-
-	// Campaign-wide progress: shards report concurrently and respawns
-	// re-report resumed jobs, so counts are by unique job key.
-	var progMu sync.Mutex
-	seen := make(map[string]bool)
-	failed := make(map[string]bool)
-	progress := func(_, _ int, rec campaign.Record) {
-		progMu.Lock()
-		seen[rec.Key] = true
-		if rec.Failed() {
-			failed[rec.Key] = true
-		} else {
-			delete(failed, rec.Key)
-		}
-		jobsDone, jobsFailed := len(seen), len(failed)
-		progMu.Unlock()
-		r.update(func(s *Status) { s.Done, s.Failed = jobsDone, jobsFailed })
-	}
-
-	spawn := func(ctx context.Context, a shard.Assignment, gen int) (shard.WorkerHandle, error) {
-		wctx, cancel := context.WithCancel(ctx)
-		w := &inprocWorker{cancel: cancel, drain: make(chan struct{}), done: make(chan struct{})}
-		go func() {
-			defer close(w.done)
-			defer cancel()
-			_, w.err = shard.RunShard(wctx, shard.RunConfig{
-				Dir:        dir,
-				Assignment: a,
-				Spec:       shardSpec,
-				Runner:     r.resolved.Runner,
-				Drain:      w.drain,
-				Progress:   progress,
-			})
-		}()
-		return w, nil
-	}
-
-	r.update(func(s *Status) { s.State = StateRunning })
-	res, rep, err := shard.Coordinate(m.ctx, shard.Config{
-		Dir:    dir,
-		Spec:   cs,
-		Shards: n,
-		Spawn:  spawn,
-		Drain:  m.drainCh,
-		Log:    func(f string, args ...any) { m.cfg.Log("campaign "+r.id+": "+f, args...) },
-	})
-	if err != nil {
-		return err
-	}
-	if rep.Failed > 0 {
-		return fmt.Errorf("campaign %s: %d of %d jobs failed", r.id, rep.Failed, res.Total)
-	}
-	return m.finish(r, res)
-}
-
-// liveFleetWorkers counts alive registrations in the fleet registry.
-func (m *Manager) liveFleetWorkers() int {
-	if m.cfg.Fleet == nil {
-		return 0
-	}
-	n := 0
-	for _, w := range m.cfg.Fleet.Workers() {
-		if w.Alive {
-			n++
-		}
-	}
-	return n
-}
-
-// executeFleet fans one sharded campaign out across the fleet: the
-// wire spec is persisted into the shard directory for workers to
+// executeSharded places one campaign's shards across the fleet: the
+// wire spec is persisted into the shard directory for members to
 // resolve, and the coordinator places shards onto registered workers
-// instead of spawning anything. Supervision, stall handling,
-// reassignment bounds and the byte-identical merge are the same code
-// path executeSharded's in-process fan-out uses — that is the point.
-func (m *Manager) executeFleet(r *runState, n int) error {
+// — the local member and any rhfleet -worker processes alike — under
+// fenced leases, each with its own checkpoint under <campaign>/shards.
+// The directory and file formats are the ones `rhfleet -coordinate`
+// uses, so both supervision paths share one on-disk truth and one
+// merge, and the merged result ingests byte-identical to an unsharded
+// run.
+func (m *Manager) executeSharded(r *runState, n int) error {
 	cs := r.resolved.Spec
 	dir, err := filepath.Abs(filepath.Join(r.dir, "shards"))
 	if err != nil {
@@ -638,14 +610,10 @@ func (m *Manager) executeFleet(r *runState, n int) error {
 	}
 	// Persist the spec in the server wire schema — the same file a
 	// `rhfleet -coordinate` run writes for its workers, and the same
-	// schema POST /v1/campaigns accepts. Identity ignores Workers, so
-	// dividing the budget among shards is safe.
+	// schema POST /v1/campaigns accepts — with the campaign's worker
+	// budget divided among the shards. Identity ignores Workers.
 	wireShard := r.wire
-	if per := wireShard.Workers / n; per >= 1 {
-		wireShard.Workers = per
-	} else {
-		wireShard.Workers = 1
-	}
+	wireShard.Workers = max(1, cs.Workers/n)
 	wb, err := json.MarshalIndent(wireShard, "", "  ")
 	if err != nil {
 		return err
@@ -654,6 +622,7 @@ func (m *Manager) executeFleet(r *runState, n int) error {
 		return err
 	}
 
+	m.cfg.Log("campaign %s: fanning %d shard(s) out across the fleet", r.id, n)
 	r.update(func(s *Status) { s.State = StateRunning })
 	res, rep, err := shard.Coordinate(m.ctx, shard.Config{
 		Dir:    dir,
@@ -669,6 +638,9 @@ func (m *Manager) executeFleet(r *runState, n int) error {
 	if err != nil {
 		return err
 	}
+	// Lease progress carries only done/total; the merge knows which
+	// records failed.
+	r.update(func(s *Status) { s.Done, s.Failed = rep.Records, rep.Failed })
 	if rep.Failed > 0 {
 		return fmt.Errorf("campaign %s: %d of %d jobs failed", r.id, rep.Failed, res.Total)
 	}

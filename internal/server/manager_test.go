@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,10 +204,15 @@ func TestRecoverResumesInterruptedCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Log is called from every manager goroutine, the fleet member's
+	// included.
+	var logMu sync.Mutex
 	var resumedWith []string
 	mgr, crashStore := newTestManager(t, crashDir, ManagerConfig{
 		Log: func(format string, args ...any) {
+			logMu.Lock()
 			resumedWith = append(resumedWith, format)
+			logMu.Unlock()
 		},
 	})
 	final := waitTerminal(t, mgr, st0.ID)
@@ -221,6 +227,8 @@ func TestRecoverResumesInterruptedCampaign(t *testing.T) {
 		t.Fatal("resumed artifact differs from uninterrupted run")
 	}
 	var sawResume bool
+	logMu.Lock()
+	defer logMu.Unlock()
 	for _, msg := range resumedWith {
 		if strings.Contains(msg, "resuming with") {
 			sawResume = true

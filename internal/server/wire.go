@@ -7,12 +7,16 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"time"
 
 	rh "rowhammer"
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/exp"
+	"rowhammer/internal/leasesvc"
+	"rowhammer/internal/shard"
 )
 
 // Spec is the wire form of a campaign: the POST /v1/campaigns body
@@ -46,12 +50,26 @@ type Spec struct {
 	RetryBackoffMS   int64 `json:"retry_backoff_ms"`
 	BreakerThreshold int   `json:"breaker_threshold"`
 	WatchdogFactor   int   `json:"watchdog_factor"`
-	// Shards, when > 1, fans the campaign across that many
-	// internally supervised shard workers (internal/shard), each with
-	// its own checkpoint and lease. An execution knob like Workers:
+	// Shards, when > 1, fans the campaign out across that many shards
+	// placed on the daemon's fleet (internal/shard), each with its own
+	// checkpoint and lease. An execution knob like Workers:
 	// it is excluded from the campaign's identity, and the merged
 	// result is byte-identical to an unsharded run of the same spec.
 	Shards int `json:"shards,omitempty"`
+}
+
+// ReadSpec reads a wire spec file: an rhfleet -spec file, or the
+// spec.json persisted in a campaign or shard directory.
+func ReadSpec(path string) (Spec, error) {
+	var ws Spec
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return ws, err
+	}
+	if err := json.Unmarshal(b, &ws); err != nil {
+		return ws, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return ws, nil
 }
 
 // CampaignSpec lowers the wire spec to the library spec, resolving
@@ -127,6 +145,32 @@ func Resolve(spec rh.CampaignSpec) (Resolved, error) {
 		return Resolved{}, err
 	}
 	return Resolved{Spec: cs, Runner: runner}, nil
+}
+
+// ResolvePlacement resolves the campaign a fleet placement belongs to:
+// the wire spec persisted in the placement's shard directory, checked
+// against the campaign identity the placement names, so a worker never
+// runs a shard of a campaign other than the one it was placed for.
+// Every fleet member — rhfleet -worker and rhserved's own — resolves
+// its placements here.
+func ResolvePlacement(p leasesvc.Placement) (Resolved, error) {
+	path := shard.SpecPath(p.Dir)
+	ws, err := ReadSpec(path)
+	if err != nil {
+		return Resolved{}, err
+	}
+	raw, err := ws.CampaignSpec()
+	if err != nil {
+		return Resolved{}, err
+	}
+	rsv, err := Resolve(raw)
+	if err != nil {
+		return Resolved{}, err
+	}
+	if got := rsv.Spec.IdentityHash(); got != p.Campaign {
+		return Resolved{}, fmt.Errorf("placement names campaign %s but %s resolves to %s", p.Campaign, path, got)
+	}
+	return rsv, nil
 }
 
 // ResolveExperiment maps a campaign kind to a paper experiment, or

@@ -62,10 +62,10 @@ type Config struct {
 	Leases *leasesvc.Service
 	// LeaseTTL is how long a held lease may go without a heartbeat
 	// before the worker is declared stalled and killed. Default: the
-	// lease service's default TTL (15s for a private service).
+	// lease service's default TTL (15s for a private service). The
+	// coordinator polls every LeaseTTL/4 for stalls and registrations
+	// and otherwise reacts to the lease service's change signal.
 	LeaseTTL time.Duration
-	// Poll is the lease-probe interval. Default LeaseTTL/4.
-	Poll time.Duration
 	// MaxRespawns bounds reassignments per shard; exceeding it aborts
 	// the campaign rather than respawning a crash-looping worker
 	// forever. Default 3.
@@ -133,10 +133,6 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	if ttl <= 0 {
 		ttl = svc.DefaultLeaseTTL()
 	}
-	poll := cfg.Poll
-	if poll <= 0 {
-		poll = ttl / 4
-	}
 	maxRespawns := cfg.MaxRespawns
 	if maxRespawns <= 0 {
 		maxRespawns = 3
@@ -151,6 +147,9 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	defer coordLock.Release()
 
 	ctx = context.WithValue(ctx, leasesKey{}, leasesvc.API(svc))
+	// Taken before anything is started, so no lease or placement change
+	// from here on can slip between an observation and the next wait.
+	changed := svc.Changed()
 	hash := spec.IdentityHash()
 	leaseKey := func(a Assignment) leasesvc.Key {
 		return leasesvc.Key{Campaign: hash, Shard: a.Index, Of: a.Of}
@@ -223,29 +222,31 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	}
 
 	draining := false
-	startDrain := func() {
-		if draining {
-			return
-		}
-		draining = true
-		logf("coordinator: draining %d active shard(s)", len(active))
-		for idx := range active {
-			exec.Drain(parts[idx])
-		}
-	}
-
-	ticker := time.NewTicker(poll)
+	drain := cfg.Drain
+	ticker := time.NewTicker(ttl / 4)
 	defer ticker.Stop()
 	for len(active) > 0 {
 		select {
 		case <-ctx.Done():
 			return nil, nil, ctx.Err()
-		case <-cfg.Drain:
-			startDrain()
+		case <-drain:
+			drain = nil // a closed channel stays ready; drain once
+			draining = true
+			logf("coordinator: draining %d active shard(s)", len(active))
+			for idx := range active {
+				exec.Drain(parts[idx])
+			}
+		case <-changed:
+			// A lease was acquired, beaten or released, or a placement
+			// moved: let the executor observe it now. This is how fleet
+			// placement sees an attempt end the moment its lease is
+			// released rather than on the next poll tick.
+			changed = svc.Changed()
+			exec.Tick()
 		case <-ticker.C:
-			// Let the executor observe the world first: fleet placement
-			// watches leases and worker registrations here (and may
-			// synthesize exit events).
+			// The poll tick observes what no change signals: worker
+			// registrations coming and going, and time passing.
+			changed = svc.Changed()
 			exec.Tick()
 			// A dead worker surfaces through its exit event; the lease
 			// watch exists for stragglers — alive but silent. Staleness
@@ -290,9 +291,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 			}
 			gens[ev.idx]++
 			if gens[ev.idx] > maxRespawns {
-				// Wrap the last attempt's error so callers can react to
-				// the cause — rhserved falls back to in-process shards
-				// when it is ErrNoWorkers.
+				// Wrap the last attempt's error so callers see the cause.
 				return nil, nil, fmt.Errorf(
 					"shard %s: gave up after %d reassignment(s); %d job(s) still missing (last worker: %w)",
 					a, maxRespawns, len(missing), ev.err)

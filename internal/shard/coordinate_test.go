@@ -125,7 +125,7 @@ func TestCoordinateReassignsDeadShard(t *testing.T) {
 		return h, err
 	}
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
-		Dir: dir, Spec: spec, Shards: 3, LeaseTTL: 300 * time.Millisecond, Poll: 50 * time.Millisecond,
+		Dir: dir, Spec: spec, Shards: 3, LeaseTTL: 300 * time.Millisecond,
 		Spawn: wrapped,
 		Log: func(f string, args ...any) {
 			logMu.Lock()
@@ -203,8 +203,8 @@ func TestCoordinateKillsStalledShard(t *testing.T) {
 	}
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, Leases: svc,
-		LeaseTTL: ttl, Poll: 30 * time.Millisecond,
-		Spawn: spawn,
+		LeaseTTL: ttl,
+		Spawn:    spawn,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +248,8 @@ func TestCoordinateGivesUpAfterMaxRespawns(t *testing.T) {
 	}
 	_, _, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, MaxRespawns: 2,
-		LeaseTTL: time.Second, Poll: 50 * time.Millisecond,
-		Spawn: wrapped,
+		LeaseTTL: time.Second,
+		Spawn:    wrapped,
 	})
 	if err == nil {
 		t.Fatal("crash-looping shard should abort the campaign")
@@ -290,8 +290,8 @@ func TestCoordinateDrainThenResume(t *testing.T) {
 	}
 	_, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, Drain: drain,
-		LeaseTTL: time.Second, Poll: 50 * time.Millisecond,
-		Spawn: inProcessSpawn(dir, spec, func(shard.Assignment, int) campaign.Runner { return slow }),
+		LeaseTTL: time.Second,
+		Spawn:    inProcessSpawn(dir, spec, func(shard.Assignment, int) campaign.Runner { return slow }),
 	})
 	if !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("want ErrDrained, got %v", err)

@@ -25,9 +25,10 @@ type executor interface {
 	// in-flight jobs, checkpoint, release — eventually surfacing on
 	// Events.
 	Drain(a Assignment)
-	// Tick lets the executor observe the world on the coordinator's
-	// poll cadence; fleet placement watches leases and registrations
-	// here and may synthesize exit events.
+	// Tick lets the executor observe the world, on every lease or
+	// placement change and on the coordinator's poll tick; fleet
+	// placement watches leases and registrations here and may
+	// synthesize exit events.
 	Tick()
 	// Events delivers attempt terminations.
 	Events() <-chan exitEvent

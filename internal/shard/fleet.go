@@ -17,14 +17,6 @@ import (
 // for a local worker's exit code.
 var errLeaseLapsed = errors.New("shard lease lapsed or was released")
 
-// ErrNoWorkers reports a fleet placement that waited out the
-// scheduler's patience with zero live registered workers. It bounds a
-// fleet that vanishes after the campaign chose fleet placement:
-// attempts terminated with it exhaust MaxRespawns in a few polls, so
-// the campaign fails (or, in rhserved, falls back to in-process
-// shards) instead of pinning a slot on "waiting" forever.
-var ErrNoWorkers = errors.New("shard: no live workers registered")
-
 // fleetAttempt is one generation of one shard as the scheduler tracks
 // it: where it is placed and what its lease has shown so far.
 type fleetAttempt struct {
@@ -34,7 +26,7 @@ type fleetAttempt struct {
 	// baseTok is the lease's fencing token when the attempt started;
 	// any later token is an acquire that happened on this attempt's
 	// watch. Without it a fast shard whose acquire→run→release fits
-	// entirely between two polls looks never-started and gets
+	// entirely between two observations looks never-started and gets
 	// re-placed (and rebalanced) forever.
 	baseTok  uint64
 	sawHeld  bool // the lease was observed held during this attempt
@@ -75,9 +67,8 @@ type fleetExecutor struct {
 	// exists, since the starved worker usually still looks least
 	// loaded and landing there again just burns another respawn.
 	starved map[int]string
-	// noWorkersSince is when the live-worker set last became empty;
-	// zero while at least one worker is alive.
-	noWorkersSince time.Time
+	// lastMove is when rebalance last moved a shard.
+	lastMove time.Time
 }
 
 func newFleetExecutor(svc *leasesvc.Service, dir string, spec campaign.Spec, parts []Assignment, ttl time.Duration, logf func(string, ...any), progress func(done, total int)) *fleetExecutor {
@@ -117,8 +108,8 @@ func (e *fleetExecutor) Start(ctx context.Context, a Assignment, gen int) error 
 		done = v.Done
 	}
 	// Baseline the shard's done count now (credited to nobody), so
-	// even a shard whose entire run fits between two polls credits its
-	// worker the full delta when the lapse is observed.
+	// even a shard whose entire run fits between two observations
+	// credits its worker the full delta when the lapse is observed.
 	e.rates.observe("", a.Index, done, e.now())
 	e.attempts[a.Index] = at
 	e.place(at, e.aliveWorkers())
@@ -129,9 +120,6 @@ func (e *fleetExecutor) Kill(a Assignment) {
 	at := e.attempts[a.Index]
 	if at == nil {
 		return
-	}
-	if at.worker != "" {
-		e.svc.Unassign(at.worker, e.placement(a))
 	}
 	e.finish(at, errors.New("placement withdrawn by coordinator"))
 }
@@ -196,17 +184,6 @@ func (e *fleetExecutor) Tick() {
 	workers := e.aliveWorkers()
 	now := e.now()
 
-	// Track how long the fleet has been empty: a fleet that vanishes
-	// after placement began must bound the wait, not pin the campaign
-	// on "waiting" forever.
-	if len(workers) == 0 {
-		if e.noWorkersSince.IsZero() {
-			e.noWorkersSince = now
-		}
-	} else {
-		e.noWorkersSince = time.Time{}
-	}
-
 	// One lease observation per attempt feeds the rebalancer's
 	// throughput signal.
 	for _, at := range e.attempts {
@@ -221,8 +198,8 @@ func (e *fleetExecutor) Tick() {
 			e.rates.observe(at.worker, at.a.Index, v.Done, now)
 		} else if err == nil && ok && v.Token > at.baseTok {
 			// The lease was acquired — and released — entirely between
-			// polls: the shard ran on this attempt's watch even though no
-			// tick caught it held. Mark it started so the lapse path
+			// observations: the shard ran on this attempt's watch even
+			// though no tick caught it held. Mark it started so the lapse path
 			// below retires it and the checkpoint decides the verdict,
 			// and credit the run to the worker so fast workers still
 			// earn a throughput signal.
@@ -278,10 +255,6 @@ func (e *fleetExecutor) Tick() {
 				e.logf("fleet: shard %s: worker %s gone before start; re-placing", at.a, at.worker)
 				e.svc.Unassign(at.worker, e.placement(at.a))
 				at.worker = ""
-			}
-			if len(workers) == 0 && now.Sub(e.noWorkersSince) > e.startPatience() {
-				e.finish(at, fmt.Errorf("%w within %s", ErrNoWorkers, e.startPatience()))
-				continue
 			}
 			e.place(at, workers)
 			continue
@@ -411,13 +384,15 @@ func (e *fleetExecutor) reconcile(workers map[string]leasesvc.WorkerView) {
 	}
 }
 
-// rebalance moves at most one queued (never-started) shard per tick
-// from the worker with the worst estimated completion time to the one
-// with the best, when the imbalance is decisive. Started shards are
-// never moved: their checkpoints live where they run, and a move
+// rebalance moves at most one queued (never-started) shard per poll
+// interval (TTL/4) from the worker with the worst estimated completion
+// time to the one with the best, when the imbalance is decisive —
+// however often lease changes wake the scheduler, the throughput
+// estimates get a poll interval to reflect each move. Started shards
+// are never moved: their checkpoints live where they run, and a move
 // would pay a fencing handover for speculative gain.
 func (e *fleetExecutor) rebalance(workers map[string]leasesvc.WorkerView) {
-	if len(workers) < 2 {
+	if len(workers) < 2 || e.now().Sub(e.lastMove) < e.ttl/4 {
 		return
 	}
 	loads := e.loads()
@@ -467,6 +442,7 @@ func (e *fleetExecutor) rebalance(workers map[string]leasesvc.WorkerView) {
 	}
 	at.worker = recipient
 	at.starving = time.Time{}
+	e.lastMove = e.now()
 	e.logf("fleet: shard %s: rebalance — reassigning queued shard from worker %s (eta %s) to %s (eta %s after move)",
 		at.a, donor, etas[donor].Round(time.Millisecond), recipient, after.Round(time.Millisecond))
 }

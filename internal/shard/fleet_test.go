@@ -140,7 +140,7 @@ func TestFleetCoordinateHappyPath(t *testing.T) {
 	var progressed bool
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 4,
-		Leases: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl,
 		Progress: func(done, total int) {
 			if done > 0 && total == len(campaign.Expand(spec)) {
 				progressed = true
@@ -204,7 +204,7 @@ func TestFleetCoordinateWorkerLossReassigns(t *testing.T) {
 	defer cancel()
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 3,
-		Leases: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl,
 		Log: func(f string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(f, args...))
@@ -262,7 +262,7 @@ func TestFleetCoordinateBoundsUnstartablePlacement(t *testing.T) {
 	defer ccancel()
 	_, _, err := shard.Coordinate(cctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-		Leases: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl,
 		Log: t.Logf,
 	})
 	if err == nil {
@@ -273,25 +273,6 @@ func TestFleetCoordinateBoundsUnstartablePlacement(t *testing.T) {
 	}
 	cancel()
 	<-done
-}
-
-// TestFleetCoordinateNoWorkersBounded: a fleet campaign whose worker
-// set is empty must not wait forever — the scheduler gives up after
-// its patience with ErrNoWorkers (which rhserved turns into an
-// in-process fallback) instead of logging "waiting" unboundedly.
-func TestFleetCoordinateNoWorkersBounded(t *testing.T) {
-	spec := testSpec()
-	svc := leasesvc.NewService(100 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_, _, err := shard.Coordinate(ctx, shard.Config{
-		Dir: t.TempDir(), Spec: spec, Shards: 2, MaxRespawns: 1,
-		Leases: svc, LeaseTTL: 100 * time.Millisecond, Poll: 20 * time.Millisecond,
-		Log: t.Logf,
-	})
-	if !errors.Is(err, shard.ErrNoWorkers) {
-		t.Fatalf("empty-fleet coordinate = %v, want ErrNoWorkers", err)
-	}
 }
 
 // TestFleetForeignBusySlotIsNotStarvation: the starvation bound must
@@ -368,7 +349,7 @@ func TestFleetForeignBusySlotIsNotStarvation(t *testing.T) {
 	defer ccancel()
 	_, rep, err := shard.Coordinate(cctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-		Leases: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
+		Leases: h.svc, LeaseTTL: ttl,
 		Log: t.Logf,
 	})
 	if err != nil {

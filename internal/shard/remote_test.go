@@ -389,7 +389,7 @@ func TestCoordinateSeedsTokenFloorFromFence(t *testing.T) {
 	}
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: len(parts), Spawn: spawn,
-		Leases: svc, MaxRespawns: 1, Poll: 20 * time.Millisecond,
+		Leases: svc, MaxRespawns: 1,
 	})
 	if err != nil {
 		t.Fatalf("coordinate over a fenced directory: %v", err)

@@ -22,10 +22,10 @@
 //     advancing its heartbeat sequence.
 //
 // Coordinate supervises N workers through a process-agnostic Spawn
-// seam (exec'd rhfleet subprocesses, or in-process engine goroutines
-// under rhserved) or through fleet placement, always over one lease
-// service: it frees a dead worker's lease the moment the worker
-// exits, kills a stalled one, and reassigns a dead shard's remaining
+// seam (exec'd rhfleet subprocesses under rhfleet -coordinate) or
+// through fleet placement onto registered workers (rhserved), always
+// over one lease service: it frees a dead worker's lease the moment
+// the worker exits, kills a stalled one, and reassigns a dead shard's remaining
 // jobs to a fresh worker that resumes from the dead shard's
 // checkpoint — the straggler path that keeps one bad machine from
 // stalling a 10k-module fleet.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -48,7 +49,10 @@ type WorkerConfig struct {
 // reconciles — new placements start (up to Slots at a time, the rest
 // queue), withdrawn placements drain. Liveness flows the other way on
 // the same channel: the scheduler trusts this worker only while its
-// beat Seq keeps advancing.
+// beat Seq keeps advancing. Against an in-process *leasesvc.Service
+// (any Registry with its Changed method) the worker also beats
+// whenever the service signals a lease or placement change, so a
+// placement starts the moment it is assigned.
 //
 // Correctness never rests on this loop. A worker that misses every
 // memo still cannot corrupt a campaign: each placement's runner holds
@@ -153,6 +157,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				}
 			}
 			pending = kept
+			// The scheduler is done with these: forget them, or a
+			// long-lived worker remembers every placement it ever ran.
+			maps.DeleteFunc(completed, func(p leasesvc.Placement, _ bool) bool { return !desired[p] })
+			maps.DeleteFunc(failedAt, func(p leasesvc.Placement, _ time.Time) bool { return !desired[p] })
 		}
 		for _, p := range ps {
 			if running[p] != nil || completed[p] {
@@ -203,6 +211,42 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// them before treating an empty answer as a withdrawal of
 	// everything we are running.
 	withdrawalsAfter := time.Now().Add(ttl)
+	beat := func() {
+		seq++
+		ps, err := cfg.Registry.WorkerBeat(ctx, id, token, seq)
+		switch {
+		case err == nil:
+			beatFailing = false
+			reconcile(ps, time.Now().After(withdrawalsAfter))
+		case errors.Is(err, leasesvc.ErrFenced), errors.Is(err, leasesvc.ErrUnknown):
+			// Superseded (or the registry restarted and forgot us):
+			// take the identity back. Running placements keep
+			// running — their shard leases, not this registration,
+			// carry correctness.
+			logf("worker %s: registration superseded (%v); re-registering", id, err)
+			g, rerr := cfg.Registry.RegisterWorker(ctx, id, owner, slots, ttl)
+			if rerr != nil {
+				logf("worker %s: re-register: %v", id, rerr)
+				return
+			}
+			token, seq = g.Token, 0
+			withdrawalsAfter = time.Now().Add(ttl)
+		case errors.Is(err, context.Canceled):
+			// The ctx arm will handle shutdown.
+		default:
+			if !beatFailing {
+				beatFailing = true
+				logf("worker %s: heartbeat failing (%v); placements keep running, leases carry correctness", id, err)
+			}
+		}
+	}
+	// An in-process service signals lease and placement changes; a
+	// remote registry is heard only on the ticker (nil blocks forever).
+	var changed <-chan struct{}
+	svc, inproc := cfg.Registry.(interface{ Changed() <-chan struct{} })
+	if inproc {
+		changed = svc.Changed()
+	}
 
 	for {
 		select {
@@ -231,34 +275,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				logf("worker %s: shard %d/%d failed: %v", id, f.p.Shard, f.p.Of, f.err)
 			}
 			startEligible()
+		case <-changed:
+			// Worker beats never signal, so this cannot wake itself.
+			changed = svc.Changed()
+			beat()
 		case <-ticker.C:
-			seq++
-			ps, err := cfg.Registry.WorkerBeat(ctx, id, token, seq)
-			switch {
-			case err == nil:
-				beatFailing = false
-				reconcile(ps, time.Now().After(withdrawalsAfter))
-			case errors.Is(err, leasesvc.ErrFenced), errors.Is(err, leasesvc.ErrUnknown):
-				// Superseded (or the registry restarted and forgot us):
-				// take the identity back. Running placements keep
-				// running — their shard leases, not this registration,
-				// carry correctness.
-				logf("worker %s: registration superseded (%v); re-registering", id, err)
-				g, rerr := cfg.Registry.RegisterWorker(ctx, id, owner, slots, ttl)
-				if rerr != nil {
-					logf("worker %s: re-register: %v", id, rerr)
-					continue
-				}
-				token, seq = g.Token, 0
-				withdrawalsAfter = time.Now().Add(ttl)
-			case errors.Is(err, context.Canceled):
-				// The ctx arm will handle shutdown.
-			default:
-				if !beatFailing {
-					beatFailing = true
-					logf("worker %s: heartbeat failing (%v); placements keep running, leases carry correctness", id, err)
-				}
-			}
+			beat()
 		}
 	}
 }
