@@ -22,7 +22,7 @@ func fuzzSeedStream() []byte {
 func FuzzReadCheckpoint(f *testing.F) {
 	valid := fuzzSeedStream()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-9]) // torn final record
+	f.Add(valid[:len(valid)-9])                                              // torn final record
 	f.Add([]byte(`{"key":"hcfirst/A/0","kind":"hcfirst","mfr":"A"}` + "\n")) // v1
 	f.Add([]byte("#rhckpt{\"v\":2,\"spec\":\"0123456789abcdef\"}\tdeadbeef\n"))
 	f.Add([]byte("not json\tnothex99\n\n\tcafe1234\n"))

@@ -8,6 +8,10 @@ package dram
 // module state, and identical timestamps to the equivalent Wr/Rd+Wait
 // command sequence — the softmc executor maps KWrRow/KRdRow here.
 //
+// With 64-bit beats and on-die ECC off, column col is word col of the
+// row, so a burst moves whole words; other beat widths and ECC keep the
+// per-beat loop.
+//
 // Unlike the per-command sequence, a burst validates up front and
 // mutates nothing on error (the per-command path can fail midway with
 // columns already written); programs abort on error either way.
@@ -68,10 +72,15 @@ func (m *Module) WrRowBulk(bank int, data []uint64, step, start Picos) error {
 			b.check[b.activeRow] = chk
 		}
 	}
-	for col, beat := range data {
-		m.insertBeat(row, col, beat)
-		if chk != nil {
-			chk[col] = ECCEncode(beat)
+	if m.beatBits == 64 && chk == nil {
+		// Column col is exactly word col of the row.
+		copy(row, data)
+	} else {
+		for col, beat := range data {
+			m.insertBeat(row, col, beat)
+			if chk != nil {
+				chk[col] = ECCEncode(beat)
+			}
 		}
 	}
 	last := start + Picos(n-1)*step
@@ -101,19 +110,24 @@ func (m *Module) RdRowBulk(bank, cols int, step, start Picos, dst []uint64) ([]u
 	if m.cfg.OnDieECC && m.beatBits == 64 {
 		chk = b.check[b.activeRow]
 	}
-	for col := 0; col < cols; col++ {
-		beat := m.extractBeat(row, col)
-		if chk != nil {
-			corrected, res := ECCDecode(beat, chk[col])
-			switch res {
-			case ECCCorrected:
-				m.stats.ECCCorrected++
-				beat = corrected
-			case ECCDetectedUncorrectable:
-				m.stats.ECCUncorrectable++
+	if m.beatBits == 64 && chk == nil {
+		// Column col is exactly word col of the row.
+		dst = append(dst, row[:cols]...)
+	} else {
+		for col := 0; col < cols; col++ {
+			beat := m.extractBeat(row, col)
+			if chk != nil {
+				corrected, res := ECCDecode(beat, chk[col])
+				switch res {
+				case ECCCorrected:
+					m.stats.ECCCorrected++
+					beat = corrected
+				case ECCDetectedUncorrectable:
+					m.stats.ECCUncorrectable++
+				}
 			}
+			dst = append(dst, beat)
 		}
-		dst = append(dst, beat)
 	}
 	last := start + Picos(cols-1)*step
 	b.lastRdAt, b.lastColAt = last, last

@@ -31,16 +31,24 @@ import (
 // A set is cover-bounded: it holds exactly the cells with rel ≤ its
 // cover, because a walk never reaches past its cutoff. A row's first
 // touch builds up to the cutoff of that call; a later call with a
-// higher cutoff rebuilds with the cover raised by at least 2^(1/α),
-// which roughly doubles the expected cell count (cells below a
-// threshold grow as threshold^α), so the total build work of a row
-// stays within about twice its final set. A set that admits every
-// vulnerable cell has cover +Inf and is never rebuilt. The builder
-// skips most out-of-cover cells before paying for math.Pow (a padded
-// bound on the uniform draw, see buildCandidates), orders the kept
-// cells with a stable O(n) radix sort on rel's IEEE-754 bits, and
-// resolves the temperature gates only for them, into one exact-size
-// allocation.
+// higher cutoff extends the set with the cover raised by at least
+// 2^(1/α), which roughly doubles the expected cell count (cells below a
+// threshold grow as threshold^α). A set that admits every vulnerable
+// cell has cover +Inf and is never extended. The builder skips most
+// out-of-cover cells before paying for math.Pow (a padded bound on the
+// uniform draw, see buildCandidates), orders the kept cells with a
+// stable O(n) radix sort on rel's IEEE-754 bits, and resolves the
+// temperature gates only for them, into one exact-size allocation.
+//
+// An extension costs in proportion to its new cells, not to the row:
+// the first build also records a one-byte sketch of every bit's draw
+// (sketchCode), and extendCandidates re-hashes only the bits whose
+// sketch bucket cannot prove them either above the new cover or
+// already in the old set. The sketch only rejects — the full hash and
+// Pow still decide every re-hashed bit — so an extension is exact.
+// Every new cell's rel exceeds the old cover, which is at least every
+// old rel, so the new cells sort after the old ones and the extended
+// set is the old cells with the sorted new cells appended.
 //
 // Equivalence with the reference path is load-bearing: the builder
 // replays the exact hash draws and float expressions of
@@ -71,17 +79,23 @@ const candidateBytes = 48
 
 // candSet is one row's cached candidate cells: every vulnerable cell
 // with rel ≤ cover, sorted by (rel, bit). cover is +Inf once the set
-// holds every vulnerable cell of the row.
+// holds every vulnerable cell of the row. While it does not, sketch
+// holds one sketchCode byte per bit of the row (rowBits bytes, counted
+// in the cache's byte budget) for extendCandidates; the build that
+// creates the sketch is its only writer, and sets sharing it never
+// mutate it. vulnerable counts the row's vulnerable bits.
 type candSet struct {
-	cells []candidate
-	cover float64
+	cells      []candidate
+	cover      float64
+	sketch     []uint8
+	vulnerable int
 }
 
 // candCacheBudgetBytes bounds the total candidate-cache memory per
 // cache (shared across every model attached to it). 64 MiB holds
 // hundreds of complete rows at bench geometries and ~170 at the
 // paper-scale 8192-bit geometry (~390 KB of candidates per complete
-// row); cover-bounded rows take less.
+// row); cover-bounded rows take less, plus their rowBits-byte sketch.
 const candCacheBudgetBytes = 64 << 20
 
 // candShardCount is the power-of-two number of candLRU shards. Each
@@ -97,10 +111,42 @@ const candShardCount = 8
 // conservative.
 const boundPad = 1 + 1e-9
 
+// The draw sketch: one byte per bit of a row, bucketing the bit's draw
+// x = rowBits·u by the top 3 mantissa bits of its float64, so a bucket
+// spans at most 12.5% of its lower bound. Truncating the bits makes the
+// bucket bounds exact: sketchLo[c] ≤ x < sketchHi[c]. Code 0 holds
+// every x < 1/16 and sketchInvulnerable marks a bit outside the
+// vulnerable fraction.
+const (
+	sketchShift        = 52 - 3
+	sketchBias         = (1023-4)<<3 - 1 // x = 1/16 is code 1
+	sketchInvulnerable = 255
+	// maxSketchRowBits keeps every draw (x < rowBits) at or below code
+	// 248; NewModel rejects wider rows.
+	maxSketchRowBits = 1 << 27
+)
+
+// sketchCode buckets a draw x ≥ 0 (x < maxSketchRowBits).
+func sketchCode(x float64) uint8 {
+	return uint8(max(int(math.Float64bits(x)>>sketchShift)-sketchBias, 0))
+}
+
+// sketchLo/sketchHi are each code's exact draw bounds; the invulnerable
+// code's are +Inf (extendCandidates tests for it before using them).
+var sketchLo, sketchHi = func() (lo, hi [256]float64) {
+	for c := 1; c < sketchInvulnerable; c++ {
+		lo[c] = math.Float64frombits(uint64(c+sketchBias) << sketchShift)
+		hi[c-1] = lo[c]
+	}
+	hi[sketchInvulnerable-1] = math.Float64frombits(uint64(sketchInvulnerable+sketchBias) << sketchShift)
+	lo[sketchInvulnerable], hi[sketchInvulnerable] = math.Inf(1), math.Inf(1)
+	return lo, hi
+}()
+
 // buildCandidates generates the (rel, bit)-sorted candidate set of one
-// row holding exactly the cells with rel ≤ cover. The per-cell draws
-// mirror disturbReference exactly, using the fixed-arity hash fast
-// paths (bit-identical to the variadic Hash64).
+// row holding exactly the cells with rel ≤ cover, and the row's draw
+// sketch. The per-cell draws mirror disturbReference exactly, using the
+// fixed-arity hash fast paths (bit-identical to the variadic Hash64).
 func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 	rowBits := m.geo.RowBits()
 	cw := m.geo.ChipWidth
@@ -112,6 +158,7 @@ func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 	// bound are skipped without a Pow, the rest get the exact check.
 	bound := math.Pow(cover, alpha) * boundPad
 	keys := m.buildKeys[:0]
+	sketch := make([]uint8, rowBits)
 	vulnerable := 0
 	// The (seed, bank, row) fold is shared by every bit of the row;
 	// Hash64Suffix completes it per bit, bit-identically to Hash64x4.
@@ -127,18 +174,16 @@ func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 				h := rng.Hash64Suffix(prefix, uint64(bit))
 				u := rng.Uniform01(rng.Hash64x2(h, keyCellMult1))
 				if u > m.p.VulnFrac {
+					sketch[bit] = sketchInvulnerable
 					continue
 				}
 				vulnerable++
 				x := float64(rowBits) * u
+				sketch[bit] = sketchCode(x)
 				if x > bound*negs[line] {
 					continue
 				}
-				mult := math.Pow(x, invAlpha)
-				if mult < minCellMult {
-					mult = minCellMult
-				}
-				rel := mult * cfs[line]
+				rel := cellRel(x, invAlpha, cfs[line])
 				if rel > cover {
 					continue
 				}
@@ -146,16 +191,95 @@ func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 			}
 		}
 	}
+	set := candSet{cover: cover, sketch: sketch, vulnerable: vulnerable}
 	if len(keys) == vulnerable {
-		cover = math.Inf(1)
+		set.cover, set.sketch = math.Inf(1), nil
 	}
+	set.cells = m.resolveCells(prefix, keys, nil)
+	return set
+}
+
+// cellRel is the rel of a vulnerable cell with draw x and column
+// factor cf: the Pareto multiplier x^(1/α), clamped from below, times
+// cf — the exact float expression of disturbReference.
+func cellRel(x, invAlpha, cf float64) float64 {
+	mult := math.Pow(x, invAlpha)
+	if mult < minCellMult {
+		mult = minCellMult
+	}
+	return mult * cf
+}
+
+// extendCandidates returns old extended to cover (> old.cover, which
+// is finite, so old has a sketch): the cells with old.cover < rel ≤
+// cover are materialized and appended to a copy of old.cells. Only
+// the bits whose sketch bucket leaves them in that band are re-hashed;
+// w reports the scan.
+func (m *Model) extendCandidates(bank, row int, old candSet, cover float64) (set candSet, w buildWork) {
+	rowBits := m.geo.RowBits()
+	cw := m.geo.ChipWidth
+	chips := m.geo.Chips
+	alpha := m.p.TailAlpha
+	invAlpha := 1 / alpha
+	// x > bound·cf^(−α) ⇒ rel > cover, as in buildCandidates. x <
+	// inner·cf^(−α) ⇒ x^(1/α)·cf < old.cover with the same padding the
+	// other way, so the cell is in old unless its clamp minCellMult·cf
+	// exceeds old.cover (that product is exactly its rel then).
+	bound := math.Pow(cover, alpha) * boundPad
+	inner := math.Pow(old.cover, alpha) / boundPad
+	keys := m.buildKeys[:0]
+	prefix := rng.HashPrefix(m.seed, uint64(bank), uint64(row))
+	sketch := old.sketch[:rowBits]
+	bit := 0
+	for col := 0; col < m.geo.ColumnsPerRow; col++ {
+		for chip := 0; chip < chips; chip++ {
+			cfs := m.colFactor[chip][col*cw : (col+1)*cw]
+			negs := m.cfNegAlpha[chip][col*cw : (col+1)*cw]
+			for line := 0; line < cw; line, bit = line+1, bit+1 {
+				c := sketch[bit]
+				if c == sketchInvulnerable || sketchLo[c] > bound*negs[line] {
+					continue
+				}
+				if sketchHi[c] <= inner*negs[line] && minCellMult*cfs[line] <= old.cover {
+					continue
+				}
+				w.rehashed++
+				h := rng.Hash64Suffix(prefix, uint64(bit))
+				x := float64(rowBits) * rng.Uniform01(rng.Hash64x2(h, keyCellMult1))
+				if x > bound*negs[line] {
+					continue
+				}
+				rel := cellRel(x, invAlpha, cfs[line])
+				if rel <= old.cover || rel > cover {
+					continue
+				}
+				keys = append(keys, relBit{key: math.Float64bits(rel), bit: int32(bit)})
+			}
+		}
+	}
+	w.scanned = rowBits
+	w.cells = len(keys)
+	set = candSet{cover: cover, sketch: old.sketch, vulnerable: old.vulnerable}
+	if len(old.cells)+len(keys) == old.vulnerable {
+		set.cover, set.sketch = math.Inf(1), nil
+	}
+	set.cells = m.resolveCells(prefix, keys, old.cells)
+	return set, w
+}
+
+// resolveCells radix-sorts the kept keys (in ascending bit order, each
+// rel above every rel in head) into one exact-size allocation after a
+// copy of head, resolving each new cell's hash-derived parameters from
+// the row's hash prefix. keys is m.buildKeys' scratch, kept for reuse.
+func (m *Model) resolveCells(prefix uint64, keys []relBit, head []candidate) []candidate {
 	if cap(m.buildTmp) < len(keys) {
 		m.buildTmp = make([]relBit, cap(keys))
 	}
 	sorted := radixSortRelBits(keys, m.buildTmp[:len(keys)])
 	m.buildKeys = keys
 
-	cells := make([]candidate, len(sorted))
+	cells := make([]candidate, len(head)+len(sorted))
+	copy(cells, head)
 	for i, k := range sorted {
 		h := rng.Hash64Suffix(prefix, uint64(k.bit))
 		// Resolve the temperature range and gap draws once; censored
@@ -181,7 +305,7 @@ func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 				gapT = lo + float64(5*(pick+1))
 			}
 		}
-		cells[i] = candidate{
+		cells[len(head)+i] = candidate{
 			rel:     math.Float64frombits(k.key),
 			h:       h,
 			loGate:  loGate,
@@ -191,7 +315,7 @@ func (m *Model) buildCandidates(bank, row int, cover float64) candSet {
 			charged: uint8(h & 1),
 		}
 	}
-	return candSet{cells: cells, cover: cover}
+	return cells
 }
 
 // relBit is one kept cell's sort record: the IEEE-754 bits of its rel
@@ -251,12 +375,13 @@ func (m *Model) candidatesUpTo(bank, row int, cut float64) []candidate {
 	if ok && set.cover >= cut {
 		return set.cells
 	}
-	cover := cut
-	if ok {
-		cover = max(cut, set.cover*math.Pow(2, 1/m.p.TailAlpha))
+	if !ok {
+		set = m.buildCandidates(bank, row, cut)
+		m.candCache.put(key, set, buildWork{cells: len(set.cells)})
+		return set.cells
 	}
-	set = m.buildCandidates(bank, row, cover)
-	m.candCache.put(key, set)
+	set, w := m.extendCandidates(bank, row, set, max(cut, set.cover*math.Pow(2, 1/m.p.TailAlpha)))
+	m.candCache.put(key, set, w)
 	return set.cells
 }
 
@@ -368,7 +493,16 @@ type candStats struct {
 	misses     int // lookups of an uncached row
 	extensions int // lookups whose cached cover fell short of the cutoff
 	cells      int // candidates materialized by the builds put here
+	scanned    int // sketch entries the extensions put here examined
+	rehashed   int // bits whose draw those extensions recomputed
 	evictions  int
+}
+
+// buildWork is what one build or extension did, recorded by put.
+type buildWork struct {
+	cells    int // candidates materialized (an extension's new ones)
+	scanned  int
+	rehashed int
 }
 
 // newCandLRU builds a sharded LRU holding at most budgetBytes of
@@ -420,15 +554,18 @@ func (l *candLRU) get(key uint64, cut float64) (candSet, bool) {
 	return set, true
 }
 
-// put caches set under key. An entry is never replaced by one of
-// smaller cover: models sharing the cache extend the same row
-// concurrently, and the widest build must win.
-func (l *candLRU) put(key uint64, set candSet) {
-	cost := len(set.cells) * candidateBytes
+// put caches set under key, counting the work w that produced it. An
+// entry is never replaced by one of smaller cover: models sharing the
+// cache extend the same row concurrently, and the widest build must
+// win.
+func (l *candLRU) put(key uint64, set candSet, w buildWork) {
+	cost := len(set.cells)*candidateBytes + len(set.sketch)
 	s := l.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.cells += len(set.cells)
+	s.stats.cells += w.cells
+	s.stats.scanned += w.scanned
+	s.stats.rehashed += w.rehashed
 	if e, ok := s.entries[key]; ok {
 		if set.cover < e.set.cover {
 			return
@@ -464,6 +601,8 @@ func (l *candLRU) stats() candStats {
 		t.misses += s.stats.misses
 		t.extensions += s.stats.extensions
 		t.cells += s.stats.cells
+		t.scanned += s.stats.scanned
+		t.rehashed += s.stats.rehashed
 		t.evictions += s.stats.evictions
 		s.mu.Unlock()
 	}

@@ -126,7 +126,7 @@ type Model struct {
 	maskArena []uint64
 	walkMasks [][]uint64
 	walkFlips []int
-	// buildKeys/buildTmp are buildCandidates' radix-sort buffers.
+	// buildKeys/buildTmp are the candidate builds' radix-sort buffers.
 	buildKeys, buildTmp []relBit
 }
 
@@ -142,6 +142,9 @@ func NewModel(cfg Config) (*Model, error) {
 	}
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
+	}
+	if rb := cfg.Geometry.RowBits(); rb > maxSketchRowBits {
+		return nil, fmt.Errorf("faultmodel: %d-bit rows exceed the kernel's %d-bit draw sketch", rb, maxSketchRowBits)
 	}
 	if cfg.Profile.TailAlpha <= 0 || cfg.Profile.VulnFrac <= 0 || cfg.Profile.VulnFrac > 1 {
 		return nil, fmt.Errorf("faultmodel: profile %s has invalid tail parameters", cfg.Profile.Name)

@@ -473,3 +473,42 @@ func TestInvPhiPanicsOutOfDomain(t *testing.T) {
 	}()
 	invPhi(0)
 }
+
+// TestForkDisturbAllocs pins what a fresh fork costs: Model.Fork plus
+// one Disturb of a row already cached by its parent allocates at most
+// 16 objects (the fork, its row and replay caches, its walk scratch and
+// one replay entry), and a steady-state DisturbBatch allocates none.
+func TestForkDisturbAllocs(t *testing.T) {
+	parent := newTestModel(t, MfrA(), 71)
+	geo := parent.geo
+	victim := make([]uint64, geo.RowWords())
+	agg := make([]uint64, geo.RowWords())
+	fillPattern(victim, "checkered", 0)
+	fillPattern(agg, "checkered", 0)
+	for i := range agg {
+		agg[i] = ^agg[i]
+	}
+	const row = 100
+	ctx := dram.DisturbContext{
+		Bank: 0, Row: row, Ledger: mkLedger(int64(2*parent.RowBaseHC(0, row)), 34.5, 16.5, 50),
+		Data: victim, Geometry: geo, Up: agg, Down: agg,
+	}
+	if n, _ := parent.Disturb(ctx); n == 0 {
+		t.Fatal("warmup produced no flips; test vacuous")
+	}
+	const forkDisturbAllocs = 16
+	if n := testing.AllocsPerRun(20, func() { parent.Fork().Disturb(ctx) }); n > forkDisturbAllocs {
+		t.Fatalf("Fork + Disturb allocates %.0f objects, want ≤ %d", n, forkDisturbAllocs)
+	}
+
+	salts := []uint64{1, 2, 3, 4, 5}
+	masks := make([][]uint64, len(salts))
+	for i := range masks {
+		masks[i] = make([]uint64, geo.RowWords())
+	}
+	flips := make([]int, len(salts))
+	parent.DisturbBatch(ctx, salts, masks, flips)
+	if n := testing.AllocsPerRun(20, func() { parent.DisturbBatch(ctx, salts, masks, flips) }); n != 0 {
+		t.Fatalf("steady-state DisturbBatch allocates %.0f objects, want 0", n)
+	}
+}

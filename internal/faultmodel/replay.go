@@ -54,8 +54,11 @@ type replayCache struct {
 	head, tail *replayEntry
 }
 
+// newReplayCache returns an empty cache. The map grows on demand: every
+// Fork builds one, and a fork that never replays should not pay for
+// replayMaxEntries buckets of whole-ledger keys.
 func newReplayCache() *replayCache {
-	return &replayCache{entries: make(map[replayKey]*replayEntry, replayMaxEntries)}
+	return &replayCache{entries: make(map[replayKey]*replayEntry)}
 }
 
 // get returns the cached entry for key when its recorded stored words

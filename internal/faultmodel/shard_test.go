@@ -33,7 +33,7 @@ func TestPropertyShardedEvictionRespectsBudget(t *testing.T) {
 				continue
 			}
 			// Sizes up to the full shard budget (64 candidates).
-			l.put(key, mkCells(int(h>>8)%64+1))
+			l.put(key, mkCells(int(h>>8)%64+1), buildWork{})
 			for si := range l.shards {
 				s := &l.shards[si]
 				if s.bytes > s.budgetBytes && len(s.entries) != 1 {
@@ -75,7 +75,7 @@ func TestShardedLRUConcurrentGetPut(t *testing.T) {
 					_ = len(set.cells)
 					continue
 				}
-				l.put(key, mkCells(int(h>>8)%32+1))
+				l.put(key, mkCells(int(h>>8)%32+1), buildWork{})
 			}
 		}(w)
 	}

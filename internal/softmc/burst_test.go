@@ -1,18 +1,32 @@
 package softmc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"rowhammer/internal/dram"
 )
 
-// burstModule builds a module with on-die ECC optionally enabled (the
-// burst path must reproduce the per-command ECC encode/decode exactly).
+// burstGeometries are the burst tests' module geometries: 8×8 chips
+// give 64-bit beats (the word-aligned burst path), 4×4 chips 16-bit
+// beats (the per-beat path).
+var burstGeometries = []dram.Geometry{
+	{Banks: 2, RowsPerBank: 64, SubarrayRows: 64, Chips: 8, ChipWidth: 8, ColumnsPerRow: 8},
+	{Banks: 2, RowsPerBank: 64, SubarrayRows: 64, Chips: 4, ChipWidth: 4, ColumnsPerRow: 8},
+}
+
+// burstModule builds a 64-bit-beat module with on-die ECC optionally
+// enabled (the burst path must reproduce the per-command ECC
+// encode/decode exactly).
 func burstModule(t *testing.T, ecc bool) *dram.Module {
+	return burstModuleGeo(t, burstGeometries[0], ecc)
+}
+
+func burstModuleGeo(t *testing.T, geo dram.Geometry, ecc bool) *dram.Module {
 	t.Helper()
 	m, err := dram.NewModule(dram.ModuleConfig{
-		Geometry: dram.Geometry{Banks: 2, RowsPerBank: 64, SubarrayRows: 64, Chips: 8, ChipWidth: 8, ColumnsPerRow: 8},
+		Geometry: geo,
 		Timing:   dram.DDR4Timing(),
 		OnDieECC: ecc,
 	})
@@ -33,60 +47,68 @@ func burstWords(n int) []uint64 {
 
 // TestBurstMatchesPerCommandSequence proves the KWrRow/KRdRow bulk
 // path is bit-identical to the equivalent Wr/Rd+Wait command
-// sequences: same read data, same end time, same module stats, and
-// same stored rows.
+// sequences — for 64-bit and 16-bit beats, ECC on and off: same read
+// data, same end time, same module stats, and same stored rows.
 func TestBurstMatchesPerCommandSequence(t *testing.T) {
-	for _, ecc := range []bool{false, true} {
-		words := burstWords(8)
+	for _, geo := range burstGeometries {
+		for _, ecc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("beat=%d/ecc=%v", geo.Chips*geo.ChipWidth, ecc), func(t *testing.T) {
+				testBurstMatchesPerCommandSequence(t, geo, ecc)
+			})
+		}
+	}
+}
 
-		run := func(bulk bool) (*Result, dram.Stats, []uint64, error) {
-			m := burstModule(t, ecc)
-			tm := m.Timing()
-			b := NewBuilder(tm.TCK)
-			b.Act(0, 5).Wait(tm.TRCD)
-			if bulk {
-				b.WrRow(0, words, tm.TCCD)
-			} else {
-				for col, w := range words {
-					b.Wr(0, col, w)
-					b.Wait(tm.TCCD)
-				}
-			}
-			b.Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
-			b.Act(0, 5).Wait(tm.TRCD)
-			if bulk {
-				b.RdRow(0, len(words), tm.TCCD)
-			} else {
-				for col := range words {
-					b.Rd(0, col)
-					b.Wait(tm.TCCD)
-				}
-			}
-			b.Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
-			res, err := NewExecutor(m).Run(b.Program())
-			return res, m.Stats(), m.PeekRow(0, 5), err
-		}
+func testBurstMatchesPerCommandSequence(t *testing.T, geo dram.Geometry, ecc bool) {
+	words := burstWords(8)
 
-		seqRes, seqStats, seqRow, err := run(false)
-		if err != nil {
-			t.Fatalf("ecc=%v per-command: %v", ecc, err)
+	run := func(bulk bool) (*Result, dram.Stats, []uint64, error) {
+		m := burstModuleGeo(t, geo, ecc)
+		tm := m.Timing()
+		b := NewBuilder(tm.TCK)
+		b.Act(0, 5).Wait(tm.TRCD)
+		if bulk {
+			b.WrRow(0, words, tm.TCCD)
+		} else {
+			for col, w := range words {
+				b.Wr(0, col, w)
+				b.Wait(tm.TCCD)
+			}
 		}
-		bulkRes, bulkStats, bulkRow, err := run(true)
-		if err != nil {
-			t.Fatalf("ecc=%v bulk: %v", ecc, err)
+		b.Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
+		b.Act(0, 5).Wait(tm.TRCD)
+		if bulk {
+			b.RdRow(0, len(words), tm.TCCD)
+		} else {
+			for col := range words {
+				b.Rd(0, col)
+				b.Wait(tm.TCCD)
+			}
 		}
-		if !reflect.DeepEqual(seqRes.Reads, bulkRes.Reads) {
-			t.Errorf("ecc=%v reads diverged:\nseq:  %#x\nbulk: %#x", ecc, seqRes.Reads, bulkRes.Reads)
-		}
-		if seqRes.End != bulkRes.End {
-			t.Errorf("ecc=%v end time diverged: seq %d, bulk %d", ecc, seqRes.End, bulkRes.End)
-		}
-		if seqStats != bulkStats {
-			t.Errorf("ecc=%v stats diverged:\nseq:  %+v\nbulk: %+v", ecc, seqStats, bulkStats)
-		}
-		if !reflect.DeepEqual(seqRow, bulkRow) {
-			t.Errorf("ecc=%v stored row diverged", ecc)
-		}
+		b.Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
+		res, err := NewExecutor(m).Run(b.Program())
+		return res, m.Stats(), m.PeekRow(0, 5), err
+	}
+
+	seqRes, seqStats, seqRow, err := run(false)
+	if err != nil {
+		t.Fatalf("ecc=%v per-command: %v", ecc, err)
+	}
+	bulkRes, bulkStats, bulkRow, err := run(true)
+	if err != nil {
+		t.Fatalf("ecc=%v bulk: %v", ecc, err)
+	}
+	if !reflect.DeepEqual(seqRes.Reads, bulkRes.Reads) {
+		t.Errorf("ecc=%v reads diverged:\nseq:  %#x\nbulk: %#x", ecc, seqRes.Reads, bulkRes.Reads)
+	}
+	if seqRes.End != bulkRes.End {
+		t.Errorf("ecc=%v end time diverged: seq %d, bulk %d", ecc, seqRes.End, bulkRes.End)
+	}
+	if seqStats != bulkStats {
+		t.Errorf("ecc=%v stats diverged:\nseq:  %+v\nbulk: %+v", ecc, seqStats, bulkStats)
+	}
+	if !reflect.DeepEqual(seqRow, bulkRow) {
+		t.Errorf("ecc=%v stored row diverged", ecc)
 	}
 }
 

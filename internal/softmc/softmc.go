@@ -12,6 +12,7 @@ package softmc
 
 import (
 	"fmt"
+	"slices"
 
 	"rowhammer/internal/dram"
 )
@@ -95,6 +96,13 @@ func NewBuilder(tck dram.Picos) *Builder {
 // invalidated.
 func (b *Builder) Reset() *Builder {
 	b.instrs = b.instrs[:0]
+	return b
+}
+
+// Grow makes room for n more instructions, so the next n appends do
+// not reallocate the buffer.
+func (b *Builder) Grow(n int) *Builder {
+	b.instrs = slices.Grow(b.instrs, n)
 	return b
 }
 

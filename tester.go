@@ -175,19 +175,24 @@ func (t *Tester) fillRow(dst []uint64, bank, phys, dist int, pat dram.PatternKin
 	}
 }
 
+// writePatternInstrs is the number of instructions writePattern
+// issues per row (ACT, wait, burst, wait, PRE, wait).
+const writePatternInstrs = 6
+
 // ensureScratch lazily sizes the Tester's reusable buffers: a builder
-// whose instruction buffer persists across programs, a result whose
-// read buffer persists across runs, and one pattern buffer per
-// V±patternRadius row position (WrRowShared aliases them until the
-// program runs; the device copies words into bank storage, so reuse
-// afterwards is safe).
+// whose instruction buffer persists across programs (sized up front
+// for writePattern, the longest program, so it never regrows), a
+// result whose read buffer persists across runs, and one pattern
+// buffer per V±patternRadius row position (WrRowShared aliases them
+// until the program runs; the device copies words into bank storage,
+// so reuse afterwards is safe).
 func (t *Tester) ensureScratch() {
 	if t.bld != nil {
 		return
 	}
 	g := t.b.Geometry()
-	t.bld = softmc.NewBuilder(t.b.Timing().TCK)
 	n := 2*patternRadius + 1
+	t.bld = softmc.NewBuilder(t.b.Timing().TCK).Grow(n * writePatternInstrs)
 	backing := make([]uint64, n*g.ColumnsPerRow)
 	t.rowArena = make([][]uint64, n)
 	for i := range t.rowArena {
