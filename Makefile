@@ -55,12 +55,15 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -o bench-current.json
 	$(GO) run ./cmd/benchjson -compare bench-current.json -threshold $(BENCHTHRESHOLD) BENCH_*.json
 
-# One-iteration pass over the disturb hot-path benchmarks and the cold
-# candidate-build benchmark under the race detector: catches data races
-# in the sharded kernel cache and keeps the benchmark bodies themselves
-# compiling and running in CI without benchmark-grade runtime.
+# One-iteration pass over the disturb hot-path benchmarks, the
+# Tester-operation benchmarks (HCfirst search, parallel temperature
+# sweep) and the cold candidate-build benchmark under the race
+# detector: catches data races in the sharded kernel cache and the
+# sweep's shared chamber snapshots, and keeps the benchmark bodies
+# themselves compiling and running in CI without benchmark-grade
+# runtime.
 bench-smoke:
-	$(GO) test -race -bench 'DisturbBatch|FlipApply' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|TemperatureSweepParallel' -run '^$$' -benchtime 1x .
 	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 
 # Golden suite: every experiment's rendered text and JSON artifact is

@@ -43,10 +43,11 @@ func (t *Tester) HCFirst(cfg HCFirstConfig) (HCFirstResult, error) {
 	}
 	var out HCFirstResult
 
-	var res HammerResult // reused across probes
+	// Probes read only the victim: the search observes nothing else.
+	res := &t.probeRes
 	probe := func(hc int64) (bool, error) {
 		out.Probes++
-		err := t.HammerInto(HammerConfig{
+		err := t.hammerInto(HammerConfig{
 			Bank:       cfg.Bank,
 			VictimPhys: cfg.VictimPhys,
 			Hammers:    hc,
@@ -54,7 +55,7 @@ func (t *Tester) HCFirst(cfg HCFirstConfig) (HCFirstResult, error) {
 			AggOffNs:   cfg.AggOffNs,
 			Pattern:    cfg.Pattern,
 			Trial:      cfg.Trial,
-		}, &res)
+		}, res, false)
 		if err != nil {
 			return false, err
 		}

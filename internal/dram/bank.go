@@ -20,6 +20,9 @@ type bankState struct {
 	actTempC    float64 // module temperature when the row was opened
 	hasRowOpen  bool
 	rowOpenedAt Picos
+	// senseDue marks the open row's disturbance as not yet applied:
+	// execAct defers it, resolveSense or a full-row write settles it.
+	senseDue bool
 
 	// rows maps physical row index → backing data words. Rows are
 	// allocated lazily on first activation or write.

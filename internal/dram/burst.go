@@ -63,6 +63,11 @@ func (m *Module) WrRowBulk(bank int, data []uint64, step, start Picos) error {
 	if err != nil {
 		return err
 	}
+	if n == m.geo.ColumnsPerRow {
+		m.dropSense(bank)
+	} else {
+		m.resolveSense(bank)
+	}
 	row := b.data(b.activeRow, m.geo.RowWords())
 	var chk []uint8
 	if m.cfg.OnDieECC && m.beatBits == 64 {
@@ -105,6 +110,7 @@ func (m *Module) RdRowBulk(bank, cols int, step, start Picos, dst []uint64) ([]u
 	if err != nil {
 		return dst, err
 	}
+	m.resolveSense(bank)
 	row := b.data(b.activeRow, m.geo.RowWords())
 	var chk []uint8
 	if m.cfg.OnDieECC && m.beatBits == 64 {

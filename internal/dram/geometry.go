@@ -11,6 +11,15 @@
 // internal/faultmodel), which the bank consults whenever a row's charge
 // is sensed (on activation) — mirroring how disturbance in a real chip
 // manifests only when the victim row is next opened or refreshed.
+//
+// A row's disturbance is applied when something can observe it. An
+// activation applies retention decay at once but defers the disturb
+// evaluation until the open row is read, partially written or closed
+// (or peeked, or the controller settles the device at a program
+// boundary). A burst that overwrites every column first drops it: the
+// flips would be overwritten before anything could read them. While
+// the row is open nothing else in its bank can change, so the deferred
+// evaluation sees exactly the inputs the activation saw.
 package dram
 
 import "fmt"

@@ -28,7 +28,11 @@ type ModuleConfig struct {
 // Stats counts module activity and injected faults.
 type Stats struct {
 	Acts, Pres, Reads, Writes, Refs int64
-	// FlipsInjected counts RowHammer bit flips applied to stored data.
+	// FlipsInjected counts bit flips applied to stored data (RowHammer
+	// and retention). A row's RowHammer flips are applied when the row
+	// is next read, partially written or closed after an activation;
+	// flips a full-row write would overwrite before anything read them
+	// are never applied, so they are not counted.
 	FlipsInjected int64
 	// ECCCorrected counts read words the on-die ECC corrected.
 	ECCCorrected int64
@@ -213,9 +217,14 @@ func (m *Module) execAct(cmd Command, now Picos) error {
 	}
 
 	phys := m.remap.ToPhysical(cmd.Row)
-	// Opening the row senses and restores its charge: apply any
-	// accumulated disturbance now, then clear the ledger.
-	m.senseRow(cmd.Bank, phys, now)
+	// Opening the row senses and restores its charge. Retention decay
+	// is applied now; accumulated disturbance is applied by the first
+	// command that can observe it (resolveSense), or dropped by a
+	// full-row write.
+	m.restoreRetention(cmd.Bank, phys, now)
+	if led := b.ledgers[phys]; led != nil && !led.Empty() {
+		b.senseDue = true
+	}
 
 	off := m.timing.TRP
 	if b.everPre {
@@ -262,6 +271,7 @@ func (m *Module) execPre(cmd Command, now Picos) error {
 		}
 	}
 
+	m.resolveSense(cmd.Bank)
 	// Closing the row: attribute one hammer to physical neighbors in
 	// the same subarray, at distances 1 and 2.
 	row := b.activeRow
@@ -308,6 +318,7 @@ func (m *Module) execRd(cmd Command, now Picos) (uint64, error) {
 	b.everCol = true
 	m.stats.Reads++
 
+	m.resolveSense(cmd.Bank)
 	data := b.data(b.activeRow, m.geo.RowWords())
 	beat := m.extractBeat(data, cmd.Col)
 	if m.cfg.OnDieECC && m.beatBits == 64 {
@@ -351,6 +362,7 @@ func (m *Module) execWr(cmd Command, now Picos) error {
 	b.everCol = true
 	m.stats.Writes++
 
+	m.resolveSense(cmd.Bank)
 	data := b.data(b.activeRow, m.geo.RowWords())
 	m.insertBeat(data, cmd.Col, cmd.Data)
 	if m.cfg.OnDieECC && m.beatBits == 64 {
@@ -410,10 +422,17 @@ func (m *Module) execRef(cmd Command, now Picos) error {
 // row for retention decay: even the weak tail at 90 °C holds ≈20 ms.
 const retentionFloor = Millisecond
 
-// senseRow applies accumulated disturbance and retention decay to a
-// physical row (as its charge is sensed) and restores it (ledger
-// reset, restore timestamp).
+// senseRow applies retention decay and accumulated disturbance to a
+// closed physical row (as REF or TRR senses its charge) and restores
+// it (ledger reset, restore timestamp).
 func (m *Module) senseRow(bank, phys int, now Picos) {
+	m.restoreRetention(bank, phys, now)
+	m.applyDisturb(bank, phys)
+}
+
+// restoreRetention applies the retention decay a physical row suffered
+// since its last charge restore and stamps the restore time.
+func (m *Module) restoreRetention(bank, phys int, now Picos) {
 	b := m.banks[bank]
 	if m.ret != nil {
 		if last, ok := b.restoredAt[phys]; ok {
@@ -427,6 +446,47 @@ func (m *Module) senseRow(bank, phys int, now Picos) {
 		}
 		b.restoredAt[phys] = now
 	}
+}
+
+// resolveSense applies the disturbance execAct deferred for a bank's
+// open row, if any. It runs before anything can observe that row's
+// stored data: a read, a partial write, the closing PRE, a peek, or
+// Settle.
+func (m *Module) resolveSense(bank int) {
+	b := m.banks[bank]
+	if !b.senseDue {
+		return
+	}
+	b.senseDue = false
+	m.applyDisturb(bank, b.activeRow)
+}
+
+// dropSense discards the disturbance execAct deferred for a bank's
+// open row, whose every column is about to be overwritten: the flips
+// could never be read, so the row's charge is simply restored.
+func (m *Module) dropSense(bank int) {
+	b := m.banks[bank]
+	if !b.senseDue {
+		return
+	}
+	b.senseDue = false
+	b.ledgers[b.activeRow].Reset()
+}
+
+// Settle applies every deferred disturbance, leaving the stored data
+// exactly as eager sensing at activation would have. The executor
+// calls it at the end of every program, so no deferral outlives the
+// program that caused it.
+func (m *Module) Settle() {
+	for bank := range m.banks {
+		m.resolveSense(bank)
+	}
+}
+
+// applyDisturb evaluates a physical row's accumulated disturbance,
+// applies the resulting flips and resets its ledger.
+func (m *Module) applyDisturb(bank, phys int) {
+	b := m.banks[bank]
 	led := b.ledgers[phys]
 	if led == nil || led.Empty() {
 		return
@@ -498,6 +558,7 @@ func (m *Module) PeekRow(bank, physRow int) []uint64 {
 	if bank < 0 || bank >= m.geo.Banks {
 		return nil
 	}
+	m.resolvePeek(bank, physRow)
 	d := m.banks[bank].dataIfPresent(physRow)
 	if d == nil {
 		return nil
@@ -513,11 +574,20 @@ func (m *Module) PeekLedger(bank, physRow int) RowLedger {
 	if bank < 0 || bank >= m.geo.Banks {
 		return RowLedger{}
 	}
+	m.resolvePeek(bank, physRow)
 	l := m.banks[bank].ledgers[physRow]
 	if l == nil {
 		return RowLedger{}
 	}
 	return *l
+}
+
+// resolvePeek applies a deferred disturbance before a diagnostic peek
+// at the open row observes it.
+func (m *Module) resolvePeek(bank, physRow int) {
+	if m.banks[bank].activeRow == physRow {
+		m.resolveSense(bank)
+	}
 }
 
 // ActiveRow returns the open physical row of a bank, or -1.

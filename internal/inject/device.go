@@ -85,6 +85,10 @@ func (d *Device) RdRowBulk(bank, cols int, step, start dram.Picos, dst []uint64)
 	return dst, nil
 }
 
+// Settle forwards to the real device. It is not a link operation, so
+// it neither advances the fault stream nor fails.
+func (d *Device) Settle() { d.inner.Settle() }
+
 // HammerBulk forwards the bulk fast path, subject to link faults.
 func (d *Device) HammerBulk(bank int, rows []int, count int64, aggOn, aggOff dram.Picos, start dram.Picos) (dram.Picos, error) {
 	d.ops++

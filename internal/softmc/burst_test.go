@@ -183,3 +183,51 @@ func TestBurstValidation(t *testing.T) {
 		t.Fatalf("zero-length read burst returned %d beats", len(res.Reads))
 	}
 }
+
+// countingDisturber counts Disturb calls and flips nothing.
+type countingDisturber struct{ calls int }
+
+func (c *countingDisturber) Disturb(dram.DisturbContext) (int, []uint64) {
+	c.calls++
+	return 0, nil
+}
+
+// TestRunIntoSettlesOpenRow: a program that ends with a disturbed row
+// still open (or aborts with it open) has the row's deferred sense
+// applied inside RunInto, so no deferral crosses a program boundary.
+func TestRunIntoSettlesOpenRow(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		cd := &countingDisturber{}
+		m, err := dram.NewModule(dram.ModuleConfig{
+			Geometry:  burstGeometries[0],
+			Timing:    dram.DDR4Timing(),
+			Disturber: cd,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := m.Timing()
+		ex := NewExecutor(m)
+		hb := NewBuilder(tm.TCK)
+		hb.Hammer(0, []int{4, 6}, 100, tm.TRAS, tm.TRP)
+		if _, err := ex.Run(hb.Program()); err != nil {
+			t.Fatal(err)
+		}
+		cd.calls = 0
+		b := NewBuilder(tm.TCK)
+		b.Act(0, 5)
+		if abort {
+			b.Rd(0, 0) // before tRCD: the program fails with row 5 open
+		}
+		_, err = ex.Run(b.Program())
+		if abort != (err != nil) {
+			t.Fatalf("abort=%v: Run error = %v", abort, err)
+		}
+		if cd.calls != 1 {
+			t.Fatalf("abort=%v: %d Disturb calls by the time Run returned, want 1", abort, cd.calls)
+		}
+		if m.ActiveRow(0) != m.Remap().ToPhysical(5) {
+			t.Fatalf("abort=%v: row 5 should still be open", abort)
+		}
+	}
+}

@@ -256,6 +256,10 @@ type Device interface {
 	// sequence; RdRowBulk appends the beats to dst.
 	WrRowBulk(bank int, data []uint64, step, start dram.Picos) error
 	RdRowBulk(bank, cols int, step, start dram.Picos, dst []uint64) ([]uint64, error)
+	// Settle applies every disturbance the device deferred while rows
+	// were open (see the dram package note), so device state between
+	// programs equals eager sensing. RunInto calls it before returning.
+	Settle()
 	Timing() dram.Timing
 }
 
@@ -318,12 +322,14 @@ func (e *Executor) Run(p *Program) (*Result, error) {
 // and refilling its Reads/Trace buffers in place — the
 // allocation-free variant of Run for hot measurement loops. On error,
 // execution stops at the offending instruction; the partial result
-// remains in res.
+// remains in res. Either way the device is settled before RunInto
+// returns, so no deferred sensing crosses a program boundary.
 func (e *Executor) RunInto(p *Program, res *Result) error {
 	res.Reads = res.Reads[:0]
 	res.Trace = res.Trace[:0]
 	justIssued := false
 	err := e.runInstrs(p.Instrs, res, &justIssued, 0)
+	e.mod.Settle()
 	res.End = e.now
 	return err
 }

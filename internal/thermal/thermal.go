@@ -183,6 +183,19 @@ func NewChamber(seed uint64) *Chamber {
 	}
 }
 
+// Clone returns an independent deep copy of the chamber: plant, PID
+// state, setpoint, elapsed time and the thermocouple's noise stream,
+// so the copy's future readings equal the original's. The Disturb
+// hook is shared, not copied.
+func (ch *Chamber) Clone() *Chamber {
+	c := *ch
+	plant, pid, tc := *ch.Plant, *ch.PID, *ch.TC
+	rnd := *ch.TC.rnd
+	tc.rnd = &rnd
+	c.Plant, c.PID, c.TC = &plant, &pid, &tc
+	return &c
+}
+
 // ErrSettleTimeout reports that the setpoint was not reached in time.
 var ErrSettleTimeout = errors.New("thermal: settle timeout")
 

@@ -241,3 +241,42 @@ func TestCoolerAcceleratesCooling(t *testing.T) {
 		t.Fatal("active cooling should beat passive cooling")
 	}
 }
+
+// TestChamberCloneIndependent: a clone starts in the original's exact
+// state — including the thermocouple's noise stream — and shares no
+// mutable state with it afterwards.
+func TestChamberCloneIndependent(t *testing.T) {
+	ch := NewChamber(9)
+	if err := ch.SetAndSettle(60); err != nil {
+		t.Fatal(err)
+	}
+	c1, c2 := ch.Clone(), ch.Clone()
+	if c1.Plant == ch.Plant || c1.PID == ch.PID || c1.TC == ch.TC || c1.TC.rnd == ch.TC.rnd {
+		t.Fatal("clone shares plant, PID or thermocouple with the original")
+	}
+	// Drive the original elsewhere; the clones must not notice.
+	if err := ch.SetAndSettle(85); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		ch.Temperature()
+	}
+	if c1.Setpoint() != 60 || c1.Plant.Temperature() != c2.Plant.Temperature() || c1.Elapsed() != c2.Elapsed() {
+		t.Fatalf("clone state moved with the original: setpoint %v, plant %v vs %v", c1.Setpoint(), c1.Plant.Temperature(), c2.Plant.Temperature())
+	}
+	// The two clones evolve identically: same settle, same readings.
+	if err := c1.SetAndSettle(70); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.SetAndSettle(70); err != nil {
+		t.Fatal(err)
+	}
+	if *c1.Plant != *c2.Plant || *c1.PID != *c2.PID || c1.Elapsed() != c2.Elapsed() {
+		t.Fatal("clones diverged on the same settle")
+	}
+	for i := 0; i < 16; i++ {
+		if a, b := c1.Temperature(), c2.Temperature(); a != b {
+			t.Fatalf("read %d: clones read %v and %v", i, a, b)
+		}
+	}
+}

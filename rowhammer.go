@@ -62,6 +62,9 @@ type Bench struct {
 	// cfg is the normalized construction config, kept so Clone can
 	// rebuild an identical independent bench.
 	cfg BenchConfig
+	// settled is an immutable copy of the chamber just after
+	// construction settled it at 50 °C; clones start from a copy of it.
+	settled *thermal.Chamber
 }
 
 // NewBench builds a device under test.
@@ -83,11 +86,21 @@ func NewBench(cfg BenchConfig) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newBench(cfg, model)
+	b, err := assembleBench(cfg, model, thermal.NewChamber(cfg.Seed))
+	if err != nil {
+		return nil, err
+	}
+	// The chamber idles at 50 °C (§4.1).
+	if err := b.SetTemperature(50); err != nil {
+		return nil, err
+	}
+	b.settled = b.Chamber.Clone()
+	return b, nil
 }
 
-// newBench assembles a bench around model from a normalized config.
-func newBench(cfg BenchConfig, model *faultmodel.Model) (*Bench, error) {
+// assembleBench builds a fresh module and executor around model from
+// a normalized config, with ch as the bench's chamber.
+func assembleBench(cfg BenchConfig, model *faultmodel.Model, ch *thermal.Chamber) (*Bench, error) {
 	mod, err := dram.NewModule(dram.ModuleConfig{
 		Geometry:     cfg.Geometry,
 		Timing:       cfg.Timing,
@@ -102,31 +115,40 @@ func newBench(cfg BenchConfig, model *faultmodel.Model) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Bench{
+	return &Bench{
 		Module:  mod,
 		Model:   model,
 		Exec:    softmc.NewExecutor(mod),
-		Chamber: thermal.NewChamber(cfg.Seed),
+		Chamber: ch,
 		Profile: cfg.Profile,
 		Seed:    cfg.Seed,
 		cfg:     cfg,
-	}
-	if err := b.SetTemperature(50); err != nil {
-		return nil, err
-	}
-	return b, nil
+	}, nil
 }
 
-// Clone builds an independent bench with the same configuration: a
-// fresh module, executor, and thermal chamber replaying the same
-// deterministic construction, around a Fork of the fault model. The
-// fork shares the module's immutable tables and sharded kernel cache
+// Clone builds an independent bench equal to a freshly constructed
+// one with the same configuration: a fresh module and executor, a
+// copy of the chamber exactly as construction left it (plant, PID
+// state, elapsed time and thermocouple noise stream — the construction
+// settle is not re-run), and a Fork of the fault model. The fork
+// shares the module's immutable tables and sharded kernel cache
 // (candidate sets are pure functions of the module, so sharing only
 // deduplicates work) and starts with empty per-model caches, exactly
 // like a freshly built model. The parallel measurement cores use
 // clones as hermetic per-shard devices under test.
-func (b *Bench) Clone() (*Bench, error) {
-	return newBench(b.cfg, b.Model.Fork())
+func (b *Bench) Clone() (*Bench, error) { return b.cloneAt(b.settled) }
+
+// cloneAt is Clone with the new bench's chamber a copy of ch (a state
+// some chamber of this configuration reached) and the module at ch's
+// plant temperature, as SetTemperature would have left it.
+func (b *Bench) cloneAt(ch *thermal.Chamber) (*Bench, error) {
+	c, err := assembleBench(b.cfg, b.Model.Fork(), ch.Clone())
+	if err != nil {
+		return nil, err
+	}
+	c.settled = b.settled
+	c.Module.SetTemperature(c.Chamber.Plant.Temperature())
+	return c, nil
 }
 
 // SetTemperature drives the thermal chamber to tempC, waits for the

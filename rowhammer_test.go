@@ -461,3 +461,36 @@ func TestRecoverMappingTableValidation(t *testing.T) {
 		t.Fatal("expected error for tiny block")
 	}
 }
+
+// TestCloneChamberMatchesConstruction: a clone's chamber is a copy of
+// the construction snapshot, not of the source bench's current state,
+// and equals a freshly constructed bench's chamber in every respect —
+// plant temperature, PID state, setpoint, elapsed time and the next
+// thermocouple readings.
+func TestCloneChamberMatchesConstruction(t *testing.T) {
+	src := newBenchFor(t, "B", 5)
+	// Move the source away from its construction state first.
+	if err := src.SetTemperature(80); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := src.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newBenchFor(t, "B", 5)
+	got, want := clone.Chamber, fresh.Chamber
+	if got.Plant.Temperature() != want.Plant.Temperature() || *got.PID != *want.PID ||
+		got.Setpoint() != want.Setpoint() || got.Elapsed() != want.Elapsed() {
+		t.Fatalf("clone chamber differs from construction: plant %v/%v, PID %+v/%+v, setpoint %v/%v, elapsed %v/%v",
+			got.Plant.Temperature(), want.Plant.Temperature(), *got.PID, *want.PID,
+			got.Setpoint(), want.Setpoint(), got.Elapsed(), want.Elapsed())
+	}
+	if clone.Module.Temperature() != fresh.Module.Temperature() {
+		t.Fatalf("clone module at %v °C, fresh bench at %v °C", clone.Module.Temperature(), fresh.Module.Temperature())
+	}
+	for i := 0; i < 16; i++ {
+		if g, w := got.Temperature(), want.Temperature(); g != w {
+			t.Fatalf("thermocouple read %d: clone %v, fresh %v", i, g, w)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"rowhammer/internal/pool"
+	"rowhammer/internal/thermal"
 )
 
 // CellID identifies a DRAM cell within one bank.
@@ -118,45 +119,51 @@ type sweepUnit struct {
 
 // temperatureSweepParallel fans the (temperature, victim) grid out
 // over hermetic bench clones and merges the shards back in grid
-// order. Each shard replays the serial sweep's chamber trajectory up
-// to its temperature point, so the settled plant temperature — and
-// with it every recorded measurement — is bit-identical to the
-// shared-bench serial sweep.
+// order. The chamber trajectory a fresh bench follows through the
+// sweep is settled once, from the construction snapshot, and every
+// shard's bench starts from a copy of its temperature point's state —
+// the state a clone replaying the trajectory would reach — so the
+// settled plant temperature, and with it every recorded measurement,
+// is bit-identical to the shared-bench serial sweep.
 func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
+	points := make([]*thermal.Chamber, len(cfg.Temps))
+	ch := t.b.settled.Clone()
+	for ti, temp := range cfg.Temps {
+		if err := ch.SetAndSettle(temp); err != nil {
+			return nil, err
+		}
+		points[ti] = ch.Clone()
+	}
 	nR := len(cfg.Victims)
+	seenWords := t.b.Geometry().ColumnsPerRow // flip bit index is col·64 + offset
 	units, err := pool.Map(ctx, t.effectiveWorkers(), len(cfg.Temps)*nR, func(u int) (sweepUnit, error) {
 		ti, ri := u/nR, u%nR
-		sub, err := t.clone()
+		sub, err := t.cloneAt(points[ti])
 		if err != nil {
 			return sweepUnit{}, err
 		}
-		for k := 0; k <= ti; k++ {
-			if err := sub.b.SetTemperature(cfg.Temps[k]); err != nil {
-				return sweepUnit{}, err
-			}
-		}
 		sub.declareTrialSalts(cfg.Repetitions)
 		var unit sweepUnit
-		seen := make(map[int]bool)
+		var cur HammerResult // swaps with unit.worst, as in BER
+		seen := make([]uint64, seenWords)
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			hr, err := sub.Hammer(HammerConfig{
+			if err := sub.HammerInto(HammerConfig{
 				Bank:       cfg.Bank,
 				VictimPhys: cfg.Victims[ri],
 				Hammers:    cfg.Hammers,
 				Pattern:    cfg.Pattern,
 				Trial:      uint64(rep) + 1,
-			})
-			if err != nil {
+			}, &cur); err != nil {
 				return sweepUnit{}, err
 			}
-			for _, bit := range hr.Victim.Bits {
-				if !seen[bit] {
-					seen[bit] = true
+			for _, bit := range cur.Victim.Bits {
+				if w, m := bit/64, uint64(1)<<(bit%64); seen[w]&m == 0 {
+					seen[w] |= m
 					unit.bits = append(unit.bits, bit)
 				}
 			}
-			if rep == 0 || hr.Victim.Count() > unit.worst.Victim.Count() {
-				unit.worst = hr
+			if rep == 0 || cur.Victim.Count() > unit.worst.Victim.Count() {
+				unit.worst, cur = cur, unit.worst
 			}
 		}
 		return unit, nil

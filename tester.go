@@ -9,6 +9,7 @@ import (
 	"rowhammer/internal/pool"
 	"rowhammer/internal/rng"
 	"rowhammer/internal/softmc"
+	"rowhammer/internal/thermal"
 )
 
 // patternRadius is how many rows on each side of the victim are
@@ -36,6 +37,7 @@ type Tester struct {
 	rowArena [][]uint64 // one pattern buffer per V±patternRadius position
 	aggRows  [2]int
 	salts    []uint64
+	probeRes HammerResult // HCFirst's probe result, reused across searches
 }
 
 // NewTester returns a Tester using the module's internal mapping as
@@ -68,8 +70,12 @@ func (t *Tester) effectiveWorkers() int {
 // preserving any mapping override. Clones are what the parallel
 // measurement shards hammer, so concurrent shards never share mutable
 // device state.
-func (t *Tester) clone() (*Tester, error) {
-	b, err := t.b.Clone()
+func (t *Tester) clone() (*Tester, error) { return t.cloneAt(t.b.settled) }
+
+// cloneAt is clone on a bench whose chamber starts as a copy of ch
+// (see Bench.cloneAt).
+func (t *Tester) cloneAt(ch *thermal.Chamber) (*Tester, error) {
+	b, err := t.b.cloneAt(ch)
 	if err != nil {
 		return nil, err
 	}
@@ -276,6 +282,16 @@ func (t *Tester) Hammer(cfg HammerConfig) (HammerResult, error) {
 // buffers are truncated and reused — the allocation-free variant for
 // hot measurement loops. Results are bit-identical to Hammer.
 func (t *Tester) HammerInto(cfg HammerConfig, out *HammerResult) error {
+	return t.hammerInto(cfg, out, true)
+}
+
+// hammerInto is HammerInto; singles=false skips reading the two
+// single-sided victims (out.SingleLo/SingleHi stay empty), for
+// callers that only observe the double-sided victim. Skipping them
+// changes no later measurement: every test writes its pattern over
+// V±8 before it reads a row, so a row's unread disturbance is
+// overwritten (and, under deferred sensing, never evaluated).
+func (t *Tester) hammerInto(cfg HammerConfig, out *HammerResult, singles bool) error {
 	out.Victim.Bits = out.Victim.Bits[:0]
 	out.SingleLo.Bits = out.SingleLo.Bits[:0]
 	out.SingleHi.Bits = out.SingleHi.Bits[:0]
@@ -315,6 +331,9 @@ func (t *Tester) HammerInto(cfg HammerConfig, out *HammerResult) error {
 	out.DurationP = t.b.Exec.Now() - start
 	if err := t.readRowFlipsInto(&out.Victim, cfg.Bank, cfg.VictimPhys, cfg.VictimPhys, cfg.Pattern); err != nil {
 		return err
+	}
+	if !singles {
+		return nil
 	}
 	g := t.b.Geometry()
 	if cfg.VictimPhys-2 >= 0 {

@@ -1,0 +1,67 @@
+// Benchmarks for the Tester-operation layer: one complete §4.2
+// measurement — an HCfirst search repeated over trials, and a
+// parallel temperature sweep — on a small module, with allocations
+// reported. `make bench-smoke` runs them once under the race detector.
+package rowhammer_test
+
+import (
+	"testing"
+
+	rh "rowhammer"
+)
+
+// testerBench builds the Tester the operation benchmarks drive.
+func testerBench(b *testing.B, workers int) *rh.Tester {
+	b.Helper()
+	bench, err := rh.NewBench(rh.BenchConfig{
+		Profile: rh.ProfileByName("A"),
+		Seed:    61,
+		Geometry: rh.Geometry{
+			Banks: 1, RowsPerBank: 512, SubarrayRows: 256,
+			Chips: 8, ChipWidth: 8, ColumnsPerRow: 64,
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := rh.NewTester(bench)
+	tr.SetWorkers(workers)
+	return tr
+}
+
+// BenchmarkHCFirstMin times one min-of-3 HCfirst search (the Fig. 5,
+// 8, 10 and 11 inner loop) on a warm module.
+func BenchmarkHCFirstMin(b *testing.B) {
+	tr := testerBench(b, 1)
+	cfg := rh.HCFirstConfig{Bank: 0, VictimPhys: 100, Pattern: rh.PatCheckered}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := tr.HCFirstMin(cfg, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Found {
+			b.Fatal("no HCfirst found; benchmark vacuous")
+		}
+	}
+}
+
+// BenchmarkTemperatureSweepParallel times one two-worker temperature
+// sweep (the Fig. 3/4 and Table 3 measurement): three temperature
+// points × two victims × two repetitions, each shard on a bench clone.
+func BenchmarkTemperatureSweepParallel(b *testing.B) {
+	tr := testerBench(b, 2)
+	cfg := rh.TempSweepConfig{
+		Victims:     []int{100, 201},
+		Temps:       []float64{50, 65, 80},
+		Hammers:     150_000,
+		Pattern:     rh.PatCheckered,
+		Repetitions: 2,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.TemperatureSweep(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
