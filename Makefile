@@ -132,8 +132,9 @@ chaos-fleet:
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./cmd/rhserved/
 
-# Short fuzz pass over the checkpoint parsers, the CRC trailer codec
-# and the shard fence decoder; the committed corpora under
+# Short fuzz pass over the checkpoint reader and its resume round trip
+# (OpenCheckpoint + one appended record loses nothing), the CRC trailer
+# codec and the shard fence decoder; the committed corpora under
 # internal/{campaign,shard}/testdata/fuzz replay on every plain
 # `go test`.
 fuzz:

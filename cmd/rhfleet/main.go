@@ -268,12 +268,37 @@ rhfleet processes per checkpoint.
 		exit(0)
 	}
 
-	resumeRecs := map[string]rh.CampaignRecord{}
-	if *resume != "" {
-		rep, err := campaign.LoadCheckpointReport(*resume, campaign.ResumeOptions{ExpectSpec: &cs})
-		if err != nil {
-			fatal(fmt.Errorf("loading resume checkpoint: %w", err))
+	// Resuming into the same file appends to it. Resuming into a new
+	// file copies the adopted records over first — in key order,
+	// through the same writer — so the new file alone resumes the
+	// campaign afterwards. Every path writes the v2 format: header
+	// line + CRC32C per record.
+	var (
+		cw  *rh.CampaignCheckpointWriter
+		rep *campaign.ResumeReport
+	)
+	switch {
+	case *resume == "":
+		cw, err = campaign.CreateCheckpoint(*out, cs)
+	case *resume == *out:
+		cw, rep, err = campaign.OpenCheckpoint(*out, cs, 0, 0)
+	default:
+		rep, err = campaign.LoadCheckpointReport(*resume, campaign.ResumeOptions{ExpectSpec: &cs})
+		if err == nil {
+			cw, err = campaign.CreateCheckpoint(*out, cs)
 		}
+		if err == nil {
+			err = cw.WriteRecords(rep.Records)
+		}
+	}
+	if err != nil {
+		fatal(fmt.Errorf("checkpoint (-resume %q, -out %q): %w", *resume, *out, err))
+	}
+	defer cw.Close()
+	armFailpoint(cw)
+
+	var resumeRecs map[string]rh.CampaignRecord
+	if rep != nil {
 		resumeRecs = rep.Records
 		fmt.Fprintf(os.Stderr, "rhfleet: resuming with %d checkpointed records from %s (format v%d)\n",
 			len(rep.Records), *resume, rep.Version)
@@ -289,21 +314,6 @@ rhfleet processes per checkpoint.
 				rep.CorruptRecords, rep.QuarantinePath)
 		}
 	}
-
-	// Append when resuming into the same file so the checkpoint stays a
-	// complete record of the campaign; otherwise start fresh. Both paths
-	// write the v2 format: header line + CRC32C per record.
-	var cw *rh.CampaignCheckpointWriter
-	if *resume == *out {
-		cw, err = campaign.AppendCheckpoint(*out, cs)
-	} else {
-		cw, err = campaign.CreateCheckpoint(*out, cs)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	defer cw.Close()
-	armFailpoint(cw)
 
 	base := context.Background()
 	if *timeout > 0 {

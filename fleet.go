@@ -3,7 +3,6 @@ package rowhammer
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"rowhammer/internal/campaign"
@@ -87,22 +86,18 @@ type CampaignSpec struct {
 
 // CampaignOptions controls checkpointing and progress reporting.
 type CampaignOptions struct {
-	// Checkpoint, when non-nil, receives one JSONL record per finished
-	// job as it completes (the legacy v1 stream). Prefer Records with a
-	// CampaignCheckpointWriter, which adds the v2 header and per-record
-	// CRC trailers; when both are set, Records wins.
-	Checkpoint io.Writer
-	// Records, when non-nil, receives every finished record; use
-	// CreateCampaignCheckpoint or AppendCampaignCheckpoint to stream
-	// the crash-safe v2 checkpoint format.
+	// Records, when non-nil, receives every finished record as it
+	// completes; use CreateCampaignCheckpoint or OpenCampaignCheckpoint
+	// to stream the crash-safe v2 checkpoint format.
 	Records CampaignRecordWriter
 	// Drain, when non-nil and closed (or signalled), stops dispatching
 	// new jobs: in-flight jobs finish and are checkpointed, then
 	// RunCampaign returns ErrCampaignDrained if work remains — the
 	// graceful-shutdown half of the kill-anywhere guarantee.
 	Drain <-chan struct{}
-	// Resume holds records of a previous run (LoadCampaignCheckpoint);
-	// their jobs are skipped.
+	// Resume holds records of a previous run (the Records of the
+	// report OpenCampaignCheckpoint returns); their successful jobs are
+	// skipped.
 	Resume map[string]CampaignRecord
 	// Progress, when non-nil, is called after every finished job.
 	Progress func(done, total int, rec CampaignRecord)
@@ -209,16 +204,19 @@ func CreateCampaignCheckpoint(path string, spec CampaignSpec) (*CampaignCheckpoi
 	return campaign.CreateCheckpoint(path, cs)
 }
 
-// AppendCampaignCheckpoint opens an existing checkpoint for appending
-// after verifying it belongs to this campaign (ErrCampaignSpecMismatch
-// otherwise); a file torn mid-record by a crash is newline-isolated so
-// the fragment cannot corrupt the first new record.
-func AppendCampaignCheckpoint(path string, spec CampaignSpec) (*CampaignCheckpointWriter, error) {
+// OpenCampaignCheckpoint resumes a checkpoint file in one read: it
+// verifies the file belongs to this campaign (ErrCampaignSpecMismatch
+// otherwise), reports what it holds — pass the report's Records as
+// CampaignOptions.Resume and the writer as CampaignOptions.Records —
+// and opens it for appending. A file torn mid-record by a crash is
+// newline-isolated so the fragment cannot corrupt the first new
+// record; a missing file starts a fresh checkpoint.
+func OpenCampaignCheckpoint(path string, spec CampaignSpec) (*CampaignCheckpointWriter, *CampaignResumeReport, error) {
 	cs, _, _, err := lowerSpec(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return campaign.AppendCheckpoint(path, cs)
+	return campaign.OpenCheckpoint(path, cs, 0, 0)
 }
 
 // LoadCampaignCheckpointReport reads a v1 or v2 checkpoint for resume.
@@ -255,25 +253,11 @@ func CompactCampaignCheckpoint(path string, spec *CampaignSpec) (*CampaignResume
 	return campaign.CompactCheckpointFile(path, &cs)
 }
 
-// LoadCampaignCheckpoint reads a JSONL checkpoint file for
-// CampaignOptions.Resume. A missing file yields an empty map. It is
-// the strict loader: any corrupt interior line is an error. Prefer
-// LoadCampaignCheckpointReport, which verifies the campaign identity
-// and quarantines corruption instead of failing.
-func LoadCampaignCheckpoint(path string) (map[string]CampaignRecord, error) {
-	return campaign.LoadCheckpointFile(path)
-}
-
-// WriteCampaignRecord appends one record to a JSONL checkpoint stream.
-func WriteCampaignRecord(w io.Writer, rec CampaignRecord) error {
-	return campaign.WriteRecord(w, rec)
-}
-
 // RunCampaign expands the spec into per-module jobs, runs them on a
 // bounded worker pool with panic recovery and bounded retry, streams
 // records to the checkpoint, and aggregates the fleet summary. On
 // cancellation it returns the partial result together with ctx's
-// error; the checkpoint can be resumed via CampaignOptions.Resume.
+// error; OpenCampaignCheckpoint resumes the checkpoint.
 func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {
 	cspec, scale, geom, err := lowerSpec(spec)
 	if err != nil {
@@ -284,12 +268,11 @@ func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (
 		runner = inject.WrapRunner(runner, opts.FaultProfile)
 	}
 	res, err := campaign.Run(ctx, cspec, campaign.Options{
-		Runner:     runner,
-		Checkpoint: opts.Checkpoint,
-		Records:    opts.Records,
-		Done:       opts.Resume,
-		Progress:   opts.Progress,
-		Drain:      opts.Drain,
+		Runner:   runner,
+		Records:  opts.Records,
+		Done:     opts.Resume,
+		Progress: opts.Progress,
+		Drain:    opts.Drain,
 	})
 	if res == nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -71,8 +70,9 @@ func TestRunCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestRunCampaignInterruptResumeBitIdentical is the acceptance check:
-// a 16-module campaign killed mid-run and resumed from its JSONL
-// checkpoint must aggregate bit-identically to an uninterrupted run.
+// a 16-module campaign killed mid-run and resumed from its v2
+// checkpoint file must aggregate bit-identically to an uninterrupted
+// run.
 func TestRunCampaignInterruptResumeBitIdentical(t *testing.T) {
 	spec := tinyFleetSpec(CampaignHCFirst, 4) // 4 mfrs x 4 = 16 modules
 
@@ -87,11 +87,15 @@ func TestRunCampaignInterruptResumeBitIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var cp bytes.Buffer
+	cpPath := filepath.Join(t.TempDir(), "fleet.jsonl")
+	cw, err := CreateCampaignCheckpoint(cpPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var once sync.Once
 	var done atomic.Int64
 	res, err := RunCampaign(ctx, spec, CampaignOptions{
-		Checkpoint: &cp,
+		Records: cw,
 		Progress: func(_, _ int, rec CampaignRecord) {
 			if rec.Err == "" && done.Add(1) >= 5 {
 				once.Do(cancel)
@@ -104,20 +108,34 @@ func TestRunCampaignInterruptResumeBitIdentical(t *testing.T) {
 	if res == nil || res.Completed >= 16 {
 		t.Fatalf("campaign was not interrupted: %+v", res)
 	}
-
-	// Round-trip through the file loader so the test exercises the
-	// same path as rhfleet -resume.
-	cpPath := filepath.Join(t.TempDir(), "fleet.jsonl")
-	if err := os.WriteFile(cpPath, cp.Bytes(), 0o644); err != nil {
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	resumeRecs, err := LoadCampaignCheckpoint(cpPath)
+
+	// Resume from the file the way rhfleet -resume X -out X does: one
+	// read verifies the identity and yields the records to adopt, and
+	// the same file keeps receiving the rest.
+	cw, rep, err := OpenCampaignCheckpoint(cpPath, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunCampaign(context.Background(), spec, CampaignOptions{Resume: resumeRecs})
+	if rep.Version != 2 || rep.CorruptRecords != 0 || len(rep.Records) < 5 {
+		t.Fatalf("resume report = %+v, want a clean v2 checkpoint with >= 5 records", rep)
+	}
+	resumed, err := RunCampaign(context.Background(), spec, CampaignOptions{Resume: rep.Records, Records: cw})
 	if err != nil {
 		t.Fatalf("resumed campaign: %v", err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint now holds the whole campaign on its own.
+	final, err := LoadCampaignCheckpointReport(cpPath, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final.Records) != 16 || final.CorruptRecords != 0 {
+		t.Fatalf("final checkpoint: %d records, %d corrupt; want 16, 0", len(final.Records), final.CorruptRecords)
 	}
 	if resumed.Skipped == 0 {
 		t.Fatal("resume skipped no jobs")

@@ -65,9 +65,10 @@ func TestNormalizeRejectsUnknownKind(t *testing.T) {
 
 func TestRunCompletesAllJobs(t *testing.T) {
 	var cp bytes.Buffer
-	res, err := Run(context.Background(), testSpec([]string{"A", "B", "C", "D"}, 4), Options{
-		Runner:     fakeRunner(nil),
-		Checkpoint: &cp,
+	spec := testSpec([]string{"A", "B", "C", "D"}, 4)
+	res, err := Run(context.Background(), spec, Options{
+		Runner:  fakeRunner(nil),
+		Records: NewCheckpointWriter(&cp, spec),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -75,13 +76,10 @@ func TestRunCompletesAllJobs(t *testing.T) {
 	if res.Completed != 16 || res.Failed != 0 || res.Skipped != 0 {
 		t.Fatalf("completed/failed/skipped = %d/%d/%d, want 16/0/0", res.Completed, res.Failed, res.Skipped)
 	}
-	if n := bytes.Count(cp.Bytes(), []byte{'\n'}); n != 16 {
-		t.Fatalf("checkpoint has %d lines, want 16", n)
+	if n := bytes.Count(cp.Bytes(), []byte{'\n'}); n != 1+16 {
+		t.Fatalf("checkpoint has %d lines, want header + 16", n)
 	}
-	recs, err := ReadCheckpoint(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := checkpointRecords(t, cp.Bytes(), spec)
 	if len(recs) != 16 {
 		t.Fatalf("checkpoint parsed %d records, want 16", len(recs))
 	}
@@ -143,7 +141,7 @@ func TestPersistentPanicIsReportedNotLost(t *testing.T) {
 	var cp bytes.Buffer
 	spec := testSpec([]string{"A"}, 2)
 	spec.MaxRetries = 2
-	res, err := Run(context.Background(), spec, Options{Runner: runner, Checkpoint: &cp})
+	res, err := Run(context.Background(), spec, Options{Runner: runner, Records: NewCheckpointWriter(&cp, spec)})
 	if err == nil || !strings.Contains(err.Error(), "1 of 2 jobs failed") {
 		t.Fatalf("want failure-count error, got %v", err)
 	}
@@ -158,10 +156,7 @@ func TestPersistentPanicIsReportedNotLost(t *testing.T) {
 		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", rec.Attempts)
 	}
 	// The failed record is checkpointed too, so it is never lost.
-	recs, err := ReadCheckpoint(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := checkpointRecords(t, cp.Bytes(), spec)
 	if got := recs["hcfirst/A/0"]; !got.Failed() {
 		t.Fatalf("checkpoint should carry the failed record, got %+v", got)
 	}
@@ -187,8 +182,8 @@ func TestInterruptedResumeBitIdenticalAggregate(t *testing.T) {
 	var once sync.Once
 	var completions atomic.Int64
 	res, err := Run(ctx, spec, Options{
-		Runner:     fakeRunner(nil),
-		Checkpoint: &cp,
+		Runner:  fakeRunner(nil),
+		Records: NewCheckpointWriter(&cp, spec),
 		Progress: func(done, total int, rec Record) {
 			if !rec.Failed() && completions.Add(1) >= 5 {
 				once.Do(cancel)
@@ -203,10 +198,7 @@ func TestInterruptedResumeBitIdenticalAggregate(t *testing.T) {
 	}
 
 	// Resume from the streamed checkpoint.
-	done, err := ReadCheckpoint(bytes.NewReader(cp.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := checkpointRecords(t, cp.Bytes(), spec)
 	resumed, err := Run(context.Background(), spec, Options{Runner: fakeRunner(nil), Done: done})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -233,29 +225,17 @@ func TestReadCheckpointToleratesTornTrailingLine(t *testing.T) {
 		{Key: "hcfirst/A/1", Kind: KindHCFirst, Mfr: "A", Metrics: map[string]float64{"x": 2}},
 	}
 	for _, r := range recs {
-		if err := WriteRecord(&cp, r); err != nil {
-			t.Fatal(err)
-		}
+		writeV1Line(t, &cp, r)
 	}
 	// Simulate a kill mid-write: a torn final line.
 	cp.WriteString(`{"key":"hcfirst/A/2","metrics":{"x":`)
-	got, err := ReadCheckpoint(bytes.NewReader(cp.Bytes()))
+	rep, err := ReadCheckpointReport(bytes.NewReader(cp.Bytes()), ResumeOptions{})
 	if err != nil {
 		t.Fatalf("torn trailing line should be tolerated: %v", err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d records, want 2", len(got))
-	}
-}
-
-func TestReadCheckpointRejectsTornInteriorLine(t *testing.T) {
-	var cp bytes.Buffer
-	cp.WriteString(`{"key":"a","metrics":{` + "\n")
-	if err := WriteRecord(&cp, Record{Key: "hcfirst/A/0"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(cp.Bytes())); err == nil {
-		t.Fatal("interior corruption should be an error")
+	if len(rep.Records) != 2 || !rep.TornFinal || rep.CorruptRecords != 0 {
+		t.Fatalf("parsed %d records (torn %v, corrupt %d), want 2, torn, 0 corrupt",
+			len(rep.Records), rep.TornFinal, rep.CorruptRecords)
 	}
 }
 
@@ -264,16 +244,14 @@ func TestReadCheckpointSuccessWinsOverFailure(t *testing.T) {
 	ok := Record{Key: "hcfirst/A/0", Metrics: map[string]float64{"x": 1}}
 	bad := Record{Key: "hcfirst/A/0", Err: "boom"}
 	for _, r := range []Record{bad, ok, bad} {
-		if err := WriteRecord(&cp, r); err != nil {
-			t.Fatal(err)
-		}
+		writeV1Line(t, &cp, r)
 	}
-	got, err := ReadCheckpoint(bytes.NewReader(cp.Bytes()))
+	rep, err := ReadCheckpointReport(bytes.NewReader(cp.Bytes()), ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["hcfirst/A/0"].Failed() {
-		t.Fatalf("successful record should win, got %+v", got["hcfirst/A/0"])
+	if got := rep.Records["hcfirst/A/0"]; got.Failed() {
+		t.Fatalf("successful record should win, got %+v", got)
 	}
 }
 

@@ -229,8 +229,8 @@ func TestChaosFaultyRunResumesBitIdentical(t *testing.T) {
 	var cp bytes.Buffer
 	completions := 0
 	_, err = campaign.Run(ctx, spec, campaign.Options{
-		Runner:     inject.WrapRunner(pureRunner, inject.Chaos(7)),
-		Checkpoint: &cp,
+		Runner:  inject.WrapRunner(pureRunner, inject.Chaos(7)),
+		Records: campaign.NewCheckpointWriter(&cp, spec),
 		Progress: func(done, total int, rec campaign.Record) {
 			if !rec.Failed() {
 				if completions++; completions == 5 {
@@ -243,13 +243,16 @@ func TestChaosFaultyRunResumesBitIdentical(t *testing.T) {
 		t.Fatalf("interrupted chaos run should report cancellation, got %v", err)
 	}
 
-	done, err := campaign.ReadCheckpoint(bytes.NewReader(cp.Bytes()))
+	rep, err := campaign.ReadCheckpointReport(bytes.NewReader(cp.Bytes()), campaign.ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Version != 2 || rep.CorruptRecords != 0 {
+		t.Fatalf("chaos checkpoint: version %d, %d corrupt line(s); want a clean v2 stream", rep.Version, rep.CorruptRecords)
+	}
 	resumed, err := campaign.Run(context.Background(), spec, campaign.Options{
 		Runner: inject.WrapRunner(pureRunner, inject.Chaos(7)),
-		Done:   done,
+		Done:   rep.Records,
 	})
 	if err != nil {
 		t.Fatalf("resumed chaos run: %v", err)

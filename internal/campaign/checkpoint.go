@@ -25,9 +25,11 @@ import (
 // (spec hash, kind, module set, seed) so a checkpoint can never be
 // resumed into a different campaign, and the per-record CRCs turn
 // silent bit-rot into explicit quarantine instead of corrupt resumes.
-// Version 1 files (plain JSONL, no header, no trailers) still load;
-// the two line formats can even coexist in one file, which is what a
-// v2 binary appending to a v1 checkpoint produces.
+// Version 1 files (plain JSONL, no header, no trailers) still load as
+// the upgrade path — nothing writes them any more. The two line formats
+// can coexist in one file, which is what resuming a v1 checkpoint
+// through OpenCheckpoint produces; CompactCheckpointFile rewrites such
+// a file as pure v2.
 const checkpointHeaderPrefix = "#rhckpt"
 
 // ErrSpecMismatch is returned when a checkpoint's header identifies a
@@ -152,9 +154,6 @@ func (cw *CheckpointWriter) Wrap(f func(io.Writer) io.Writer) {
 	cw.w = f(cw.w)
 }
 
-// Header returns the header this writer stamps on the checkpoint.
-func (cw *CheckpointWriter) Header() CheckpointHeader { return cw.header }
-
 // WriteHeader writes the header line if it has not been written yet.
 func (cw *CheckpointWriter) WriteHeader() error {
 	cw.mu.Lock()
@@ -197,6 +196,18 @@ func (cw *CheckpointWriter) WriteRecord(rec Record) error {
 	return cw.sync()
 }
 
+// WriteRecords appends recs one WriteRecord at a time in key order —
+// the canonical order compaction and a resume into a new file write
+// adopted records in.
+func (cw *CheckpointWriter) WriteRecords(recs map[string]Record) error {
+	for _, k := range sortedKeys(recs) {
+		if err := cw.WriteRecord(recs[k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (cw *CheckpointWriter) sync() error {
 	if s, ok := cw.w.(syncer); ok {
 		return s.Sync()
@@ -204,15 +215,8 @@ func (cw *CheckpointWriter) sync() error {
 	return nil
 }
 
-// Sync flushes the underlying writer when it supports it.
-func (cw *CheckpointWriter) Sync() error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.sync()
-}
-
 // Close syncs and closes the underlying file when this writer owns
-// one (CreateCheckpoint/AppendCheckpoint).
+// one (CreateCheckpoint/OpenCheckpoint).
 func (cw *CheckpointWriter) Close() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -229,71 +233,66 @@ func (cw *CheckpointWriter) Close() error {
 // CreateCheckpoint creates (or truncates) path as a fresh v2
 // checkpoint for spec. The header is written with the first record.
 func CreateCheckpoint(path string, spec Spec) (*CheckpointWriter, error) {
-	return CreateShardCheckpoint(path, spec, 0, 0)
-}
-
-// CreateShardCheckpoint creates (or truncates) path as a fresh v2
-// checkpoint holding shard shard/of's slice of the campaign; of = 0
-// creates a whole-campaign checkpoint.
-func CreateShardCheckpoint(path string, spec Spec, shard, of int) (*CheckpointWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	cw := NewCheckpointWriter(f, spec)
-	cw.header.Shard, cw.header.Of = shard, of
 	cw.closer = f
 	return cw, nil
 }
 
-// AppendCheckpoint opens path for appending new records of the same
-// campaign. An existing v2 header is verified against spec
-// (ErrSpecMismatch protects against resuming into the wrong
-// campaign, ErrShardMismatch against adopting one shard's partial
-// slice as the whole campaign); a file killed mid-line gets a newline
-// first so the torn tail is isolated as one quarantinable line
-// instead of corrupting the first new record; an empty or headerless
-// (v1) file gets a v2 header before the first appended record.
-func AppendCheckpoint(path string, spec Spec) (*CheckpointWriter, error) {
-	return AppendShardCheckpoint(path, spec, 0, 0)
-}
-
-// AppendShardCheckpoint opens path for appending records of shard
-// shard/of of the campaign. The existing header — when present —
-// must carry both the campaign identity and the same shard
-// assignment: shard checkpoints from different campaigns or
-// different slices never silently interleave.
-func AppendShardCheckpoint(path string, spec Spec, shard, of int) (*CheckpointWriter, error) {
-	header, hasHeader, tornTail, err := scanCheckpointFile(path)
+// OpenCheckpoint resumes path as the checkpoint of shard shard/of of
+// spec (of = 0: the whole campaign) — the one resume path every CLI,
+// the server and shard workers share. It reads the file once with
+// LoadCheckpointReport (identity check, quarantine sidecar), refuses a
+// header carrying another shard assignment (ErrShardMismatch: a shard
+// worker must not adopt another slice of the grid, nor a whole-campaign
+// resume one shard's partial records), and opens the file for
+// appending. A file killed mid-line gets a newline first, so the torn
+// tail is isolated as one quarantinable line instead of corrupting the
+// first new record. A missing, empty or headerless (v1) file gets a v2
+// header before the first appended record, so a missing file ends up
+// byte-identical to one from CreateCheckpoint.
+func OpenCheckpoint(path string, spec Spec, shard, of int) (*CheckpointWriter, *ResumeReport, error) {
+	rep, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if hasHeader {
-		want := HeaderForSpec(spec)
-		if header.Spec != want.Spec {
-			return nil, fmt.Errorf("%w: %s has spec %s (kind %s, %d mfrs × %d modules, seed %d), campaign has spec %s",
-				ErrSpecMismatch, path, header.Spec, header.Kind, len(header.Mfrs), header.ModulesPerMfr, header.Seed, want.Spec)
-		}
-		if header.Shard != shard || header.Of != of {
-			return nil, fmt.Errorf("%w: %s holds %s, this process is %s",
-				ErrShardMismatch, path, describeShard(header.Shard, header.Of), describeShard(shard, of))
-		}
+	if h := rep.Header; h != nil && (h.Shard != shard || h.Of != of) {
+		return nil, nil, fmt.Errorf("%w: %s holds %s, this process is %s",
+			ErrShardMismatch, path, describeShard(h.Shard, h.Of), describeShard(shard, of))
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if err := isolateTornTail(f); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	cw := NewCheckpointWriter(f, spec)
 	cw.header.Shard, cw.header.Of = shard, of
 	cw.closer = f
-	cw.headerWritten = hasHeader
-	if tornTail {
-		if _, err := f.Write([]byte{'\n'}); err != nil {
-			f.Close()
-			return nil, err
-		}
+	cw.headerWritten = rep.Header != nil
+	return cw, rep, nil
+}
+
+// isolateTornTail terminates a final line left without its newline.
+func isolateTornTail(f *os.File) error {
+	info, err := f.Stat()
+	if err != nil || info.Size() == 0 {
+		return err
 	}
-	return cw, nil
+	last := []byte{0}
+	if _, err := f.ReadAt(last, info.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // describeShard names a header's shard assignment for error messages.
@@ -302,69 +301,6 @@ func describeShard(shard, of int) string {
 		return "the whole campaign"
 	}
 	return fmt.Sprintf("shard %d/%d", shard, of)
-}
-
-// scanCheckpointFile reports the first valid v2 header of path (if
-// any) and whether the file ends mid-line (torn tail, no trailing
-// newline). A missing file is an empty one.
-func scanCheckpointFile(path string) (header CheckpointHeader, hasHeader, tornTail bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return CheckpointHeader{}, false, false, nil
-		}
-		return CheckpointHeader{}, false, false, err
-	}
-	defer f.Close()
-	var lastByte byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if !hasHeader {
-			if h, ok := parseHeaderLine(line); ok {
-				header, hasHeader = *h, true
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return CheckpointHeader{}, false, false, err
-	}
-	// Scanner strips the final newline either way; check the raw tail.
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		b := []byte{0}
-		if _, err := f.ReadAt(b, info.Size()-1); err == nil {
-			lastByte = b[0]
-		}
-		tornTail = lastByte != '\n'
-	}
-	return header, hasHeader, tornTail, nil
-}
-
-// WriteRecord appends one v1 (plain JSONL) record to a checkpoint
-// stream. encoding/json sorts map keys, so a record's serialized form
-// depends only on its contents — never on insertion order.
-//
-// When w implements Sync (like *os.File) the write is fsynced before
-// returning. New code should prefer CheckpointWriter, which adds the
-// v2 header and CRC trailers; this writer is kept for v1
-// compatibility and in-memory tests.
-func WriteRecord(w io.Writer, rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	if s, ok := w.(syncer); ok {
-		return s.Sync()
-	}
-	return nil
 }
 
 // ResumeOptions configures checkpoint parsing for resume.
@@ -399,7 +335,7 @@ type ResumeReport struct {
 	// Header is the v2 header, when present.
 	Header *CheckpointHeader
 	// Records maps job key → adopted record (see the precedence rule
-	// in ReadCheckpoint's doc comment).
+	// in ReadCheckpointReport's doc comment).
 	Records map[string]Record
 	// Lines counts non-blank lines scanned.
 	Lines int
@@ -434,26 +370,6 @@ type ResumeReport struct {
 // failure, and a later success replaces an earlier success (the
 // rewrite is counted in DuplicateRecords either way).
 func ReadCheckpointReport(r io.Reader, opts ResumeOptions) (*ResumeReport, error) {
-	return readCheckpoint(r, opts, false)
-}
-
-// ReadCheckpoint parses a JSONL checkpoint stream into a key→record
-// map suitable for Options.Done, accepting both v1 and v2 formats.
-// It applies the same duplicate-key precedence as ReadCheckpointReport
-// (later wins; success is never replaced by failure). A torn trailing
-// line — the usual artifact of killing a run mid-write — is tolerated
-// and skipped; torn or corrupt interior lines are reported as errors.
-// Resume paths that should survive interior corruption use
-// ReadCheckpointReport, which quarantines instead.
-func ReadCheckpoint(r io.Reader) (map[string]Record, error) {
-	rep, err := readCheckpoint(r, ResumeOptions{}, true)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Records, nil
-}
-
-func readCheckpoint(r io.Reader, opts ResumeOptions, strict bool) (*ResumeReport, error) {
 	maxKeep := opts.MaxQuarantinedLines
 	if maxKeep <= 0 {
 		maxKeep = 64
@@ -464,31 +380,20 @@ func readCheckpoint(r io.Reader, opts ResumeOptions, strict bool) (*ResumeReport
 	line := 0
 	// One bad line is held pending: if it turns out to be the final
 	// line it is a torn write and is forgiven; if more lines follow it
-	// is interior corruption — fatal in strict mode, quarantined in
-	// report mode.
+	// is interior corruption and is quarantined.
 	var pending *CorruptLine
-	flushPending := func() error {
-		if pending == nil {
-			return nil
-		}
-		if strict {
-			return fmt.Errorf("campaign: checkpoint line %d: %s", pending.Line, pending.Reason)
-		}
-		rep.CorruptRecords++
-		if len(rep.Corrupt) < maxKeep {
-			rep.Corrupt = append(rep.Corrupt, *pending)
-		}
-		pending = nil
-		return nil
-	}
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		if err := flushPending(); err != nil {
-			return nil, err
+		if pending != nil {
+			rep.CorruptRecords++
+			if len(rep.Corrupt) < maxKeep {
+				rep.Corrupt = append(rep.Corrupt, *pending)
+			}
+			pending = nil
 		}
 		rep.Lines++
 		if bytes.HasPrefix(raw, []byte(checkpointHeaderPrefix)) {
@@ -532,22 +437,6 @@ func readCheckpoint(r io.Reader, opts ResumeOptions, strict bool) (*ResumeReport
 		rep.TornFinal = true
 	}
 	return rep, nil
-}
-
-// LoadCheckpointFile reads a JSONL checkpoint from disk with strict
-// (ReadCheckpoint) semantics. A missing file yields an empty map, so
-// "resume from a checkpoint that does not exist yet" degrades to a
-// fresh run.
-func LoadCheckpointFile(path string) (map[string]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]Record{}, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCheckpoint(f)
 }
 
 // LoadCheckpointReport reads a checkpoint from disk for resume. A
@@ -628,10 +517,8 @@ func CompactCheckpointFile(path string, spec *Spec) (*ResumeReport, error) {
 	if err := cw.WriteHeader(); err != nil {
 		return nil, err
 	}
-	for _, k := range sortedKeys(rep.Records) {
-		if err := cw.WriteRecord(rep.Records[k]); err != nil {
-			return nil, err
-		}
+	if err := cw.WriteRecords(rep.Records); err != nil {
+		return nil, err
 	}
 	if err := durable.AtomicWriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return nil, err

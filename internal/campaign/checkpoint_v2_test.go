@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +21,34 @@ func v2Spec() Spec {
 
 func v2Record(key string, x float64) Record {
 	return Record{Key: key, Kind: KindHCFirst, Mfr: "A", Metrics: map[string]float64{"x": x}}
+}
+
+// writeV1Line appends rec as one v1 checkpoint line: plain JSONL, no
+// header, no CRC trailer. Nothing in the module writes v1 any more;
+// tests use this to keep the reader's upgrade path covered.
+func writeV1Line(t testing.TB, w io.Writer, rec Record) {
+	t.Helper()
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(append(b, '\n')); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkpointRecords parses a checkpoint stream for spec with the
+// report reader and requires it to be clean: no quarantined line.
+func checkpointRecords(t testing.TB, data []byte, spec Spec) map[string]Record {
+	t.Helper()
+	rep, err := ReadCheckpointReport(bytes.NewReader(data), ResumeOptions{ExpectSpec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptRecords != 0 {
+		t.Fatalf("checkpoint has %d corrupt line(s): %+v", rep.CorruptRecords, rep.Corrupt)
+	}
+	return rep.Records
 }
 
 func TestCheckpointV2RoundTrip(t *testing.T) {
@@ -46,14 +76,6 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	}
 	if rep.Records["hcfirst/A/1"].Metrics["x"] != 2 {
 		t.Fatalf("record content lost: %+v", rep.Records["hcfirst/A/1"])
-	}
-	// The strict reader (engine resume path) handles v2 too.
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("strict reader parsed %d records, want 2", len(got))
 	}
 }
 
@@ -106,9 +128,23 @@ func TestCheckpointV2CorruptInteriorQuarantined(t *testing.T) {
 	if len(rep.Records) != 2 {
 		t.Fatalf("surviving records = %d, want 2", len(rep.Records))
 	}
-	// The strict reader refuses the same stream.
-	if _, err := ReadCheckpoint(bytes.NewReader(damaged)); err == nil {
-		t.Fatal("strict reader should reject interior corruption")
+
+	// A line torn mid-write and followed by a valid record is interior
+	// damage, not a torn tail: quarantined, and the record after it
+	// is adopted.
+	var torn bytes.Buffer
+	torn.WriteString(`{"key":"a","metrics":{` + "\n")
+	writeV1Line(t, &torn, Record{Key: "hcfirst/A/0"})
+	rep, err = ReadCheckpointReport(bytes.NewReader(torn.Bytes()), ResumeOptions{})
+	if err != nil {
+		t.Fatalf("torn interior line must quarantine, not abort: %v", err)
+	}
+	if rep.CorruptRecords != 1 || rep.Corrupt[0].Line != 1 || rep.TornFinal {
+		t.Fatalf("torn interior line: corrupt %d (%+v), torn final %v; want line 1 quarantined",
+			rep.CorruptRecords, rep.Corrupt, rep.TornFinal)
+	}
+	if _, ok := rep.Records["hcfirst/A/0"]; !ok || len(rep.Records) != 1 {
+		t.Fatalf("record after the torn line not adopted: %+v", rep.Records)
 	}
 }
 
@@ -191,9 +227,7 @@ func TestCheckpointV1StillLoads(t *testing.T) {
 	spec := v2Spec()
 	var buf bytes.Buffer
 	for i, k := range []string{"hcfirst/A/0", "hcfirst/A/1"} {
-		if err := WriteRecord(&buf, v2Record(k, float64(i))); err != nil {
-			t.Fatal(err)
-		}
+		writeV1Line(t, &buf, v2Record(k, float64(i)))
 	}
 	rep, err := ReadCheckpointReport(bytes.NewReader(buf.Bytes()), ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
@@ -231,9 +265,7 @@ func TestCheckpointDuplicatePrecedenceRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			for _, r := range tc.seq {
-				if err := WriteRecord(&buf, r); err != nil {
-					t.Fatal(err)
-				}
+				writeV1Line(t, &buf, r)
 			}
 			rep, err := ReadCheckpointReport(bytes.NewReader(buf.Bytes()), ResumeOptions{})
 			if err != nil {
@@ -253,7 +285,7 @@ func TestCheckpointDuplicatePrecedenceRule(t *testing.T) {
 	}
 }
 
-func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
+func TestOpenCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 	spec := v2Spec()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	cw, err := CreateCheckpoint(path, spec)
@@ -267,18 +299,21 @@ func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Appending under a different campaign identity is refused.
+	// Resuming under a different campaign identity is refused.
 	other := spec
 	other.Seed++
-	if _, err := AppendCheckpoint(path, other); !errors.Is(err, ErrSpecMismatch) {
-		t.Fatalf("append with wrong spec: want ErrSpecMismatch, got %v", err)
+	if _, _, err := OpenCheckpoint(path, other, 0, 0); !errors.Is(err, ErrSpecMismatch) {
+		t.Fatalf("open with wrong spec: want ErrSpecMismatch, got %v", err)
 	}
 
-	// Appending under the same identity accumulates records without a
-	// second header.
-	cw2, err := AppendCheckpoint(path, spec)
+	// Resuming under the same identity reports what the file holds and
+	// accumulates records without a second header.
+	cw2, rep, err := OpenCheckpoint(path, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Version != 2 || len(rep.Records) != 1 || rep.Records["hcfirst/A/0"].Metrics["x"] != 1 {
+		t.Fatalf("resume report = %+v, want the one v2 record", rep)
 	}
 	if err := cw2.WriteRecord(v2Record("hcfirst/A/1", 2)); err != nil {
 		t.Fatal(err)
@@ -286,7 +321,7 @@ func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 	if err := cw2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
+	rep, err = LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +337,7 @@ func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 	}
 }
 
-func TestAppendCheckpointIsolatesTornTail(t *testing.T) {
+func TestOpenCheckpointIsolatesTornTail(t *testing.T) {
 	spec := v2Spec()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	cw, err := CreateCheckpoint(path, spec)
@@ -323,9 +358,12 @@ func TestAppendCheckpointIsolatesTornTail(t *testing.T) {
 	f.WriteString(`{"key":"hcfirst/A/1","metr`)
 	f.Close()
 
-	cw2, err := AppendCheckpoint(path, spec)
+	cw2, opened, err := OpenCheckpoint(path, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !opened.TornFinal || len(opened.Records) != 1 {
+		t.Fatalf("resume report = %+v, want 1 record and a torn final line", opened)
 	}
 	if err := cw2.WriteRecord(v2Record("hcfirst/A/1", 2)); err != nil {
 		t.Fatal(err)
@@ -357,6 +395,124 @@ func TestAppendCheckpointIsolatesTornTail(t *testing.T) {
 	}
 	if !bytes.HasPrefix(side, []byte("#rhckpt-quarantine")) {
 		t.Fatalf("sidecar should start with a summary report:\n%s", side)
+	}
+}
+
+func TestOpenCheckpointRejectsOtherShard(t *testing.T) {
+	spec := v2Spec()
+	path := filepath.Join(t.TempDir(), "shard.jsonl")
+	cw, _, err := OpenCheckpoint(path, spec, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.WriteRecord(v2Record("hcfirst/A/1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []struct{ shard, of int }{{2, 4}, {1, 2}, {0, 0}} {
+		if _, _, err := OpenCheckpoint(path, spec, other.shard, other.of); !errors.Is(err, ErrShardMismatch) {
+			t.Fatalf("open shard %d/%d of a shard 1/4 file: want ErrShardMismatch, got %v", other.shard, other.of, err)
+		}
+	}
+	cw, rep, err := OpenCheckpoint(path, spec, 1, 4)
+	if err != nil {
+		t.Fatalf("the owning shard must resume: %v", err)
+	}
+	cw.Close()
+	if h := rep.Header; h == nil || h.Shard != 1 || h.Of != 4 || len(rep.Records) != 1 {
+		t.Fatalf("resume report = %+v, want shard 1/4 header and 1 record", rep)
+	}
+}
+
+func TestOpenCheckpointTornAtTab(t *testing.T) {
+	spec := v2Spec()
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	var buf bytes.Buffer
+	cw := NewCheckpointWriter(&buf, spec)
+	if err := cw.WriteRecord(v2Record("hcfirst/A/0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.WriteRecord(v2Record("hcfirst/A/1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the last record right after its separator tab: the JSON is
+	// complete, the CRC trailer and newline are missing.
+	data := buf.Bytes()
+	cut := bytes.LastIndexByte(data, '\t') + 1
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cw2, opened, err := OpenCheckpoint(path, spec, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw2.WriteRecord(v2Record("hcfirst/B/0", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw[cut:], []byte("\n{")) {
+		t.Fatalf("appended record does not start on its own line: %q", raw[cut:])
+	}
+	// Nothing the open adopted is lost, the appended record lands
+	// clean, and nothing is quarantined.
+	rep, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptRecords != 0 || len(rep.Records) != len(opened.Records)+1 {
+		t.Fatalf("after append: %d records (%d before), %d corrupt", len(rep.Records), len(opened.Records), rep.CorruptRecords)
+	}
+	for k := range opened.Records {
+		if _, ok := rep.Records[k]; !ok {
+			t.Fatalf("record %s adopted before the append is gone after it", k)
+		}
+	}
+	if rep.Records["hcfirst/B/0"].Metrics["x"] != 3 {
+		t.Fatalf("appended record lost: %+v", rep.Records)
+	}
+}
+
+func TestOpenCheckpointMissingFileMatchesCreate(t *testing.T) {
+	spec := v2Spec()
+	dir := t.TempDir()
+	recs := []Record{v2Record("hcfirst/A/0", 1), v2Record("hcfirst/A/1", 2)}
+	write := func(cw *CheckpointWriter) {
+		t.Helper()
+		for _, r := range recs {
+			if err := cw.WriteRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	created, err := CreateCheckpoint(filepath.Join(dir, "created.jsonl"), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(created)
+	opened, rep, err := OpenCheckpoint(filepath.Join(dir, "opened.jsonl"), spec, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Lines != 0 || len(rep.Records) != 0 || rep.Header != nil {
+		t.Fatalf("missing file should resume fresh, got %+v", rep)
+	}
+	write(opened)
+	want, _ := os.ReadFile(filepath.Join(dir, "created.jsonl"))
+	got, _ := os.ReadFile(filepath.Join(dir, "opened.jsonl"))
+	if len(want) == 0 || !bytes.Equal(want, got) {
+		t.Fatalf("OpenCheckpoint on a missing file wrote\n%s\nCreateCheckpoint wrote\n%s", got, want)
 	}
 }
 
@@ -395,7 +551,7 @@ func TestCompactCheckpointFile(t *testing.T) {
 	}
 
 	// The compacted file is clean: one header, one line per key, no
-	// duplicates, no torn tail, strict-readable.
+	// duplicates, no corrupt line, no torn tail.
 	rep2, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
 		t.Fatal(err)
@@ -409,9 +565,6 @@ func TestCompactCheckpointFile(t *testing.T) {
 	if rep2.Records["hcfirst/A/0"].Metrics["x"] != 10 || rep2.Records["hcfirst/A/1"].Metrics["x"] != 2 {
 		t.Fatalf("compaction lost precedence: %+v", rep2.Records)
 	}
-	if _, err := LoadCheckpointFile(path); err != nil {
-		t.Fatalf("strict reader on compacted file: %v", err)
-	}
 }
 
 func TestCompactUpgradesV1File(t *testing.T) {
@@ -421,9 +574,7 @@ func TestCompactUpgradesV1File(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRecord(f, v2Record("hcfirst/A/0", 1)); err != nil {
-		t.Fatal(err)
-	}
+	writeV1Line(t, f, v2Record("hcfirst/A/0", 1))
 	f.Close()
 	if _, err := CompactCheckpointFile(path, nil); err == nil {
 		t.Fatal("v1 compaction without a spec must fail (no header to preserve)")

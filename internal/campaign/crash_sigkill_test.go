@@ -36,13 +36,9 @@ func TestCrashHelperProcess(t *testing.T) {
 	}
 	spec := crashSpec()
 	path := os.Getenv("RH_CRASH_CKPT")
-	rep, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
+	cw, rep, err := OpenCheckpoint(path, spec, 0, 0)
 	if err != nil {
-		die("load checkpoint", err)
-	}
-	cw, err := AppendCheckpoint(path, spec)
-	if err != nil {
-		die("append checkpoint", err)
+		die("open checkpoint", err)
 	}
 	if off, err := strconv.ParseInt(os.Getenv("RH_CRASH_FAILPOINT"), 10, 64); err == nil && off >= 0 {
 		cw.Wrap(func(w io.Writer) io.Writer {

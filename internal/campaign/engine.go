@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,17 +68,15 @@ type RecordWriter interface{ WriteRecord(Record) error }
 type Options struct {
 	// Runner executes jobs (required).
 	Runner Runner
-	// Checkpoint, when non-nil, receives one JSONL record per finished
-	// job (successful or failed), written as each job completes. If the
-	// writer also implements Sync (like *os.File), it is synced after
-	// every record so a crash can lose at most the in-flight record.
-	Checkpoint io.Writer
-	// Records, when non-nil, takes precedence over Checkpoint as the
-	// per-record sink — this is how the v2 CRC-trailered
-	// CheckpointWriter plugs into the engine.
+	// Records, when non-nil, receives one record per finished job
+	// (successful or failed) as each job completes — the checkpoint
+	// sink. A *CheckpointWriter from CreateCheckpoint or OpenCheckpoint
+	// fsyncs every record, so a crash can lose at most the in-flight
+	// record.
 	Records RecordWriter
-	// Done holds records from a previous run (see ReadCheckpoint);
-	// successful entries are adopted without re-running their jobs.
+	// Done holds records from a previous run (the Records of a
+	// ResumeReport); successful entries are adopted without re-running
+	// their jobs.
 	Done map[string]Record
 	// Only, when non-nil, restricts the run to the jobs whose keys it
 	// contains — the shard filter: a shard worker executes (and
@@ -137,7 +134,7 @@ func (r *Result) QuarantinedModules() []string {
 
 // Run executes the campaign: it expands the spec, skips jobs already
 // present in opts.Done, and runs the remainder on spec.Workers
-// goroutines. Finished records are streamed to opts.Checkpoint in
+// goroutines. Finished records are streamed to opts.Records in
 // completion order; aggregation (Aggregate) is order-independent, so
 // the checkpoint's ordering never affects the summary.
 //
@@ -233,13 +230,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 			res.Retried++
 		}
 		done++
-		if cpErr == nil {
-			switch {
-			case opts.Records != nil:
-				cpErr = opts.Records.WriteRecord(rec)
-			case opts.Checkpoint != nil:
-				cpErr = WriteRecord(opts.Checkpoint, rec)
-			}
+		if cpErr == nil && opts.Records != nil {
+			cpErr = opts.Records.WriteRecord(rec)
 		}
 		if opts.Progress != nil {
 			opts.Progress(done, len(jobs), rec)

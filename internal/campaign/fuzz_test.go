@@ -2,23 +2,35 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
+
+// fuzzSpec is the campaign the fuzz seed streams belong to.
+func fuzzSpec() Spec { return testSpec([]string{"A"}, 2) }
 
 // fuzzSeedStream builds a small valid v2 stream for the fuzz corpora.
 func fuzzSeedStream() []byte {
 	var buf bytes.Buffer
-	cw := NewCheckpointWriter(&buf, testSpec([]string{"A"}, 2))
+	cw := NewCheckpointWriter(&buf, fuzzSpec())
 	cw.WriteRecord(Record{Key: "hcfirst/A/0", Kind: KindHCFirst, Mfr: "A", Metrics: map[string]float64{"x": 1}})
 	cw.WriteRecord(Record{Key: "hcfirst/A/1", Kind: KindHCFirst, Mfr: "A", Module: 1, Err: "boom"})
 	return buf.Bytes()
 }
 
-// FuzzReadCheckpoint feeds arbitrary bytes to both checkpoint readers.
-// Invariants: no input panics; quarantine retention stays bounded; and
-// when the strict reader accepts an input, the report reader agrees
-// with it record-for-record (they share one parser and one precedence
-// rule, and must never drift apart).
+// FuzzReadCheckpoint feeds arbitrary bytes to the checkpoint reader,
+// then resumes them as a checkpoint file. Invariants: no input panics;
+// quarantine retention stays bounded; and resuming never costs a
+// record — OpenCheckpoint the input (unless it belongs to another
+// campaign or shard), append one record under a fresh key, close and
+// reload: the reload adopts exactly the records the open adopted, plus
+// the new one. That is what makes a torn tail, a missing trailer or a
+// v1 file safe to resume into.
 func FuzzReadCheckpoint(f *testing.F) {
 	valid := fuzzSeedStream()
 	f.Add(valid)
@@ -27,6 +39,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add([]byte("#rhckpt{\"v\":2,\"spec\":\"0123456789abcdef\"}\tdeadbeef\n"))
 	f.Add([]byte("not json\tnothex99\n\n\tcafe1234\n"))
 	f.Add([]byte{0x00, 0xff, '\t', '\n', '\t'})
+	f.Add(valid[:len(valid)-1])                       // valid record, no trailing newline
+	f.Add(valid[:bytes.LastIndexByte(valid, '\t')+1]) // torn at the tab
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := ResumeOptions{MaxQuarantinedLines: 8}
 		rep, err := ReadCheckpointReport(bytes.NewReader(data), opts)
@@ -38,19 +52,37 @@ func FuzzReadCheckpoint(f *testing.F) {
 				t.Fatalf("retained %d corrupt lines, cap is %d", len(rep.Corrupt), opts.MaxQuarantinedLines)
 			}
 		}
-		recs, serr := ReadCheckpoint(bytes.NewReader(data))
-		if serr == nil {
-			if err != nil {
-				t.Fatalf("strict reader accepted what the report reader rejected: %v", err)
-			}
-			if len(recs) != len(rep.Records) {
-				t.Fatalf("strict adopted %d records, report %d", len(recs), len(rep.Records))
-			}
-			for k, r := range recs {
-				if rr, ok := rep.Records[k]; !ok || rr.Err != r.Err || rr.Attempts != r.Attempts {
-					t.Fatalf("readers disagree on record %q", k)
-				}
-			}
+
+		spec := fuzzSpec()
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cw, before, err := OpenCheckpoint(path, spec, 0, 0)
+		if errors.Is(err, ErrSpecMismatch) || errors.Is(err, ErrShardMismatch) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := Record{Key: "hcfirst/fresh", Metrics: map[string]float64{"x": 1}}
+		for i := 0; before.Records[fresh.Key].Key != ""; i++ {
+			fresh.Key = fmt.Sprintf("hcfirst/fresh/%d", i)
+		}
+		if err := cw.WriteRecord(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
+		if err != nil {
+			t.Fatalf("reload after resume: %v", err)
+		}
+		want := maps.Clone(before.Records)
+		want[fresh.Key] = fresh
+		if !reflect.DeepEqual(after.Records, want) {
+			t.Fatalf("resume changed the adopted records:\nbefore + new: %+v\nafter:        %+v", want, after.Records)
 		}
 	})
 }

@@ -54,24 +54,24 @@ func (s *syncCounter) Sync() error { s.syncs++; return nil }
 
 func TestWriteRecordSyncsDurableWriters(t *testing.T) {
 	w := &syncCounter{}
+	spec := v2Spec()
+	cw := NewCheckpointWriter(w, spec)
 	recs := []Record{
 		{Key: "hcfirst/A/0", Seed: 1},
 		{Key: "hcfirst/A/1", Seed: 2},
 	}
-	for _, rec := range recs {
-		if err := WriteRecord(w, rec); err != nil {
+	for i, rec := range recs {
+		if err := cw.WriteRecord(rec); err != nil {
 			t.Fatal(err)
 		}
+		// One sync for the header plus one per record, each before
+		// WriteRecord returns.
+		if want := 1 + i + 1; w.syncs != want {
+			t.Fatalf("after record %d: syncs = %d, want %d", i, w.syncs, want)
+		}
 	}
-	if w.syncs != len(recs) {
-		t.Fatalf("syncs = %d, want one per record (%d)", w.syncs, len(recs))
-	}
-	// The stream itself stays valid JSONL.
-	got, err := ReadCheckpoint(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
+	// The stream itself stays a valid v2 checkpoint.
+	if got := checkpointRecords(t, w.Bytes(), spec); len(got) != len(recs) {
 		t.Fatalf("read back %d records, want %d", len(got), len(recs))
 	}
 }

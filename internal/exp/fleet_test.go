@@ -139,15 +139,20 @@ func TestFleetCampaignResumeBitIdentical(t *testing.T) {
 	// Round-trip the partial records through checkpoint encode/decode
 	// so the resumed fragments are the bytes a real checkpoint carries.
 	var ckpt bytes.Buffer
+	cw := campaign.NewCheckpointWriter(&ckpt, spec)
 	for _, key := range sortedRecordKeys(partial.Records) {
-		if err := campaign.WriteRecord(&ckpt, partial.Records[key]); err != nil {
+		if err := cw.WriteRecord(partial.Records[key]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resumed, err := campaign.ReadCheckpoint(&ckpt)
+	rep, err := campaign.ReadCheckpointReport(&ckpt, campaign.ResumeOptions{ExpectSpec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Version != 2 || rep.CorruptRecords != 0 {
+		t.Fatalf("checkpoint: version %d, %d corrupt line(s); want a clean v2 stream", rep.Version, rep.CorruptRecords)
+	}
+	resumed := rep.Records
 
 	res, got := runFleetCampaign(t, e, cfg, campaign.Options{Done: resumed})
 	if res.Skipped != len(resumed) {

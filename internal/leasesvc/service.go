@@ -395,6 +395,25 @@ func (s *Service) RaiseFloor(key Key, token uint64) error {
 	return nil
 }
 
+// Forget drops every lease entry of campaign — what a coordinator does
+// once the campaign's merge is complete, so a long-lived service does
+// not keep a finished campaign's entries (and list them on GET
+// /v1/leases) for its whole lifetime. Dropping the token high-water
+// marks is safe because they live on in the shards' fence files: a
+// rerun re-seeds them with RaiseFloor, a fresh Acquire below a fence
+// cannot append, and a late Beat or Release on a dropped key gets
+// ErrUnknown, which a shard worker treats as fenced. In-process only;
+// the wire protocol has no counterpart.
+func (s *Service) Forget(campaign string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.leases {
+		if k.Campaign == campaign {
+			delete(s.leases, k)
+		}
+	}
+}
+
 // View reports the lease's observable state; ok is false when the
 // lease was never acquired.
 func (s *Service) View(_ context.Context, key Key) (View, bool, error) {

@@ -526,35 +526,20 @@ func (m *Manager) execute(r *runState) error {
 	cs := r.resolved.Spec
 	ckpt := filepath.Join(r.dir, "ckpt.jsonl")
 
-	var done map[string]campaign.Record
-	var cw *campaign.CheckpointWriter
-	if _, statErr := os.Stat(ckpt); statErr == nil {
-		rep, err := campaign.LoadCheckpointReport(ckpt, campaign.ResumeOptions{ExpectSpec: &cs})
-		if err != nil {
-			return fmt.Errorf("resume %s: %w", ckpt, err)
-		}
-		done = rep.Records
-		if len(done) > 0 {
-			m.cfg.Log("campaign %s resuming with %d checkpointed records", r.id, len(done))
-		}
-		cw, err = campaign.AppendCheckpoint(ckpt, cs)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		cw, err = campaign.CreateCheckpoint(ckpt, cs)
-		if err != nil {
-			return err
-		}
+	cw, rep, err := campaign.OpenCheckpoint(ckpt, cs, 0, 0)
+	if err != nil {
+		return fmt.Errorf("resume %s: %w", ckpt, err)
 	}
 	defer cw.Close()
+	if len(rep.Records) > 0 {
+		m.cfg.Log("campaign %s resuming with %d checkpointed records", r.id, len(rep.Records))
+	}
 
 	r.update(func(s *Status) { s.State = StateRunning })
 	opts := campaign.Options{
 		Runner:  r.resolved.Runner,
 		Records: cw,
-		Done:    done,
+		Done:    rep.Records,
 		Drain:   m.drainCh,
 		Progress: func(jobsDone, total int, rec campaign.Record) {
 			r.update(func(s *Status) {

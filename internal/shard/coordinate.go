@@ -102,7 +102,9 @@ type exitEvent struct {
 // leases to catch stalled workers, reassign a dead shard's remaining
 // jobs to a fresh attempt (bounded by MaxRespawns), and finally merge
 // the shard checkpoints into one result byte-identical to a
-// single-process run.
+// single-process run. A complete merge drops the campaign's entries
+// from the lease service (leasesvc.Service.Forget); a drained or
+// failed run keeps them.
 //
 // A shard counts as complete when every job it owns has a checkpoint
 // record — failed records included, matching single-process semantics
@@ -321,6 +323,9 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 		}
 		return res, rep, fmt.Errorf("shard: merge incomplete: %d job(s) missing", len(rep.Missing))
 	}
+	// Done: the campaign's lease entries have nothing left to guard.
+	// The fence files keep every shard's floor for a rerun.
+	svc.Forget(hash)
 	return res, rep, nil
 }
 

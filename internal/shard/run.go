@@ -130,22 +130,14 @@ func RunShard(ctx context.Context, cfg RunConfig) (*campaign.Result, error) {
 		}
 	}()
 
-	rep, err := campaign.LoadCheckpointReport(ckptPath, campaign.ResumeOptions{ExpectSpec: &spec})
+	cw, rep, err := campaign.OpenCheckpoint(ckptPath, spec, a.Index, a.Of)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: resume %s: %w", a, ckptPath, err)
 	}
-	if h := rep.Header; h != nil && (h.Shard != a.Index || h.Of != a.Of) {
-		return nil, fmt.Errorf("%w: %s holds shard %d/%d, this worker is shard %s",
-			campaign.ErrShardMismatch, ckptPath, h.Shard, h.Of, a)
-	}
+	defer cw.Close()
 	if len(rep.Records) > 0 {
 		logf("shard %s: resuming with %d checkpointed record(s)", a, len(rep.Records))
 	}
-	cw, err := campaign.AppendShardCheckpoint(ckptPath, spec, a.Index, a.Of)
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", a, err)
-	}
-	defer cw.Close()
 	if cfg.ArmCheckpoint != nil {
 		cfg.ArmCheckpoint(cw)
 	}
