@@ -19,12 +19,16 @@ test:
 # drivers that fan out per manufacturer, the serving tier (store +
 # campaign server, including the 1k-client load test), the fault
 # model (its sharded kernel cache is shared across parallel cores),
-# and the placement layer (lease service + worker registry, shard
-# coordinator/scheduler/worker loops).
+# the DRAM module (reset in place by the worker-scoped clones), and
+# the placement layer (lease service + worker registry, shard
+# coordinator/scheduler/worker loops). The root package's parallel
+# measurement cores run here too: their worker-invariance, clone
+# reset and clone-budget tests exercise the per-worker bench clones.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/durable/... ./internal/pool/... ./internal/exp/... \
-		./internal/store/... ./internal/server/... ./internal/faultmodel/... \
+		./internal/store/... ./internal/server/... ./internal/faultmodel/... ./internal/dram/... \
 		./internal/leasesvc/... ./internal/shard/...
+	$(GO) test -race -run 'WorkerInvariance|Reset|Clone' .
 
 vet:
 	$(GO) vet ./...
@@ -57,13 +61,13 @@ bench-check:
 
 # One-iteration pass over the disturb hot-path benchmarks, the
 # Tester-operation benchmarks (HCfirst search, parallel temperature
-# sweep) and the cold candidate-build benchmark under the race
-# detector: catches data races in the sharded kernel cache and the
-# sweep's shared chamber snapshots, and keeps the benchmark bodies
-# themselves compiling and running in CI without benchmark-grade
-# runtime.
+# sweep, parallel HCfirst profile) and the cold candidate-build
+# benchmark under the race detector: catches data races in the sharded
+# kernel cache, the parallel cores' shared chamber snapshots and their
+# per-worker clones, and keeps the benchmark bodies themselves
+# compiling and running in CI without benchmark-grade runtime.
 bench-smoke:
-	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|TemperatureSweepParallel' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|TemperatureSweepParallel|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
 	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 
 # Golden suite: every experiment's rendered text and JSON artifact is

@@ -161,8 +161,9 @@ func CampaignHeartbeat(ctx context.Context) { campaign.Heartbeat(ctx) }
 // (scale + geometry) into the checkpoint fingerprint: those knobs
 // change measured values without changing the job set, so a
 // checkpoint taken at one scale must not resume into another. A
-// malformed temperature grid (zero or negative step) is rejected here
-// with a typed *TempStepError before it can reach a sweep loop.
+// malformed temperature grid is rejected here, before it can reach a
+// sweep loop: a zero or negative step with a typed *TempStepError,
+// more than MaxSweepTemps points with a *TempGridSizeError.
 func lowerSpec(spec CampaignSpec) (campaign.Spec, Scale, Geometry, error) {
 	scale, geom := spec.Scale, spec.Geometry
 	if err := FillMeasureDefaults(&scale, &geom, nil, nil); err != nil {

@@ -35,15 +35,53 @@ type bankState struct {
 	// restoredAt maps physical row index → last charge-restore time
 	// (tracked only when retention modeling is enabled).
 	restoredAt map[int]Picos
+
+	// Free lists of row words, check bytes and ledgers released by
+	// reset; data, checkBytes and ledger reuse them (zeroed) before
+	// making new ones, so a reset module re-touching rows allocates
+	// nothing.
+	freeRows    [][]uint64
+	freeChecks  [][]uint8
+	freeLedgers []*RowLedger
 }
 
 func newBankState() *bankState {
-	return &bankState{
-		activeRow:  -1,
+	b := &bankState{
 		rows:       make(map[int][]uint64),
 		check:      make(map[int][]uint8),
 		ledgers:    make(map[int]*RowLedger),
 		restoredAt: make(map[int]Picos),
+	}
+	b.reset()
+	return b
+}
+
+// reset returns the bank to the state newBankState builds: precharged,
+// no timing history and no rows. The rows' storage moves to the free
+// lists.
+func (b *bankState) reset() {
+	for _, d := range b.rows {
+		b.freeRows = append(b.freeRows, d)
+	}
+	for _, c := range b.check {
+		b.freeChecks = append(b.freeChecks, c)
+	}
+	for _, l := range b.ledgers {
+		b.freeLedgers = append(b.freeLedgers, l)
+	}
+	clear(b.rows)
+	clear(b.check)
+	clear(b.ledgers)
+	clear(b.restoredAt)
+	*b = bankState{
+		activeRow:   -1,
+		rows:        b.rows,
+		check:       b.check,
+		ledgers:     b.ledgers,
+		restoredAt:  b.restoredAt,
+		freeRows:    b.freeRows,
+		freeChecks:  b.freeChecks,
+		freeLedgers: b.freeLedgers,
 	}
 }
 
@@ -51,7 +89,13 @@ func newBankState() *bankState {
 func (b *bankState) ledger(row int) *RowLedger {
 	l := b.ledgers[row]
 	if l == nil {
-		l = &RowLedger{}
+		if n := len(b.freeLedgers); n > 0 {
+			l = b.freeLedgers[n-1]
+			b.freeLedgers = b.freeLedgers[:n-1]
+			*l = RowLedger{}
+		} else {
+			l = &RowLedger{}
+		}
 		b.ledgers[row] = l
 	}
 	return l
@@ -62,10 +106,33 @@ func (b *bankState) ledger(row int) *RowLedger {
 func (b *bankState) data(row, words int) []uint64 {
 	d := b.rows[row]
 	if d == nil {
-		d = make([]uint64, words)
+		if n := len(b.freeRows); n > 0 {
+			d = b.freeRows[n-1]
+			b.freeRows = b.freeRows[:n-1]
+			clear(d)
+		} else {
+			d = make([]uint64, words)
+		}
 		b.rows[row] = d
 	}
 	return d
+}
+
+// checkBytes returns the on-die ECC check bytes of a physical row,
+// allocating zeroed ones on demand.
+func (b *bankState) checkBytes(row, cols int) []uint8 {
+	c := b.check[row]
+	if c == nil {
+		if n := len(b.freeChecks); n > 0 {
+			c = b.freeChecks[n-1]
+			b.freeChecks = b.freeChecks[:n-1]
+			clear(c)
+		} else {
+			c = make([]uint8, cols)
+		}
+		b.check[row] = c
+	}
+	return c
 }
 
 // dataIfPresent returns the row's backing words without allocating.

@@ -71,11 +71,7 @@ func (m *Module) WrRowBulk(bank int, data []uint64, step, start Picos) error {
 	row := b.data(b.activeRow, m.geo.RowWords())
 	var chk []uint8
 	if m.cfg.OnDieECC && m.beatBits == 64 {
-		chk = b.check[b.activeRow]
-		if chk == nil {
-			chk = make([]uint8, m.geo.ColumnsPerRow)
-			b.check[b.activeRow] = chk
-		}
+		chk = b.checkBytes(b.activeRow, m.geo.ColumnsPerRow)
 	}
 	if m.beatBits == 64 && chk == nil {
 		// Column col is exactly word col of the row.

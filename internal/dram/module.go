@@ -92,14 +92,39 @@ func NewModule(cfg ModuleConfig) (*Module, error) {
 	if beat > 64 {
 		return nil, fmt.Errorf("dram: beat width %d bits exceeds 64 (unsupported)", beat)
 	}
-	m := &Module{
+	m := &Module{cfg: cfg}
+	m.init()
+	return m, nil
+}
+
+// Reset returns the module to exactly the state NewModule(cfg) builds:
+// every bank precharged with no timing history, no stored rows, check
+// bytes, ledgers or restore stamps; stats and refresh state cleared;
+// TRR samplers and retention state rebuilt from the config; and the
+// temperature back at InitialTempC. Rows are allocated lazily again,
+// from storage the reset keeps on per-bank free lists, so a reset
+// module that re-touches the rows it had allocates nothing.
+func (m *Module) Reset() { m.init() }
+
+// init sets every field of m from m.cfg. NewModule and Reset share it,
+// so a reset module cannot drift from a new one: the literal below
+// zeroes every field it does not name, and the storage kept across a
+// reset (banks, TRR samplers, retention state, hammer scratch) is
+// re-initialized in place.
+func (m *Module) init() {
+	cfg := m.cfg
+	banks, trr, ret, phys := m.banks, m.trr, m.ret, m.hammerPhys
+	*m = Module{
 		cfg:       cfg,
 		geo:       cfg.Geometry,
 		timing:    cfg.Timing,
 		remap:     cfg.Remap,
 		disturber: cfg.Disturber,
 		tempC:     cfg.InitialTempC,
-		beatBits:  beat,
+		beatBits:  cfg.Geometry.Chips * cfg.Geometry.ChipWidth,
+		// JEDEC refreshes the array over 8192 REF commands per tREFW.
+		rowsPerRef: (cfg.Geometry.RowsPerBank + 8191) / 8192,
+		hammerPhys: phys[:0],
 	}
 	if m.remap == nil {
 		m.remap = DirectRemap{}
@@ -110,23 +135,38 @@ func NewModule(cfg ModuleConfig) (*Module, error) {
 	if m.tempC == 0 {
 		m.tempC = 50
 	}
-	m.banks = make([]*bankState, m.geo.Banks)
-	for i := range m.banks {
-		m.banks[i] = newBankState()
+	if banks == nil {
+		banks = make([]*bankState, m.geo.Banks)
 	}
-	if cfg.TRR != nil {
-		m.trr = make([]*trrSampler, m.geo.Banks)
-		for i := range m.trr {
-			m.trr[i] = newTRRSampler(*cfg.TRR, i)
+	for i, b := range banks {
+		if b == nil {
+			banks[i] = newBankState()
+		} else {
+			b.reset()
 		}
 	}
+	m.banks = banks
+	if cfg.TRR != nil {
+		if trr == nil {
+			trr = make([]*trrSampler, m.geo.Banks)
+		}
+		for i, s := range trr {
+			if s == nil {
+				trr[i] = newTRRSampler(*cfg.TRR, i)
+			} else {
+				s.reset(*cfg.TRR, i)
+			}
+		}
+		m.trr = trr
+	}
 	if cfg.Retention != nil {
-		m.ret = &retention{cfg: *cfg.Retention, seed: cfg.Seed}
+		if ret == nil {
+			ret = new(retention)
+		}
+		*ret = retention{cfg: *cfg.Retention, seed: cfg.Seed}
+		m.ret = ret
 		m.retOrientSeed = cfg.Seed
 	}
-	// JEDEC refreshes the array over 8192 REF commands per tREFW.
-	m.rowsPerRef = (m.geo.RowsPerBank + 8191) / 8192
-	return m, nil
 }
 
 // Geometry returns the module geometry.
@@ -366,12 +406,7 @@ func (m *Module) execWr(cmd Command, now Picos) error {
 	data := b.data(b.activeRow, m.geo.RowWords())
 	m.insertBeat(data, cmd.Col, cmd.Data)
 	if m.cfg.OnDieECC && m.beatBits == 64 {
-		chk := b.check[b.activeRow]
-		if chk == nil {
-			chk = make([]uint8, m.geo.ColumnsPerRow)
-			b.check[b.activeRow] = chk
-		}
-		chk[cmd.Col] = ECCEncode(cmd.Data)
+		b.checkBytes(b.activeRow, m.geo.ColumnsPerRow)[cmd.Col] = ECCEncode(cmd.Data)
 	}
 	return nil
 }

@@ -41,10 +41,20 @@ type trrSampler struct {
 }
 
 func newTRRSampler(cfg TRRConfig, bank int) *trrSampler {
-	return &trrSampler{
-		cfg: cfg,
-		rnd: rng.NewStream(rng.Hash64(cfg.Seed, uint64(bank), 0x7272)),
+	t := new(trrSampler)
+	t.reset(cfg, bank)
+	return t
+}
+
+// reset returns the sampler to the state newTRRSampler builds: an
+// empty table and a freshly seeded PRNG, reusing both in place.
+func (t *trrSampler) reset(cfg TRRConfig, bank int) {
+	rnd := t.rnd
+	if rnd == nil {
+		rnd = new(rng.Stream)
 	}
+	rnd.Reseed(rng.Hash64(cfg.Seed, uint64(bank), 0x7272))
+	*t = trrSampler{cfg: cfg, entries: t.entries[:0], rnd: rnd}
 }
 
 // observe records an activation of a physical row.

@@ -1,8 +1,8 @@
 // Package pool provides the bounded-concurrency primitives shared by
 // the experiment drivers (internal/exp) and the fleet campaign engine
-// (internal/campaign): a deterministic indexed map over a worker pool
-// with context cancellation and joined (not first-wins) error
-// reporting.
+// (internal/campaign): a deterministic indexed map over a worker pool,
+// optionally with per-worker state, with context cancellation and
+// joined (not first-wins) error reporting.
 package pool
 
 import (
@@ -23,6 +23,22 @@ func DefaultWorkers() int { return runtime.NumCPU() }
 // the joined error. Every per-index error is collected and joined with
 // errors.Join, so one failure cannot mask another.
 func Map[T any](ctx context.Context, workers, n int, f func(i int) (T, error)) ([]T, error) {
+	return MapWith(ctx, workers, n, noState, func(_ struct{}, i int) (T, error) { return f(i) })
+}
+
+// noState is Map's per-worker state: none.
+func noState() (struct{}, error) { return struct{}{}, nil }
+
+// MapWith is Map with per-worker state: each worker goroutine builds
+// its state with newState once, lazily before its first task, and
+// passes it to every task it runs, so at most min(workers, n) states
+// are built per call. A state is owned by one goroutine and never
+// shared; tasks that reuse it must leave or restore whatever the next
+// task relies on — including after a panic, which protect turns into
+// that task's error while the worker keeps its state. A newState error
+// fails the task that needed the state, and the worker tries again
+// before its next task.
+func MapWith[S, T any](ctx context.Context, workers, n int, newState func() (S, error), f func(s S, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -40,8 +56,22 @@ func Map[T any](ctx context.Context, workers, n int, f func(i int) (T, error)) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var (
+				state S
+				built bool
+			)
 			for i := range idx {
-				out[i], errs[i] = protect(f, i)
+				out[i], errs[i] = protect(i, func() (T, error) {
+					if !built {
+						s, err := newState()
+						if err != nil {
+							var zero T
+							return zero, err
+						}
+						state, built = s, true
+					}
+					return f(state, i)
+				})
 			}
 		}()
 	}
@@ -69,13 +99,13 @@ feed:
 	return out, nil
 }
 
-// protect runs f(i), converting a panic into an error so one
+// protect runs task i, converting a panic into an error so one
 // panicking task cannot tear down the whole pool.
-func protect[T any](f func(i int) (T, error), i int) (out T, err error) {
+func protect[T any](i int, task func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pool: task %d panicked: %v", i, r)
 		}
 	}()
-	return f(i)
+	return task()
 }

@@ -75,6 +75,64 @@ func TestMapRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestMapWithBuildsOneStatePerWorker: each worker builds its state
+// once, lazily, and only that worker's tasks see it — so a call builds
+// at most min(workers, n) states and a state is never shared.
+func TestMapWithBuildsOneStatePerWorker(t *testing.T) {
+	type state struct {
+		id    int64
+		inUse atomic.Bool
+	}
+	var built atomic.Int64
+	newState := func() (*state, error) { return &state{id: built.Add(1)}, nil }
+	for _, tc := range []struct{ workers, n int }{{3, 40}, {8, 5}, {1, 9}} {
+		built.Store(0)
+		out, err := MapWith(context.Background(), tc.workers, tc.n, newState, func(s *state, i int) (int64, error) {
+			if !s.inUse.CompareAndSwap(false, true) {
+				return 0, fmt.Errorf("state %d used by two tasks at once", s.id)
+			}
+			defer s.inUse.Store(false)
+			return s.id, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(min(tc.workers, tc.n))
+		if n := built.Load(); n < 1 || n > want {
+			t.Fatalf("workers=%d n=%d: built %d states, want 1..%d", tc.workers, tc.n, n, want)
+		}
+		for i, id := range out {
+			if id < 1 || id > built.Load() {
+				t.Fatalf("task %d ran on unknown state %d", i, id)
+			}
+		}
+	}
+}
+
+// TestMapWithKeepsStateAcrossPanics: a panicking task fails alone; its
+// worker keeps its state for the tasks after it. A newState error
+// fails the task that needed the state, and the next task retries.
+func TestMapWithKeepsStateAcrossPanics(t *testing.T) {
+	var built atomic.Int64
+	out, err := MapWith(context.Background(), 1, 4, func() (int64, error) {
+		if built.Add(1) == 1 {
+			return 0, errors.New("first build fails")
+		}
+		return built.Load(), nil
+	}, func(s int64, i int) (int64, error) {
+		if i == 2 {
+			panic("boom")
+		}
+		return s, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "first build fails") || !strings.Contains(err.Error(), "task 2 panicked: boom") {
+		t.Fatalf("want the build error and the panic, got: %v", err)
+	}
+	if built.Load() != 2 || out[1] != 2 || out[3] != 2 {
+		t.Fatalf("built %d states, results %v; want one retry and the state kept across the panic", built.Load(), out)
+	}
+}
+
 func TestMapCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64

@@ -153,6 +153,7 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		"unknown kind":   `{"kind":"nosuch"}`,
 		"unknown scale":  `{"kind":"ber","scale":"huge"}`,
 		"inverted temps": `{"kind":"ber","scale":"tiny","temps":[90,50]}`,
+		"33 temps":       `{"kind":"ber","scale":"tiny","temps":[50,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66,67,68,69,70,71,72,73,74,75,76,77,78,79,80,81,82]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

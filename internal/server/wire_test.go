@@ -74,6 +74,15 @@ func TestResolveValidation(t *testing.T) {
 	if !errors.As(err, &tse) {
 		t.Errorf("descending temps: want *TempStepError, got %v", err)
 	}
+	// A grid longer than a sweep's 32-bit per-cell mask is rejected too.
+	long, err := rh.TempGrid(50, 90, 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tge *rh.TempGridSizeError
+	if _, err := Resolve(rh.CampaignSpec{Kind: "ber", Temps: long}); !errors.As(err, &tge) {
+		t.Errorf("%d-point grid: want *TempGridSizeError, got %v", len(long), err)
+	}
 	// Experiment kinds resolve with their fleet identity.
 	rsv, err := Resolve(rh.CampaignSpec{Kind: "fig5", Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), Seed: 1})
 	if err != nil {

@@ -297,6 +297,13 @@ func NewExecutorOn(dev Device) *Executor {
 	return &Executor{mod: dev, tck: dev.Timing().TCK}
 }
 
+// Reset returns the executor to the state NewExecutorOn builds for its
+// device: time 0 and tracing off. The device itself is not touched.
+func (e *Executor) Reset() {
+	e.now = 0
+	e.trace = false
+}
+
 // SetTrace enables or disables command tracing.
 func (e *Executor) SetTrace(on bool) { e.trace = on }
 

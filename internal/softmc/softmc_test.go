@@ -186,6 +186,36 @@ func TestExecutorTimePersistsAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestExecutorReset: a reset executor runs a program exactly as a new
+// one does — from time 0, with tracing off.
+func TestExecutorReset(t *testing.T) {
+	tm := newTestModule(t).Timing()
+	prog := NewBuilder(tm.TCK).Act(0, 1).Wait(tm.TRAS).Pre(0).Program()
+	used := NewExecutor(newTestModule(t))
+	used.SetTrace(true)
+	if _, err := used.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	used.Reset()
+	if used.Now() != 0 {
+		t.Fatalf("reset executor at t=%d, want 0", used.Now())
+	}
+	// The module is not the executor's to reset: give it a fresh one.
+	used.mod = newTestModule(t)
+	got, err := used.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewExecutor(newTestModule(t)).Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.End != want.End || len(got.Trace) != 0 {
+		t.Fatalf("reset executor ran to %d with %d traced commands, new one to %d with none",
+			got.End, len(got.Trace), want.End)
+	}
+}
+
 func TestConsecutiveWaitsAdd(t *testing.T) {
 	m := newTestModule(t)
 	tm := m.Timing()

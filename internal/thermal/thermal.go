@@ -188,12 +188,20 @@ func NewChamber(seed uint64) *Chamber {
 // so the copy's future readings equal the original's. The Disturb
 // hook is shared, not copied.
 func (ch *Chamber) Clone() *Chamber {
-	c := *ch
-	plant, pid, tc := *ch.Plant, *ch.PID, *ch.TC
-	rnd := *ch.TC.rnd
-	tc.rnd = &rnd
-	c.Plant, c.PID, c.TC = &plant, &pid, &tc
-	return &c
+	c := &Chamber{Plant: new(Plant), PID: new(PID), TC: &Thermocouple{rnd: new(rng.Stream)}}
+	c.CopyFrom(ch)
+	return c
+}
+
+// CopyFrom makes ch an independent deep copy of src, as Clone does,
+// but into ch's own plant, PID and thermocouple, so it allocates
+// nothing.
+func (ch *Chamber) CopyFrom(src *Chamber) {
+	plant, pid, tc, rnd := ch.Plant, ch.PID, ch.TC, ch.TC.rnd
+	*plant, *pid, *tc, *rnd = *src.Plant, *src.PID, *src.TC, *src.TC.rnd
+	tc.rnd = rnd
+	*ch = *src
+	ch.Plant, ch.PID, ch.TC = plant, pid, tc
 }
 
 // ErrSettleTimeout reports that the setpoint was not reached in time.

@@ -242,6 +242,43 @@ func TestCoolerAcceleratesCooling(t *testing.T) {
 	}
 }
 
+// TestChamberCopyFrom: copying a chamber into another keeps the
+// destination's own components, shares nothing with the source, and
+// leaves the destination evolving exactly as the source does.
+func TestChamberCopyFrom(t *testing.T) {
+	src := NewChamber(9)
+	if err := src.SetAndSettle(72); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewChamber(4)
+	if err := dst.SetAndSettle(55); err != nil {
+		t.Fatal(err)
+	}
+	plant, pid, tc, rnd := dst.Plant, dst.PID, dst.TC, dst.TC.rnd
+	dst.CopyFrom(src)
+	if dst.Plant != plant || dst.PID != pid || dst.TC != tc || dst.TC.rnd != rnd {
+		t.Fatal("CopyFrom replaced the destination's components")
+	}
+	if dst.Setpoint() != 72 || dst.Elapsed() != src.Elapsed() || *dst.PID != *src.PID ||
+		dst.Plant.Temperature() != src.Plant.Temperature() {
+		t.Fatal("CopyFrom did not copy the source's state")
+	}
+	for _, temp := range []float64{80, 65} {
+		if err := src.SetAndSettle(temp); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.SetAndSettle(temp); err != nil {
+			t.Fatal(err)
+		}
+		if src.Plant.Temperature() != dst.Plant.Temperature() || src.Temperature() != dst.Temperature() {
+			t.Fatalf("copy diverged from the source at %v °C", temp)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { dst.CopyFrom(src) }); n != 0 {
+		t.Fatalf("CopyFrom allocated %.0f times per run, want 0", n)
+	}
+}
+
 // TestChamberCloneIndependent: a clone starts in the original's exact
 // state — including the thermocouple's noise stream — and shares no
 // mutable state with it afterwards.

@@ -113,8 +113,8 @@ type MeasureScope struct {
 	Temps []float64
 }
 
-// normalize fills the scope's defaults; a caller-supplied temperature
-// grid with a non-positive step is rejected with a *TempStepError.
+// normalize fills the scope's defaults; a malformed caller-supplied
+// temperature grid is rejected as ValidateTempGrid rejects it.
 func (sc MeasureScope) normalize() (MeasureScope, error) {
 	err := FillMeasureDefaults(&sc.Scale, nil, nil, &sc.Temps)
 	return sc, err
@@ -310,18 +310,20 @@ func (t *Tester) MeasureModuleSpatial(ctx context.Context, sc MeasureScope) (Pat
 
 // RowHCFirstProfileCtx is RowHCFirstProfile with cooperative
 // cancellation between rows. With more than one worker configured
-// (SetWorkers) the sampled rows are fanned out over hermetic bench
-// clones and merged back in row order; each row's measurement is
-// independent on real hardware too (writing the data pattern
-// re-senses and resets every row the test touches), so the parallel
-// profile is bit-identical to the serial one.
+// (SetWorkers) the sampled rows are fanned out over the pool and merged
+// back in row order. Each worker builds one hermetic bench clone and,
+// before every row, resets it to a snapshot of this bench's chamber
+// taken before the fan-out, so every row is measured at the bench's
+// current temperature, as the serial loop measures it. Each row's
+// measurement is independent on real hardware too (writing the data
+// pattern re-senses and resets every row the test touches), so the
+// parallel profile is bit-identical to the serial one.
 func (t *Tester) RowHCFirstProfileCtx(ctx context.Context, bank int, rows []int, cfg HCFirstConfig, reps int) ([]RowHC, error) {
 	if t.effectiveWorkers() > 1 && len(rows) > 1 {
-		return pool.Map(ctx, t.effectiveWorkers(), len(rows), func(i int) (RowHC, error) {
-			sub, err := t.clone()
-			if err != nil {
-				return RowHC{}, err
-			}
+		snap := t.b.Chamber.Clone()
+		newClone := func() (*Tester, error) { return t.cloneAt(snap) }
+		return pool.MapWith(ctx, t.effectiveWorkers(), len(rows), newClone, func(sub *Tester, i int) (RowHC, error) {
+			sub.b.resetAt(snap)
 			c := cfg
 			c.Bank = bank
 			c.VictimPhys = rows[i]

@@ -59,6 +59,38 @@ func TestRowHCFirstProfileWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestRowHCFirstProfileWorkerInvarianceAtTemperature: the parallel
+// profile measures every row at the bench's current temperature, as
+// the serial loop does — not at the 50 °C the bench was built at.
+func TestRowHCFirstProfileWorkerInvarianceAtTemperature(t *testing.T) {
+	rows := []int{20, 40, 60, 80, 100, 140}
+	profile := func(workers int) []RowHC {
+		b, err := NewBench(BenchConfig{Profile: faultmodel.MfrA(), Seed: 7, Geometry: TinyGeometry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetTemperature(85); err != nil {
+			t.Fatal(err)
+		}
+		tester := NewTester(b)
+		tester.SetWorkers(workers)
+		p, err := tester.RowHCFirstProfileCtx(context.Background(), 0, rows, HCFirstConfig{Pattern: PatCheckered}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	serial := profile(1)
+	for _, workers := range []int{2, 3} {
+		if par := profile(workers); !reflect.DeepEqual(serial, par) {
+			t.Fatalf("workers=%d profile at 85 °C diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, par)
+		}
+	}
+	if len(VulnerableHCs(serial)) == 0 {
+		t.Fatal("no row found an HCfirst; invariance test vacuous")
+	}
+}
+
 // TestTemperatureSweepWorkerInvariance proves the parallel
 // (temperature, victim) sweep — including the per-shard chamber
 // trajectory replay — reproduces the serial sweep bit-for-bit, and

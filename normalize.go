@@ -28,6 +28,25 @@ func (e *TempStepError) Error() string {
 		e.Step, e.Lo, e.Hi)
 }
 
+// MaxSweepTemps is the most points a temperature grid may have: a
+// sweep records each flipped cell's temperatures as one bit per point
+// of a 32-bit mask (TempSweepResult.Cells).
+const MaxSweepTemps = 32
+
+// TempGridSizeError is the typed rejection of a temperature grid with
+// more than MaxSweepTemps points, whose extra points a sweep could not
+// record: the Fig. 3 clusters and Table 3's no-gap and full-range
+// fractions would silently ignore them.
+type TempGridSizeError struct {
+	// Points is the rejected grid's length.
+	Points int
+}
+
+func (e *TempGridSizeError) Error() string {
+	return fmt.Sprintf("rowhammer: temperature grid has %d points, more than the %d a sweep can record per cell",
+		e.Points, MaxSweepTemps)
+}
+
 // TempGrid builds the inclusive temperature grid lo, lo+step, ... hi.
 // A non-positive step is rejected with a *TempStepError instead of
 // looping forever (lo < hi) or silently yielding an empty sweep
@@ -46,8 +65,12 @@ func TempGrid(lo, hi, step float64) ([]float64, error) {
 // ValidateTempGrid rejects a ready-made temperature grid whose points
 // do not strictly increase — the descending or duplicated grids that
 // used to slip through normalization and surface as nonsense sweep
-// bitmasks — with a *TempStepError naming the offending step.
+// bitmasks — with a *TempStepError naming the offending step, and a
+// grid of more than MaxSweepTemps points with a *TempGridSizeError.
 func ValidateTempGrid(temps []float64) error {
+	if len(temps) > MaxSweepTemps {
+		return &TempGridSizeError{Points: len(temps)}
+	}
 	for i := 1; i < len(temps); i++ {
 		if step := temps[i] - temps[i-1]; step <= 0 {
 			return &TempStepError{Lo: temps[i-1], Hi: temps[i], Step: step, Index: i}
@@ -74,10 +97,12 @@ func StudyTemps() []float64 {
 // A nil pointer skips that knob, so callers normalize exactly the
 // fields they own.
 //
-// A caller-supplied temperature grid is validated, not trusted: a grid
-// with a zero or negative step between points is rejected with a
-// *TempStepError — the only error this helper can return, so call
-// sites that pass a nil temps knob cannot fail.
+// A caller-supplied temperature grid is validated, not trusted
+// (ValidateTempGrid): a grid with a zero or negative step between
+// points is rejected with a *TempStepError and one of more than
+// MaxSweepTemps points with a *TempGridSizeError — the only errors
+// this helper can return, so call sites that pass a nil temps knob
+// cannot fail.
 func FillMeasureDefaults(scale *Scale, geom *Geometry, seed *uint64, temps *[]float64) error {
 	if scale != nil && *scale == (Scale{}) {
 		*scale = DefaultScale()

@@ -131,6 +131,79 @@ func TestCampaignRejectsDescendingTemps(t *testing.T) {
 	}
 }
 
+// TestTempGridPointLimit: a sweep records each cell's temperatures as
+// a 32-bit mask, so a 33-point grid is rejected with a typed error at
+// every layer — normalization, campaign lowering and the sweep itself
+// — while a 32-point grid still runs and records its last point.
+func TestTempGridPointLimit(t *testing.T) {
+	long, err := TempGrid(50, 90, 1.25)
+	if err != nil || len(long) != MaxSweepTemps+1 {
+		t.Fatalf("TempGrid(50, 90, 1.25) = %d points, %v; want %d", len(long), err, MaxSweepTemps+1)
+	}
+	var tge *TempGridSizeError
+	if err := ValidateTempGrid(long); !errors.As(err, &tge) || tge.Points != len(long) {
+		t.Fatalf("ValidateTempGrid(33 points) = %v, want *TempGridSizeError", err)
+	}
+	in := append([]float64(nil), long...)
+	if err := FillMeasureDefaults(nil, nil, nil, &in); !errors.As(err, &tge) {
+		t.Fatalf("FillMeasureDefaults(33 points) = %v, want *TempGridSizeError", err)
+	}
+	spec := CampaignSpec{Kind: CampaignBER, Mfrs: []string{"A"}, ModulesPerMfr: 1,
+		Scale: TinyScale(), Geometry: TinyGeometry(), Temps: long}
+	if _, _, err := CampaignEngine(spec); !errors.As(err, &tge) {
+		t.Fatalf("CampaignEngine(33 points) = %v, want *TempGridSizeError", err)
+	}
+	if _, err := RunCampaign(context.Background(), spec, CampaignOptions{}); !errors.As(err, &tge) {
+		t.Fatalf("RunCampaign(33 points) = %v, want *TempGridSizeError", err)
+	}
+
+	b, err := NewBench(BenchConfig{Profile: ProfileByName("A"), Seed: 7, Geometry: TinyGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tester := NewTester(b)
+	cfg := TempSweepConfig{Victims: []int{40}, Temps: long, Hammers: 300_000, Pattern: PatCheckered, Repetitions: 1}
+	for _, workers := range []int{1, 2} {
+		tester.SetWorkers(workers)
+		if _, err := tester.TemperatureSweep(cfg); !errors.As(err, &tge) {
+			t.Fatalf("workers=%d: TemperatureSweep(33 points) = %v, want *TempGridSizeError", workers, err)
+		}
+	}
+
+	cfg.Temps = long[:MaxSweepTemps]
+	if err := ValidateTempGrid(cfg.Temps); err != nil {
+		t.Fatalf("ValidateTempGrid(32 points) = %v", err)
+	}
+	spec.Temps = cfg.Temps
+	if _, _, err := CampaignEngine(spec); err != nil {
+		t.Fatalf("CampaignEngine(32 points) = %v", err)
+	}
+	var sweeps []*TempSweepResult
+	for _, workers := range []int{1, 2} {
+		tester.SetWorkers(workers)
+		sweep, err := tester.TemperatureSweep(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: TemperatureSweep(32 points) = %v", workers, err)
+		}
+		sweeps = append(sweeps, sweep)
+	}
+	if !reflect.DeepEqual(sweeps[0], sweeps[1]) {
+		t.Fatal("32-point sweep differs across worker counts")
+	}
+	last := 0
+	for _, mask := range sweeps[0].Cells {
+		if mask&(1<<(MaxSweepTemps-1)) != 0 {
+			last++
+		}
+	}
+	if last == 0 {
+		t.Fatal("no cell recorded at the 32nd temperature; test vacuous")
+	}
+	if m := sweeps[0].ClusterByRange(); m.Total != len(sweeps[0].Cells) {
+		t.Fatalf("clusters count %d of %d flipped cells", m.Total, len(sweeps[0].Cells))
+	}
+}
+
 func TestNamedScale(t *testing.T) {
 	for _, name := range []string{"tiny", "default", "paper"} {
 		if _, _, ok := NamedScale(name); !ok {

@@ -134,8 +134,10 @@ func assembleBench(cfg BenchConfig, model *faultmodel.Model, ch *thermal.Chamber
 // shares the module's immutable tables and sharded kernel cache
 // (candidate sets are pure functions of the module, so sharing only
 // deduplicates work) and starts with empty per-model caches, exactly
-// like a freshly built model. The parallel measurement cores use
-// clones as hermetic per-shard devices under test.
+// like a freshly built model. The parallel measurement cores build one
+// clone per pool worker and reset it in place before every unit of
+// work (resetAt), so a clone serves as a hermetic device under test
+// for many units.
 func (b *Bench) Clone() (*Bench, error) { return b.cloneAt(b.settled) }
 
 // cloneAt is Clone with the new bench's chamber a copy of ch (a state
@@ -149,6 +151,20 @@ func (b *Bench) cloneAt(ch *thermal.Chamber) (*Bench, error) {
 	c.settled = b.settled
 	c.Module.SetTemperature(c.Chamber.Plant.Temperature())
 	return c, nil
+}
+
+// resetAt returns a clone, whatever it ran since, to the state
+// cloneAt(ch) builds: the chamber becomes a copy of ch, the module and
+// executor are reset to new, and the module takes ch's plant
+// temperature. The model fork is kept: its row and replay caches are
+// exact-input memos, every test sets its trial salt (and every unit
+// declares its trial batch) before it disturbs anything, and its walk
+// buffers are scratch.
+func (b *Bench) resetAt(ch *thermal.Chamber) {
+	b.Chamber.CopyFrom(ch)
+	b.Module.Reset()
+	b.Exec.Reset()
+	b.Module.SetTemperature(b.Chamber.Plant.Temperature())
 }
 
 // SetTemperature drives the thermal chamber to tempC, waits for the

@@ -19,7 +19,10 @@ type CellID struct {
 type TempSweepConfig struct {
 	Bank    int
 	Victims []int
-	// Temps defaults to StudyTemps().
+	// Temps defaults to StudyTemps(). At most MaxSweepTemps points:
+	// each flipped cell records the temperatures it flipped at as one
+	// bit per point of a 32-bit mask (TempSweepResult.Cells); a longer
+	// grid is rejected with a *TempGridSizeError.
 	Temps []float64
 	// Hammers per BER test (paper: 150K).
 	Hammers int64
@@ -55,6 +58,9 @@ func (t *Tester) temperatureSweep(ctx context.Context, cfg TempSweepConfig) (*Te
 	}
 	if len(cfg.Temps) == 0 {
 		cfg.Temps = StudyTemps()
+	}
+	if len(cfg.Temps) > MaxSweepTemps {
+		return nil, &TempGridSizeError{Points: len(cfg.Temps)}
 	}
 	if cfg.Repetitions < 1 {
 		cfg.Repetitions = 1
@@ -118,13 +124,14 @@ type sweepUnit struct {
 }
 
 // temperatureSweepParallel fans the (temperature, victim) grid out
-// over hermetic bench clones and merges the shards back in grid
-// order. The chamber trajectory a fresh bench follows through the
-// sweep is settled once, from the construction snapshot, and every
-// shard's bench starts from a copy of its temperature point's state —
-// the state a clone replaying the trajectory would reach — so the
-// settled plant temperature, and with it every recorded measurement,
-// is bit-identical to the shared-bench serial sweep.
+// over the pool and merges the units back in grid order. The chamber
+// trajectory a fresh bench follows through the sweep is settled once,
+// from the construction snapshot, into one snapshot per temperature
+// point. Each worker builds one hermetic bench clone and, before every
+// unit, resets it to the unit's point snapshot — the state a clone
+// replaying the trajectory would reach — so the settled plant
+// temperature, and with it every recorded measurement, is
+// bit-identical to the shared-bench serial sweep.
 func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
 	points := make([]*thermal.Chamber, len(cfg.Temps))
 	ch := t.b.settled.Clone()
@@ -136,12 +143,10 @@ func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConf
 	}
 	nR := len(cfg.Victims)
 	seenWords := t.b.Geometry().ColumnsPerRow // flip bit index is col·64 + offset
-	units, err := pool.Map(ctx, t.effectiveWorkers(), len(cfg.Temps)*nR, func(u int) (sweepUnit, error) {
+	newClone := func() (*Tester, error) { return t.cloneAt(t.b.settled) }
+	units, err := pool.MapWith(ctx, t.effectiveWorkers(), len(cfg.Temps)*nR, newClone, func(sub *Tester, u int) (sweepUnit, error) {
 		ti, ri := u/nR, u%nR
-		sub, err := t.cloneAt(points[ti])
-		if err != nil {
-			return sweepUnit{}, err
-		}
+		sub.b.resetAt(points[ti])
 		sub.declareTrialSalts(cfg.Repetitions)
 		var unit sweepUnit
 		var cur HammerResult // swaps with unit.worst, as in BER

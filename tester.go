@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/pool"
@@ -38,6 +39,11 @@ type Tester struct {
 	aggRows  [2]int
 	salts    []uint64
 	probeRes HammerResult // HCFirst's probe result, reused across searches
+
+	// clones counts the bench clones cloneAt built, from any pool
+	// worker, so tests can hold the parallel cores to their
+	// one-clone-per-worker budget.
+	clones atomic.Int64
 }
 
 // NewTester returns a Tester using the module's internal mapping as
@@ -53,9 +59,11 @@ func (t *Tester) UseMapping(m dram.RemapScheme) { t.rowMap = m }
 // SetWorkers bounds the worker pool of the parallel measurement cores
 // (RowHCFirstProfileCtx, TemperatureSweepCtx, and the Measure* cores
 // built on them). n < 1 selects one worker per CPU; n == 1 forces the
-// serial in-place path. Results are bit-identical for every worker
-// count — parallel shards run on hermetic bench clones that reproduce
-// the serial measurements exactly.
+// serial in-place path. Each pool worker builds one hermetic bench
+// clone per call and resets it before every unit it runs, so a call
+// builds at most n clones however many units it has. Results are
+// bit-identical for every worker count: a reset clone reproduces the
+// serial measurements exactly.
 func (t *Tester) SetWorkers(n int) { t.workers = n }
 
 // effectiveWorkers resolves the configured worker count.
@@ -66,19 +74,18 @@ func (t *Tester) effectiveWorkers() int {
 	return t.workers
 }
 
-// clone builds a hermetic copy of the tester on a fresh bench clone,
-// preserving any mapping override. Clones are what the parallel
-// measurement shards hammer, so concurrent shards never share mutable
-// device state.
-func (t *Tester) clone() (*Tester, error) { return t.cloneAt(t.b.settled) }
-
-// cloneAt is clone on a bench whose chamber starts as a copy of ch
-// (see Bench.cloneAt).
+// cloneAt builds a hermetic copy of the tester on a bench clone whose
+// chamber starts as a copy of ch (see Bench.cloneAt), preserving any
+// mapping override. Clones are what the parallel measurement units
+// hammer, so concurrent units never share mutable device state; a
+// clone's scratch buffers (builder, arena, results) carry over from
+// unit to unit, since every program rewrites what it uses.
 func (t *Tester) cloneAt(ch *thermal.Chamber) (*Tester, error) {
 	b, err := t.b.cloneAt(ch)
 	if err != nil {
 		return nil, err
 	}
+	t.clones.Add(1)
 	sub := NewTester(b)
 	sub.rowMap = t.rowMap
 	sub.patternSeed = t.patternSeed

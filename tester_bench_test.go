@@ -1,10 +1,11 @@
 // Benchmarks for the Tester-operation layer: one complete §4.2
-// measurement — an HCfirst search repeated over trials, and a
-// parallel temperature sweep — on a small module, with allocations
-// reported. `make bench-smoke` runs them once under the race detector.
+// measurement — an HCfirst search repeated over trials, a parallel
+// temperature sweep and a parallel HCfirst profile — on a small module,
+// with allocations reported. `make bench-smoke` runs them once under the race detector.
 package rowhammer_test
 
 import (
+	"context"
 	"testing"
 
 	rh "rowhammer"
@@ -62,6 +63,28 @@ func BenchmarkTemperatureSweepParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.TemperatureSweep(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRowHCFirstProfileParallel times one two-worker HCfirst
+// profile of 24 rows (the Fig. 11 and 14 measurement): each worker
+// resets one bench clone before every row.
+func BenchmarkRowHCFirstProfileParallel(b *testing.B) {
+	tr := testerBench(b, 2)
+	rows := make([]int, 24)
+	for i := range rows {
+		rows[i] = 10 + 20*i
+	}
+	cfg := rh.HCFirstConfig{Pattern: rh.PatCheckered}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		profile, err := tr.RowHCFirstProfileCtx(context.Background(), 0, rows, cfg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rh.VulnerableHCs(profile)) == 0 {
+			b.Fatal("no row found an HCfirst; benchmark vacuous")
 		}
 	}
 }
