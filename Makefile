@@ -23,12 +23,14 @@ test:
 # the placement layer (lease service + worker registry, shard
 # coordinator/scheduler/worker loops). The root package's parallel
 # measurement cores run here too: their worker-invariance, clone
-# reset and clone-budget tests exercise the per-worker bench clones.
+# reset and clone-budget tests exercise the per-worker bench clones,
+# and the compare-read and existence-probe tests drive HCfirst
+# searches whose existence walks share the kernel cache.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/durable/... ./internal/pool/... ./internal/exp/... \
 		./internal/store/... ./internal/server/... ./internal/faultmodel/... ./internal/dram/... \
 		./internal/leasesvc/... ./internal/shard/...
-	$(GO) test -race -run 'WorkerInvariance|Reset|Clone' .
+	$(GO) test -race -run 'WorkerInvariance|Reset|Clone|CompareRead|Existence|ProbeLadder' .
 
 vet:
 	$(GO) vet ./...
@@ -60,14 +62,14 @@ bench-check:
 	$(GO) run ./cmd/benchjson -compare bench-current.json -threshold $(BENCHTHRESHOLD) BENCH_*.json
 
 # One-iteration pass over the disturb hot-path benchmarks, the
-# Tester-operation benchmarks (HCfirst search, parallel temperature
-# sweep, parallel HCfirst profile) and the cold candidate-build
+# Tester-operation benchmarks (warm and cold HCfirst search, parallel
+# temperature sweep, parallel HCfirst profile) and the cold candidate-build
 # benchmark under the race detector: catches data races in the sharded
 # kernel cache, the parallel cores' shared chamber snapshots and their
 # per-worker clones, and keeps the benchmark bodies themselves
 # compiling and running in CI without benchmark-grade runtime.
 bench-smoke:
-	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|TemperatureSweepParallel|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|HCFirstCold|TemperatureSweepParallel|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
 	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 
 # Golden suite: every experiment's rendered text and JSON artifact is
@@ -138,12 +140,16 @@ serve-smoke:
 
 # Short fuzz pass over the checkpoint reader and its resume round trip
 # (OpenCheckpoint + one appended record loses nothing), the CRC trailer
-# codec and the shard fence decoder; the committed corpora under
-# internal/{campaign,shard}/testdata/fuzz replay on every plain
-# `go test`.
+# codec, the shard fence decoder, the campaign-submission decoder
+# (decode, lower and resolve a POST /v1/campaigns body) and the
+# artifact store's index reload; the committed corpora under
+# internal/{campaign,shard}/testdata/fuzz and every target's f.Add
+# seeds replay on every plain `go test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzRecordCRCTrailer -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzReadFence -fuzztime 30s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitSpec -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzStoreReload -fuzztime 30s ./internal/store/
 
 check: build vet test race

@@ -305,10 +305,15 @@ var measureCores = map[string]func(*Tester, context.Context, MeasureScope) (Patt
 // CampaignEngine lowers the public spec to the engine spec and the
 // measurement runner that executes it — the seam that lets callers
 // (rhfleet, rhserved) drive campaign.Run directly, side by side with
-// experiment-generic runners from internal/exp.
+// experiment-generic runners from internal/exp. It rejects every spec
+// the engine would reject — a watchdog without a job timeout, a job
+// count beyond campaign.MaxJobs — before anything expands its jobs.
 func CampaignEngine(spec CampaignSpec) (campaign.Spec, campaign.Runner, error) {
 	cs, scale, geom, err := lowerSpec(spec)
 	if err != nil {
+		return campaign.Spec{}, nil, err
+	}
+	if _, err := cs.Normalize(); err != nil {
 		return campaign.Spec{}, nil, err
 	}
 	return cs, moduleRunner(scale, geom), nil

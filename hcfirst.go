@@ -2,12 +2,19 @@ package rowhammer
 
 import "fmt"
 
-// HCFirstAccuracy is the binary-search resolution of HCfirst
-// measurements: 512 row activations, as in §4.2.
+// HCFirstAccuracy is the step size at which HCFirst's binary search
+// stops halving: Δ starts at 128,000 and halves while it is at least
+// HCFirstAccuracy, so the last step is 1000 activations — the search's
+// actual resolution — after 8 halvings. It also floors the probed
+// hammer count. The paper (§4.2) starts at Δ = 131,072 and halves to
+// 512; see EXPERIMENTS.md.
 const HCFirstAccuracy = 512
 
 // hcFirstStart is the paper's initial probe hammer count.
 const hcFirstStart = 256_000
+
+// hcFirstStartDelta is the first bisection step.
+const hcFirstStartDelta = 128_000
 
 // HCFirstResult reports the minimum hammer count at which a victim row
 // first shows a bit flip.
@@ -35,40 +42,42 @@ type HCFirstConfig struct {
 
 // HCFirst finds the minimum hammer count producing at least one bit
 // flip in the victim row, using the paper's binary search: start at
-// 256K hammers, step Δ=128K, halving Δ after every probe until it
-// reaches 512.
+// 256K hammers, step Δ=128K, halving Δ after every probe while it is
+// at least HCFirstAccuracy — 8 probes down to Δ=1000 — then one final
+// probe at the converged point.
+//
+// The 8 loop probes only ask whether the victim flipped, so they
+// compare-read it against its pattern (victimFlipped): on a module
+// whose fault model answers existence queries, the kernel stops at the
+// victim's first flipping cell instead of building every cell the
+// probe's hammer count reaches. A loop probe that finds a flip leaves
+// the victim stale; the next probe's pattern write overwrites it in
+// full before anything reads it. The final probe reads the victim in
+// full, so the device state after a search — and any later
+// ReadFlips — is exactly that of full reads throughout.
 func (t *Tester) HCFirst(cfg HCFirstConfig) (HCFirstResult, error) {
 	if cfg.MaxHammers <= 0 {
 		cfg.MaxHammers = 512_000
 	}
 	var out HCFirstResult
 
-	// Probes read only the victim: the search observes nothing else.
-	res := &t.probeRes
-	probe := func(hc int64) (bool, error) {
-		out.Probes++
-		err := t.hammerInto(HammerConfig{
-			Bank:       cfg.Bank,
-			VictimPhys: cfg.VictimPhys,
-			Hammers:    hc,
-			AggOnNs:    cfg.AggOnNs,
-			AggOffNs:   cfg.AggOffNs,
-			Pattern:    cfg.Pattern,
-			Trial:      cfg.Trial,
-		}, res, false)
-		if err != nil {
-			return false, err
-		}
-		return res.Victim.Count() > 0, nil
+	test := HammerConfig{
+		Bank:       cfg.Bank,
+		VictimPhys: cfg.VictimPhys,
+		AggOnNs:    cfg.AggOnNs,
+		AggOffNs:   cfg.AggOffNs,
+		Pattern:    cfg.Pattern,
+		Trial:      cfg.Trial,
 	}
-
 	hc := int64(hcFirstStart)
 	if hc > cfg.MaxHammers {
 		hc = cfg.MaxHammers
 	}
 	lowestFail := int64(-1)
-	for delta := int64(128_000); delta >= HCFirstAccuracy; delta /= 2 {
-		flipped, err := probe(hc)
+	for delta := int64(hcFirstStartDelta); delta >= HCFirstAccuracy; delta /= 2 {
+		out.Probes++
+		test.Hammers = hc
+		flipped, err := t.victimFlipped(test)
 		if err != nil {
 			return out, fmt.Errorf("rowhammer: HCfirst probe at %d: %w", hc, err)
 		}
@@ -87,12 +96,15 @@ func (t *Tester) HCFirst(cfg HCFirstConfig) (HCFirstResult, error) {
 			}
 		}
 	}
-	// Final probe at the converged point.
-	flipped, err := probe(hc)
-	if err != nil {
-		return out, err
+	// Final probe at the converged point, read in full (victim only:
+	// the search observes nothing else).
+	out.Probes++
+	test.Hammers = hc
+	res := &t.probeRes
+	if err := t.hammerInto(test, res, false); err != nil {
+		return out, fmt.Errorf("rowhammer: HCfirst final probe at %d: %w", hc, err)
 	}
-	if flipped && (lowestFail < 0 || hc < lowestFail) {
+	if res.Victim.Count() > 0 && (lowestFail < 0 || hc < lowestFail) {
 		lowestFail = hc
 	}
 	if lowestFail < 0 {

@@ -153,7 +153,26 @@ func (s Spec) IdentityHash() string {
 	return fmt.Sprintf("%016x", rng.HashString(b.String()))
 }
 
-// Normalize fills Spec defaults and validates the kind.
+// MaxJobs bounds a campaign's job count, len(Mfrs)×ModulesPerMfr.
+// Expand lists every job in memory, and the campaign server expands a
+// spec it received over the network as soon as it is submitted, so an
+// unbounded module count is a way to exhaust its memory. 65,536 jobs
+// are far beyond any fleet the paper studies (272 chips) and expand to
+// a few MB.
+const MaxJobs = 1 << 16
+
+// JobCountError reports a spec whose job count exceeds MaxJobs.
+type JobCountError struct {
+	Mfrs, ModulesPerMfr int
+}
+
+func (e *JobCountError) Error() string {
+	return fmt.Sprintf("campaign: %d manufacturers × %d modules per manufacturer exceeds the limit of %d jobs",
+		e.Mfrs, e.ModulesPerMfr, MaxJobs)
+}
+
+// Normalize fills Spec defaults and validates the kind and the job
+// count (*JobCountError beyond MaxJobs).
 func (s Spec) Normalize() (Spec, error) {
 	if s.Kind == "" {
 		s.Kind = KindHCFirst
@@ -167,6 +186,10 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.ModulesPerMfr < 1 {
 		s.ModulesPerMfr = 4
+	}
+	// Divide rather than multiply: the product may overflow.
+	if s.ModulesPerMfr > MaxJobs/len(s.Mfrs) {
+		return s, &JobCountError{Mfrs: len(s.Mfrs), ModulesPerMfr: s.ModulesPerMfr}
 	}
 	if s.Seed == 0 {
 		s.Seed = 0x5eed

@@ -1,5 +1,7 @@
 package dram
 
+import "fmt"
+
 // bankState is the per-bank state machine plus timing bookkeeping.
 type bankState struct {
 	// activeRow is the open physical row, or -1 when precharged.
@@ -35,6 +37,12 @@ type bankState struct {
 	// restoredAt maps physical row index → last charge-restore time
 	// (tracked only when retention modeling is enabled).
 	restoredAt map[int]Picos
+	// stale holds the physical rows whose flips a compare-read found
+	// but never applied (Module.CmpRowBulk), so their stored words are
+	// not what the device would hold. A full-row write burst or a reset
+	// clears a row's mark; until then data and dataIfPresent panic on
+	// it.
+	stale map[int]struct{}
 
 	// Free lists of row words, check bytes and ledgers released by
 	// reset; data, checkBytes and ledger reuse them (zeroed) before
@@ -51,6 +59,7 @@ func newBankState() *bankState {
 		check:      make(map[int][]uint8),
 		ledgers:    make(map[int]*RowLedger),
 		restoredAt: make(map[int]Picos),
+		stale:      make(map[int]struct{}),
 	}
 	b.reset()
 	return b
@@ -73,12 +82,14 @@ func (b *bankState) reset() {
 	clear(b.check)
 	clear(b.ledgers)
 	clear(b.restoredAt)
+	clear(b.stale)
 	*b = bankState{
 		activeRow:   -1,
 		rows:        b.rows,
 		check:       b.check,
 		ledgers:     b.ledgers,
 		restoredAt:  b.restoredAt,
+		stale:       b.stale,
 		freeRows:    b.freeRows,
 		freeChecks:  b.freeChecks,
 		freeLedgers: b.freeLedgers,
@@ -104,6 +115,9 @@ func (b *bankState) ledger(row int) *RowLedger {
 // data returns the backing words for a physical row, allocating a
 // zero-filled row on demand.
 func (b *bankState) data(row, words int) []uint64 {
+	if len(b.stale) != 0 {
+		b.mustBeFresh(row)
+	}
 	d := b.rows[row]
 	if d == nil {
 		if n := len(b.freeRows); n > 0 {
@@ -136,4 +150,21 @@ func (b *bankState) checkBytes(row, cols int) []uint8 {
 }
 
 // dataIfPresent returns the row's backing words without allocating.
-func (b *bankState) dataIfPresent(row int) []uint64 { return b.rows[row] }
+func (b *bankState) dataIfPresent(row int) []uint64 {
+	if len(b.stale) != 0 {
+		b.mustBeFresh(row)
+	}
+	return b.rows[row]
+}
+
+// mustBeFresh panics when a physical row is stale: its words lack
+// flips a compare-read found, and handing them out — to a read, a
+// partial write, a peek, retention decay or a neighbor's disturbance —
+// would observe a state the device never had. Only a caller that
+// compare-reads a row and then touches it before overwriting it in
+// full can get here.
+func (b *bankState) mustBeFresh(row int) {
+	if _, ok := b.stale[row]; ok {
+		panic(fmt.Sprintf("dram: physical row %d is stale: a compare-read found flips it never applied, so only a full-row write burst or Reset may touch it", row))
+	}
+}

@@ -1,5 +1,7 @@
 package dram
 
+import "slices"
+
 // Bulk column bursts: the per-row data movement of every RowHammer
 // test (write the pattern, read back the flips) issues one command per
 // column through the interpreter, which dominates the hot path once
@@ -65,6 +67,7 @@ func (m *Module) WrRowBulk(bank int, data []uint64, step, start Picos) error {
 	}
 	if n == m.geo.ColumnsPerRow {
 		m.dropSense(bank)
+		delete(b.stale, b.activeRow)
 	} else {
 		m.resolveSense(bank)
 	}
@@ -108,32 +111,92 @@ func (m *Module) RdRowBulk(bank, cols int, step, start Picos, dst []uint64) ([]u
 	}
 	m.resolveSense(bank)
 	row := b.data(b.activeRow, m.geo.RowWords())
-	var chk []uint8
-	if m.cfg.OnDieECC && m.beatBits == 64 {
-		chk = b.check[b.activeRow]
-	}
+	chk := m.openCheck(b)
 	if m.beatBits == 64 && chk == nil {
 		// Column col is exactly word col of the row.
 		dst = append(dst, row[:cols]...)
 	} else {
 		for col := 0; col < cols; col++ {
-			beat := m.extractBeat(row, col)
-			if chk != nil {
-				corrected, res := ECCDecode(beat, chk[col])
-				switch res {
-				case ECCCorrected:
-					m.stats.ECCCorrected++
-					beat = corrected
-				case ECCDetectedUncorrectable:
-					m.stats.ECCUncorrectable++
-				}
-			}
-			dst = append(dst, beat)
+			dst = append(dst, m.decodeBeat(row, chk, col))
 		}
 	}
+	m.readBurstDone(b, cols, step, start)
+	return dst, nil
+}
+
+// readBurstDone stamps a read burst of cols columns from start, step
+// apart, into the bank's timing bookkeeping and the stats.
+func (m *Module) readBurstDone(b *bankState, cols int, step, start Picos) {
 	last := start + Picos(cols-1)*step
 	b.lastRdAt, b.lastColAt = last, last
 	b.everRd, b.everCol = true, true
 	m.stats.Reads += int64(cols)
-	return dst, nil
+}
+
+// CmpRowBulk is a compare-read: a read burst over columns
+// 0..len(want)-1 of a bank's open row that reports only whether any
+// beat differs from want[col]. Its protocol and timing checks, bank
+// timestamps and Stats.Reads are RdRowBulk's over len(want) columns.
+//
+// When the Disturber is a FlipProber, on-die ECC is off, want spans the
+// whole row in 64-bit beats and the row's words equal want (retention
+// decay at the activation left them intact), the row's deferred
+// disturbance is not applied: its ledger is reset, as sensing does, and
+// the prober only answers whether anything would flip. A row that
+// would flip is marked stale — its stored words lack those flips — and
+// any access to its words other than a full-row WrRowBulk, which
+// clears the mark, or Reset panics. In every other case the row is
+// sensed in full and compared, with the outcome of RdRowBulk followed
+// by a comparison.
+func (m *Module) CmpRowBulk(bank int, want []uint64, step, start Picos) (bool, error) {
+	cols := len(want)
+	if cols == 0 {
+		return false, nil
+	}
+	b, err := m.burstSetup(OpRd, bank, cols, step, start)
+	if err != nil {
+		return false, err
+	}
+	differs := m.compareOpenRow(bank, b, want)
+	m.readBurstDone(b, cols, step, start)
+	return differs, nil
+}
+
+// compareOpenRow is CmpRowBulk's comparison of the open row with want.
+func (m *Module) compareOpenRow(bank int, b *bankState, want []uint64) bool {
+	phys := b.activeRow
+	row := b.data(phys, m.geo.RowWords())
+	if m.prober != nil && !m.cfg.OnDieECC && m.beatBits == 64 && len(want) == len(row) && slices.Equal(row, want) {
+		if !b.senseDue {
+			return false
+		}
+		b.senseDue = false
+		led := b.ledgers[phys]
+		flips := m.prober.DisturbAny(DisturbContext{
+			Bank:     bank,
+			Row:      phys,
+			Ledger:   led,
+			Data:     row,
+			Geometry: m.geo,
+			Up:       m.neighborData(b, phys, -1),
+			Down:     m.neighborData(b, phys, +1),
+		})
+		led.Reset()
+		if flips {
+			b.stale[phys] = struct{}{}
+		}
+		return flips
+	}
+	m.resolveSense(bank)
+	chk := m.openCheck(b)
+	if m.beatBits == 64 && chk == nil {
+		return !slices.Equal(row[:len(want)], want)
+	}
+	// Every column is decoded, as a read burst would, so the ECC
+	// outcome counters match RdRowBulk's.
+	differs := false
+	for col, w := range want {
+		differs = m.decodeBeat(row, chk, col) != w || differs
+	}
+	return differs
 }

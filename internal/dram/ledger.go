@@ -114,6 +114,17 @@ type Disturber interface {
 	Disturb(ctx DisturbContext) (int, []uint64)
 }
 
+// FlipProber is a Disturber that can also tell whether an evaluation
+// would flip anything without producing the flips. The module detects
+// it by type assertion and uses it for compare-reads (CmpRowBulk);
+// with any other Disturber a compare-read senses the row in full.
+type FlipProber interface {
+	Disturber
+	// DisturbAny reports whether Disturb(ctx) would return a non-zero
+	// flip count. Like Disturb, it treats ctx's words as read-only.
+	DisturbAny(ctx DisturbContext) bool
+}
+
 // NopDisturber injects no faults (an ideal, RowHammer-free chip).
 type NopDisturber struct{}
 

@@ -32,7 +32,8 @@ type Stats struct {
 	// and retention). A row's RowHammer flips are applied when the row
 	// is next read, partially written or closed after an activation;
 	// flips a full-row write would overwrite before anything read them
-	// are never applied, so they are not counted.
+	// are never applied, so they are not counted; nor are the flips a
+	// compare-read (CmpRowBulk) only detected.
 	FlipsInjected int64
 	// ECCCorrected counts read words the on-die ECC corrected.
 	ECCCorrected int64
@@ -57,6 +58,7 @@ type Module struct {
 	timing        Timing
 	remap         RemapScheme
 	disturber     Disturber
+	prober        FlipProber // disturber, when it is one (CmpRowBulk)
 	banks         []*bankState
 	trr           []*trrSampler
 	tempC         float64
@@ -132,6 +134,7 @@ func (m *Module) init() {
 	if m.disturber == nil {
 		m.disturber = NopDisturber{}
 	}
+	m.prober, _ = m.disturber.(FlipProber)
 	if m.tempC == 0 {
 		m.tempC = 50
 	}
@@ -360,21 +363,35 @@ func (m *Module) execRd(cmd Command, now Picos) (uint64, error) {
 
 	m.resolveSense(cmd.Bank)
 	data := b.data(b.activeRow, m.geo.RowWords())
-	beat := m.extractBeat(data, cmd.Col)
+	return m.decodeBeat(data, m.openCheck(b), cmd.Col), nil
+}
+
+// openCheck returns the on-die ECC check bytes of a bank's open row,
+// or nil when ECC is off or the row was never written.
+func (m *Module) openCheck(b *bankState) []uint8 {
 	if m.cfg.OnDieECC && m.beatBits == 64 {
-		chk := b.check[b.activeRow]
-		if chk != nil {
-			corrected, res := ECCDecode(beat, chk[cmd.Col])
-			switch res {
-			case ECCCorrected:
-				m.stats.ECCCorrected++
-				beat = corrected
-			case ECCDetectedUncorrectable:
-				m.stats.ECCUncorrectable++
-			}
-		}
+		return b.check[b.activeRow]
 	}
-	return beat, nil
+	return nil
+}
+
+// decodeBeat returns the beat at a column of a row's words as a read
+// returns it: corrected through the row's check bytes chk when present
+// (see openCheck), with the decode outcome counted.
+func (m *Module) decodeBeat(data []uint64, chk []uint8, col int) uint64 {
+	beat := m.extractBeat(data, col)
+	if chk == nil {
+		return beat
+	}
+	corrected, res := ECCDecode(beat, chk[col])
+	switch res {
+	case ECCCorrected:
+		m.stats.ECCCorrected++
+		return corrected
+	case ECCDetectedUncorrectable:
+		m.stats.ECCUncorrectable++
+	}
+	return beat
 }
 
 func (m *Module) execWr(cmd Command, now Picos) error {

@@ -16,26 +16,28 @@ type senseCall struct {
 }
 
 // recordingDisturber records every call's context and flips a fixed,
-// row- and ledger-dependent set of bits.
+// row- and ledger-dependent set of bits, or nothing when quiet.
 type recordingDisturber struct {
 	calls []senseCall
+	quiet bool
 }
 
 func (r *recordingDisturber) Disturb(ctx DisturbContext) (int, []uint64) {
-	mask := make([]uint64, len(ctx.Data))
-	n := 0
-	for i := range mask {
-		mask[i] = uint64(1)<<uint((ctx.Row+i)%64) | uint64(1)<<uint(ctx.Ledger.Total()%64)
-		for w := mask[i]; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	r.calls = append(r.calls, senseCall{
+	call := senseCall{
 		Bank: ctx.Bank, Row: ctx.Row, Ledger: *ctx.Ledger,
 		Data: clone(ctx.Data), Up: clone(ctx.Up), Down: clone(ctx.Down),
-		flips: n, mask: mask,
-	})
-	return n, mask
+	}
+	if !r.quiet {
+		call.mask = make([]uint64, len(ctx.Data))
+		for i := range call.mask {
+			call.mask[i] = uint64(1)<<uint((ctx.Row+i)%64) | uint64(1)<<uint(ctx.Ledger.Total()%64)
+			for w := call.mask[i]; w != 0; w &= w - 1 {
+				call.flips++
+			}
+		}
+	}
+	r.calls = append(r.calls, call)
+	return call.flips, call.mask
 }
 
 func clone(w []uint64) []uint64 {
@@ -68,10 +70,17 @@ type senseSetup struct {
 func newSenseSetup(t *testing.T, ecc bool, ret *RetentionConfig, hold Picos) *senseSetup {
 	t.Helper()
 	rec := &recordingDisturber{}
+	return newSenseSetupOn(t, ecc, ret, hold, rec, rec)
+}
+
+// newSenseSetupOn is newSenseSetup on the module Disturber dist, which
+// records through rec.
+func newSenseSetupOn(t *testing.T, ecc bool, ret *RetentionConfig, hold Picos, rec *recordingDisturber, dist Disturber) *senseSetup {
+	t.Helper()
 	m, err := NewModule(ModuleConfig{
 		Geometry:  Geometry{Banks: 2, RowsPerBank: 64, SubarrayRows: 64, Chips: 8, ChipWidth: 8, ColumnsPerRow: 8},
 		Timing:    DDR4Timing(),
-		Disturber: rec,
+		Disturber: dist,
 		OnDieECC:  ecc,
 		Retention: ret,
 		Seed:      42,
@@ -82,8 +91,8 @@ func newSenseSetup(t *testing.T, ecc bool, ret *RetentionConfig, hold Picos) *se
 	d := &driver{m: m, t: t}
 	tm := m.Timing()
 	for _, row := range []int{senseVictim - 1, senseVictim, senseVictim + 1} {
-		for col := 0; col < 8; col++ {
-			d.openWriteClose(0, row, col, uint64(row)<<32|uint64(col)*0x1111)
+		for col, w := range senseWords(row) {
+			d.openWriteClose(0, row, col, w)
 		}
 	}
 	d.step(hold)
@@ -108,6 +117,15 @@ func newSenseSetup(t *testing.T, ecc bool, ret *RetentionConfig, hold Picos) *se
 		Data: clone(b.rows[senseVictim]),
 		Up:   clone(b.rows[senseVictim-1]), Down: clone(b.rows[senseVictim+1]),
 	}}
+}
+
+// senseWords is what the setup writes to a row, one word per column.
+func senseWords(row int) []uint64 {
+	w := make([]uint64, 8)
+	for col := range w {
+		w[col] = uint64(row)<<32 | uint64(col)*0x1111
+	}
+	return w
 }
 
 // eager is the victim's stored data had the sense run at the ACT.

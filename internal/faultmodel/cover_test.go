@@ -507,9 +507,11 @@ func TestCoverLadderMatchesReference(t *testing.T) {
 
 // TestForkRaceExtendsSharedCover runs 8 forks of one model on
 // goroutines, all extending the same row of their shared cache to
-// different cutoffs. Every bitplane must match the reference computed
-// up front, and the cached cover must never shrink (`make race` runs
-// this under the race detector).
+// different cutoffs, with existence walks (DisturbAny) interleaved
+// between the full ones. Every bitplane must match the reference
+// computed up front, every existence answer must agree with it, and
+// the cached cover must never shrink (`make race` runs this under the
+// race detector).
 func TestForkRaceExtendsSharedCover(t *testing.T) {
 	const forks = 8
 	p := MfrC()
@@ -573,9 +575,19 @@ func TestForkRaceExtendsSharedCover(t *testing.T) {
 			masks := [][]uint64{make([]uint64, geo.RowWords()), make([]uint64, geo.RowWords())}
 			flips := make([]int, len(salts))
 			for step, h := range hammers[f] {
-				m.DisturbBatch(dram.DisturbContext{
+				ctx := dram.DisturbContext{
 					Bank: 0, Row: row, Ledger: mkLedger(h, 34.5, 16.5, 50), Data: victim, Geometry: geo, Up: agg, Down: agg,
-				}, salts, masks, flips)
+				}
+				if (f+step)%2 == 0 {
+					for si, salt := range salts {
+						m.SetSalt(salt)
+						if m.DisturbAny(ctx) == slices.Equal(victim, want[f][step*len(salts)+si]) {
+							errs <- "fork existence walk disagrees with the reference"
+							return
+						}
+					}
+				}
+				m.DisturbBatch(ctx, salts, masks, flips)
 				for si := range salts {
 					got := slices.Clone(victim)
 					dram.ApplyFlipMask(got, masks[si])

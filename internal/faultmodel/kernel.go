@@ -385,6 +385,17 @@ func (m *Model) candidatesUpTo(bank, row int, cut float64) []candidate {
 	return set.cells
 }
 
+// walkCut is the rel cutoff of a walk at effective hammer count heff:
+// heff/rowHC padded by boundPad, divided by trialNoiseFloor when any
+// walked salt is non-zero. No cell above it can flip.
+func walkCut(rp rowParams, heff float64, salted bool) float64 {
+	cut := heff / rp.hc * boundPad
+	if salted {
+		cut /= trialNoiseFloor
+	}
+	return cut
+}
+
 // disturbBatch is the trial-batched kernel walk. A cell can flip only
 // when heff·coupling ≥ rowHC·rel·noise with coupling ≤ 1 and noise ≥
 // trialNoiseFloor, so candidates with rel above heff/rowHC (divided by
@@ -399,13 +410,14 @@ func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, heff, tempC 
 		flips[i] = 0
 	}
 
-	cut := heff / rp.hc * boundPad
+	salted := false
 	for _, s := range salts {
 		if s != 0 {
-			cut /= trialNoiseFloor
+			salted = true
 			break
 		}
 	}
+	cut := walkCut(rp, heff, salted)
 	cells := m.candidatesUpTo(ctx.Bank, ctx.Row, cut)
 	n := sort.Search(len(cells), func(i int) bool { return cells[i].rel > cut })
 
@@ -451,6 +463,93 @@ func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, heff, tempC 
 			flips[si]++
 		}
 	}
+}
+
+// anyInitialSteps is how far below its cutoff an existence walk starts
+// on a row whose cached cover falls short: at cut·2^(−anyInitialSteps/α),
+// anyInitialSteps cover-ladder steps down, where the row holds about
+// 2^(−anyInitialSteps) of the cells below the cut. The walk then
+// extends one step at a time until a cell flips or the cover reaches
+// the cut. Measured as the CPU time of Figs. 5, 7, 11 and 14 at tiny
+// scale, 8 seeds, one worker, on a 2-CPU Xeon VM (3.7 s with full-read
+// probes): 2.86 s starting at the cut itself (0 steps), 2.60 s at 2,
+// 2.52–2.71 s at 4–8, 2.91 s at 12 and 3.14 s at 32, where the extra
+// extensions' sketch scans outweigh the cells they save.
+const anyInitialSteps = 6
+
+// disturbAny is the existence-only kernel walk: it reports whether
+// any cell with rel ≤ cut flips under the current salt, in (rel, bit)
+// order, stopping at the first flip. The row's set is built lazily up
+// the cover ladder: a cached cover below the cut is first raised to
+// the starting cover (cut·2^(−anyInitialSteps/α)), the cells the set
+// holds are walked, and while none flips the cover is extended by
+// 2^(1/α), capped at the cut, walking only the appended cells. Sets go
+// to the shared cache (put keeps the widest), so a later full walk
+// extends from wherever this one stopped.
+func (m *Model) disturbAny(ctx dram.DisturbContext, rp rowParams, heff, tempC, cut float64) bool {
+	key := uint64(ctx.Bank)<<32 | uint64(uint32(ctx.Row))
+	set, cached := m.candCache.get(key, cut)
+	step := math.Pow(2, 1/m.p.TailAlpha)
+	start := cut * math.Pow(step, -anyInitialSteps)
+	if !cached {
+		set = m.buildCandidates(ctx.Bank, ctx.Row, start)
+		m.candCache.put(key, set, buildWork{cells: len(set.cells)})
+	}
+	walked := 0
+	for {
+		n := walked + sort.Search(len(set.cells)-walked, func(i int) bool { return set.cells[walked+i].rel > cut })
+		if m.anyCellFlips(ctx, rp, heff, tempC, set.cells[walked:n]) {
+			return true
+		}
+		if set.cover >= cut {
+			return false
+		}
+		// Every cached cell is below the cover, hence below the cut, and
+		// was just walked; an extension appends only cells above it.
+		walked = n
+		var w buildWork
+		set, w = m.extendCandidates(ctx.Bank, ctx.Row, set, min(cut, max(start, set.cover*step)))
+		m.candCache.put(key, set, w)
+	}
+}
+
+// anyCellFlips reports whether any of cells flips under the current
+// salt. Its per-cell predicates are disturbBatch's for one salt, kept
+// inline in both loops: factored into shared functions (which the
+// compiler does not inline), they cost the batched walk a few percent
+// of Table 3 and Fig. 4 CPU. TestDisturbAnyMatchesDisturb holds the
+// two loops to the same answers.
+func (m *Model) anyCellFlips(ctx dram.DisturbContext, rp rowParams, heff, tempC float64, cells []candidate) bool {
+	up, down := ctx.Up, ctx.Down
+	salt := m.salt
+	for i := range cells {
+		c := &cells[i]
+		word, off := int(c.bit)>>6, uint(c.bit)&63
+		stored := ctx.Data[word] >> off & 1
+		if stored != uint64(c.charged) {
+			continue
+		}
+		if tempC < c.loGate || tempC > c.hiGate || math.Abs(tempC-c.gapT) < tempMargin {
+			continue
+		}
+		coupling := minCoupling
+		if bitDiffers(up, word, off, stored) || bitDiffers(down, word, off, stored) {
+			coupling = 1.0
+		}
+		base := rp.hc * c.rel
+		eff := heff * coupling
+		if salt == 0 {
+			if eff < base {
+				continue
+			}
+		} else if eff < base*trialNoiseFloor {
+			continue
+		} else if eff < base*trialNoiseCeil && eff < base*m.trialNoiseFactorFor(c.h, salt) {
+			continue
+		}
+		return true
+	}
+	return false
 }
 
 // clearWords zeroes a word slice (compiles to a memclr).

@@ -430,6 +430,21 @@ func (m *Model) Disturb(ctx dram.DisturbContext) (int, []uint64) {
 	return m.walkFlips[si], m.walkMasks[si]
 }
 
+// DisturbAny reports whether Disturb(ctx) would flip at least one bit
+// under the current salt, without building a flip mask: it walks the
+// row's candidates in (rel, bit) order and stops at the first cell that
+// flips, building the row's set lazily up the cover ladder (kernel.go,
+// disturbAny). It neither reads nor fills the replay cache. It
+// implements dram.FlipProber, which the module's compare-read uses for
+// HCfirst probes that only ask whether the victim flipped.
+func (m *Model) DisturbAny(ctx dram.DisturbContext) bool {
+	rp, heff, tempC, ok := m.disturbSetup(ctx)
+	if !ok {
+		return false
+	}
+	return m.disturbAny(ctx, rp, heff, tempC, walkCut(rp, heff, m.salt != 0))
+}
+
 // DisturbBatch evaluates one trial-batched candidate walk directly,
 // bypassing the replay cache: masks[i] (each len(ctx.Data), zeroed
 // here) and flips[i] receive salt i's flip bitplane and count.
@@ -647,6 +662,11 @@ func (m *Model) Cell(bank, row, bit int) CellInfo {
 		ColumnFactor: cf,
 	}
 }
+
+// CellsMaterialized returns how many candidate cells the builds and
+// extensions of m's candidate cache — shared with its forks — have
+// materialized so far (test and diagnostic use).
+func (m *Model) CellsMaterialized() int { return m.candCache.stats().cells }
 
 // RowBaseHC returns the generated base HCfirst of a physical row.
 func (m *Model) RowBaseHC(bank, row int) float64 { return m.rowParamsFor(bank, row).hc }

@@ -85,6 +85,23 @@ func (d *Device) RdRowBulk(bank, cols int, step, start dram.Picos, dst []uint64)
 	return dst, nil
 }
 
+// CmpRowBulk decomposes the compare-read into per-column RD Exec
+// calls, so the fault stream advances exactly as for RdRowBulk over
+// len(want) columns, and compares the beats read with want. Every
+// column is read in full, so the inner device applies every flip.
+func (d *Device) CmpRowBulk(bank int, want []uint64, step, start dram.Picos) (bool, error) {
+	differs := false
+	for col, w := range want {
+		cmd := dram.Command{Op: dram.OpRd, Bank: bank, Col: col}
+		beat, err := d.Exec(cmd, start+dram.Picos(col)*step)
+		if err != nil {
+			return differs, err
+		}
+		differs = differs || beat != w
+	}
+	return differs, nil
+}
+
 // Settle forwards to the real device. It is not a link operation, so
 // it neither advances the fault stream nor fails.
 func (d *Device) Settle() { d.inner.Settle() }

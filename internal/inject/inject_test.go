@@ -2,6 +2,7 @@ package inject
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +107,54 @@ func TestWrapDeviceCorruptsReadoutsDetectably(t *testing.T) {
 	// in the results — exactly how a checksummed readback discards it.
 	if len(res.Reads) != 0 {
 		t.Fatalf("torn readout leaked into results: %#v", res.Reads)
+	}
+}
+
+// TestWrapDeviceCmpRowMatchesRdRow: a compare-read through the fault
+// wrapper advances its operation counter and meets its faults exactly
+// as a read burst over the same columns does, so chaos runs see the
+// same fault schedule whichever the program issues; without a fault,
+// it answers what comparing the read beats answers.
+func TestWrapDeviceCmpRowMatchesRdRow(t *testing.T) {
+	words := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	faulted := map[bool]int{}
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, mismatch := range []bool{false, true} {
+			want := append([]uint64(nil), words...)
+			if mismatch {
+				want[6] ^= 0x40
+			}
+			run := func(cmp bool) (*softmc.Result, error, uint64) {
+				m := newTestModule(t)
+				dev := WrapDevice(m, &Profile{Seed: seed, CmdErrRate: 0.05, ReadCorruptRate: 0.05}, 0xabc)
+				tm := m.Timing()
+				b := softmc.NewBuilder(tm.TCK)
+				b.Act(0, 5).Wait(tm.TRCD).WrRow(0, words, tm.TCCD).Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
+				b.Act(0, 5).Wait(tm.TRCD)
+				if cmp {
+					b.CmpRow(0, want, tm.TCCD)
+				} else {
+					b.RdRow(0, len(want), tm.TCCD)
+				}
+				b.Wait(tm.TRAS).Pre(0)
+				res, err := softmc.NewExecutorOn(dev).Run(b.Program())
+				return res, err, dev.(*Device).Ops()
+			}
+			rd, rdErr, rdOps := run(false)
+			cmp, cmpErr, cmpOps := run(true)
+			// The executor names the instruction kind; the fault must be
+			// the same one.
+			if rdOps != cmpOps || fmt.Sprint(rdErr) != strings.Replace(fmt.Sprint(cmpErr), "(cmprow)", "(rdrow)", 1) {
+				t.Fatalf("seed %d: read burst %d ops (%v), compare-read %d ops (%v)", seed, rdOps, rdErr, cmpOps, cmpErr)
+			}
+			if rdErr == nil && cmp.Differs != (mismatch || fmt.Sprint(rd.Reads) != fmt.Sprint(want)) {
+				t.Fatalf("seed %d: Differs = %v, reads %v, want %v", seed, cmp.Differs, rd.Reads, want)
+			}
+			faulted[rdErr != nil]++
+		}
+	}
+	if faulted[true] == 0 || faulted[false] == 0 {
+		t.Fatalf("faulted runs %v: the seeds must cover clean and faulted runs", faulted)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"rowhammer/internal/campaign"
 	"rowhammer/internal/leasesvc"
 	"rowhammer/internal/shard"
 )
@@ -188,6 +191,28 @@ func TestHTTPSubmitBodyBound(t *testing.T) {
 // TestHTTPMountLeases: the shard lease service mounts onto the
 // campaign server's mux, so one rhserved listener serves campaigns,
 // artifacts and fenced shard leases.
+// TestHTTPRejectsJobCountBeyondBound: a submission one job past
+// campaign.MaxJobs is answered 400 and queues nothing. (It is the
+// smallest such spec, so a server that accepted it would expand it
+// cheaply; the 82-byte spec that would exhaust memory is only ever
+// resolved, in TestResolveRejectsHugeJobCount.)
+func TestHTTPRejectsJobCountBeyondBound(t *testing.T) {
+	ts, mgr, _ := newTestServer(t, ManagerConfig{})
+	body := fmt.Sprintf(`{"kind":"hcfirst","mfrs":["A"],"modules_per_mfr":%d,"scale":"tiny"}`, campaign.MaxJobs+1)
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "jobs") {
+		t.Fatalf("POST of %d jobs = %d %s, want 400 naming the job limit", campaign.MaxJobs+1, resp.StatusCode, msg)
+	}
+	if n := len(mgr.Statuses()); n != 0 {
+		t.Fatalf("%d campaigns queued after a rejected submission", n)
+	}
+}
+
 func TestHTTPMountLeases(t *testing.T) {
 	mgr, st := newTestManager(t, t.TempDir(), ManagerConfig{})
 	srv := New(mgr, st)

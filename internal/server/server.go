@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -82,11 +83,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec decodes a POST /v1/campaigns body: at most limit bytes
+// (an *http.MaxBytesError beyond), no unknown fields.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser, limit int64) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxSpecBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(w, r.Body, s.maxSpecBytes)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

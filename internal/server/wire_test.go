@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	rh "rowhammer"
+	"rowhammer/internal/campaign"
 	"rowhammer/internal/exp"
 )
 
@@ -93,5 +96,41 @@ func TestResolveValidation(t *testing.T) {
 	}
 	if rsv.Runner == nil {
 		t.Fatal("nil runner")
+	}
+}
+
+// hugeSpec is an 82-byte submission asking for 2×2⁴⁰ jobs: expanding
+// it exhausts any machine's memory, so the tests below only resolve
+// it, never expand it.
+const hugeSpec = `{"kind":"hcfirst","mfrs":["A","B"],"modules_per_mfr":1099511627776,"scale":"tiny"}`
+
+// TestResolveRejectsHugeJobCount: a spec whose job count exceeds
+// campaign.MaxJobs — including one whose mfrs × modules product
+// overflows — is rejected by Resolve with a *campaign.JobCountError,
+// before anything expands its jobs. A spec at the bound resolves.
+func TestResolveRejectsHugeJobCount(t *testing.T) {
+	var ws Spec
+	if err := json.Unmarshal([]byte(hugeSpec), &ws); err != nil {
+		t.Fatal(err)
+	}
+	over := Spec{Kind: "ber", Mfrs: []string{"A", "B", "C"}, ModulesPerMfr: campaign.MaxJobs/3 + 1, Scale: "tiny"}
+	overflow := Spec{Kind: "hcfirst", Mfrs: []string{"A", "B", "C", "D"}, ModulesPerMfr: math.MaxInt/2 + 1, Scale: "tiny"}
+	for name, s := range map[string]Spec{"82-byte spec": ws, "one past the bound": over, "overflowing product": overflow} {
+		raw, err := s.CampaignSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jce *campaign.JobCountError
+		if _, err := Resolve(raw); !errors.As(err, &jce) {
+			t.Errorf("%s: Resolve = %v, want *campaign.JobCountError", name, err)
+		}
+	}
+	at := Spec{Kind: "ber", Mfrs: []string{"A", "B"}, ModulesPerMfr: campaign.MaxJobs / 2, Scale: "tiny"}
+	raw, err := at.CampaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resolve(raw); err != nil {
+		t.Errorf("spec of exactly %d jobs: %v", campaign.MaxJobs, err)
 	}
 }

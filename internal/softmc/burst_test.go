@@ -231,3 +231,68 @@ func TestRunIntoSettlesOpenRow(t *testing.T) {
 		}
 	}
 }
+
+// TestCmpRowMatchesRdRow: a KCmpRow compare-read is timed, checked,
+// counted and traced exactly like a KRdRow read burst over the same
+// columns, and Result.Differs is what comparing the read beats with
+// the expected ones gives — for 64-bit and 16-bit beats, ECC on and
+// off, matching and mismatching expectations. RunInto clears Differs
+// for every program.
+func TestCmpRowMatchesRdRow(t *testing.T) {
+	for _, geo := range burstGeometries {
+		for _, ecc := range []bool{false, true} {
+			for _, mismatch := range []bool{false, true} {
+				name := fmt.Sprintf("beat=%d/ecc=%v/mismatch=%v", geo.Chips*geo.ChipWidth, ecc, mismatch)
+				t.Run(name, func(t *testing.T) {
+					words := burstWords(8)
+					if geo.Chips*geo.ChipWidth < 64 {
+						for i := range words {
+							words[i] &= 1<<(geo.Chips*geo.ChipWidth) - 1
+						}
+					}
+					want := append([]uint64(nil), words...)
+					if mismatch {
+						want[3] ^= 1 << 2
+					}
+					run := func(cmp bool) (*Result, dram.Stats, *Executor) {
+						m := burstModuleGeo(t, geo, ecc)
+						tm := m.Timing()
+						b := NewBuilder(tm.TCK)
+						b.Act(0, 5).Wait(tm.TRCD).WrRow(0, words, tm.TCCD).Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
+						b.Act(0, 5).Wait(tm.TRCD)
+						if cmp {
+							b.CmpRow(0, want, tm.TCCD)
+						} else {
+							b.RdRow(0, len(want), tm.TCCD)
+						}
+						b.Wait(tm.TRAS).Pre(0).Wait(tm.TRP)
+						ex := NewExecutor(m)
+						ex.SetTrace(true)
+						res, err := ex.Run(b.Program())
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res, m.Stats(), ex
+					}
+					rd, rdStats, _ := run(false)
+					cmp, cmpStats, ex := run(true)
+					if cmp.Differs != !reflect.DeepEqual(rd.Reads, want) || cmp.Differs != mismatch {
+						t.Fatalf("Differs = %v; reads %#x, want %#x", cmp.Differs, rd.Reads, want)
+					}
+					if cmp.End != rd.End || cmpStats != rdStats || !reflect.DeepEqual(cmp.Trace, rd.Trace) {
+						t.Fatalf("compare-read diverged from the read burst:\nend %d vs %d\nstats %+v\nvs    %+v\ntrace %v\nvs    %v",
+							cmp.End, rd.End, cmpStats, rdStats, cmp.Trace, rd.Trace)
+					}
+					if len(cmp.Reads) != 0 {
+						t.Fatalf("compare-read returned %d beats", len(cmp.Reads))
+					}
+					var again Result
+					again.Differs = true
+					if err := ex.RunInto(NewBuilder(ex.tck).Wait(ex.tck).View(), &again); err != nil || again.Differs {
+						t.Fatalf("RunInto kept Differs = %v (err %v) across programs", again.Differs, err)
+					}
+				})
+			}
+		}
+	}
+}

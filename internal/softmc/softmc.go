@@ -42,6 +42,10 @@ const (
 	// KRdRow reads Count beats from the open row starting at column 0,
 	// commands spaced Delay apart — equivalent to Count Rd+Wait pairs.
 	KRdRow
+	// KCmpRow is a compare-read: the read burst of KRdRow over
+	// len(Data) columns, whose only outcome is whether any beat differs
+	// from Data[col] (Result.Differs).
+	KCmpRow
 )
 
 // Instr is one program instruction.
@@ -64,7 +68,8 @@ type Instr struct {
 	// KLoop.
 	Body []Instr
 
-	// KWrRow: one beat per column (KRdRow uses Count + Delay).
+	// KWrRow: one beat per column; KCmpRow: the expected beat per
+	// column (KRdRow uses Count + Delay).
 	Data []uint64
 }
 
@@ -214,6 +219,16 @@ func (b *Builder) RdRow(bank, cols int, ccd dram.Picos) *Builder {
 	return b
 }
 
+// CmpRow appends a compare-read burst: columns 0..len(want)-1 of the
+// open row, spaced ccd apart, timed and checked exactly like RdRow over
+// len(want) columns, whose outcome is only whether some beat differs
+// from want[col] (Result.Differs). Like WrRowShared, the instruction
+// aliases want, which must stay unchanged until the program has run.
+func (b *Builder) CmpRow(bank int, want []uint64, ccd dram.Picos) *Builder {
+	b.instrs = append(b.instrs, Instr{Kind: KCmpRow, Bank: bank, Data: want, Delay: b.roundUp(ccd)})
+	return b
+}
+
 // maxLoopUnroll bounds total KLoop body executions per loop, a
 // guard against runaway programs (use Hammer for high-count loops).
 const maxLoopUnroll = 1 << 20
@@ -256,6 +271,13 @@ type Device interface {
 	// sequence; RdRowBulk appends the beats to dst.
 	WrRowBulk(bank int, data []uint64, step, start dram.Picos) error
 	RdRowBulk(bank, cols int, step, start dram.Picos, dst []uint64) ([]uint64, error)
+	// CmpRowBulk executes a compare-read (KCmpRow): the read burst of
+	// RdRowBulk over len(want) columns, reporting whether any beat
+	// differs from want[col]. The device may skip applying flips it
+	// only had to detect (see dram.Module.CmpRowBulk), so the caller
+	// must overwrite such a row in full before anything else touches
+	// it.
+	CmpRowBulk(bank int, want []uint64, step, start dram.Picos) (bool, error)
 	// Settle applies every disturbance the device deferred while rows
 	// were open (see the dram package note), so device state between
 	// programs equals eager sensing. RunInto calls it before returning.
@@ -273,6 +295,9 @@ type TraceEntry struct {
 type Result struct {
 	// Reads are the data beats returned by RD commands, in order.
 	Reads []uint64
+	// Differs reports whether some KCmpRow of the program found a beat
+	// differing from its expected one.
+	Differs bool
 	// End is the time after the last instruction.
 	End dram.Picos
 	// Trace is populated when the executor traces.
@@ -334,6 +359,7 @@ func (e *Executor) Run(p *Program) (*Result, error) {
 func (e *Executor) RunInto(p *Program, res *Result) error {
 	res.Reads = res.Reads[:0]
 	res.Trace = res.Trace[:0]
+	res.Differs = false
 	justIssued := false
 	err := e.runInstrs(p.Instrs, res, &justIssued, 0)
 	e.mod.Settle()
@@ -421,6 +447,24 @@ func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, dept
 				return fmt.Errorf("softmc: instr %d (rdrow): %w", i, err)
 			}
 			e.now += dram.Picos(in.Count) * step
+			*justIssued = false
+		case KCmpRow:
+			if len(in.Data) == 0 {
+				continue
+			}
+			step := in.Delay
+			if step < e.tck {
+				step = e.tck
+			}
+			if e.trace {
+				res.Trace = append(res.Trace, TraceEntry{At: e.now, Cmd: dram.Command{Op: dram.OpNop}})
+			}
+			differs, err := e.mod.CmpRowBulk(in.Bank, in.Data, step, e.now)
+			res.Differs = res.Differs || differs
+			if err != nil {
+				return fmt.Errorf("softmc: instr %d (cmprow): %w", i, err)
+			}
+			e.now += dram.Picos(len(in.Data)) * step
 			*justIssued = false
 		case KLoop:
 			if in.Count*int64(len(in.Body)) > maxLoopUnroll {

@@ -303,39 +303,12 @@ func (t *Tester) hammerInto(cfg HammerConfig, out *HammerResult, singles bool) e
 	out.SingleLo.Bits = out.SingleLo.Bits[:0]
 	out.SingleHi.Bits = out.SingleHi.Bits[:0]
 	out.DurationP = 0
-	if err := t.validateVictim(cfg.Bank, cfg.VictimPhys); err != nil {
-		return err
-	}
-	if cfg.Hammers < 0 {
-		return fmt.Errorf("rowhammer: negative hammer count")
-	}
-	t.ensureScratch()
-	t.b.Model.SetSalt(cfg.Trial)
 	defer t.b.Model.SetSalt(0)
-
-	if err := t.writePattern(cfg.Bank, cfg.VictimPhys, cfg.Pattern); err != nil {
+	d, err := t.hammerVictim(cfg)
+	if err != nil {
 		return err
 	}
-
-	tm := t.b.Timing()
-	aggOn := tm.TRAS
-	if cfg.AggOnNs > 0 {
-		aggOn = dram.PicosFromNs(cfg.AggOnNs)
-	}
-	aggOff := tm.TRP
-	if cfg.AggOffNs > 0 {
-		aggOff = dram.PicosFromNs(cfg.AggOffNs)
-	}
-	t.aggRows[0] = t.logical(cfg.VictimPhys - 1)
-	t.aggRows[1] = t.logical(cfg.VictimPhys + 1)
-	bld := t.bld.Reset()
-	bld.HammerShared(cfg.Bank, t.aggRows[:], cfg.Hammers, aggOn, aggOff)
-	start := t.b.Exec.Now()
-	if err := t.b.Exec.RunInto(bld.View(), &t.res); err != nil {
-		return err
-	}
-
-	out.DurationP = t.b.Exec.Now() - start
+	out.DurationP = d
 	if err := t.readRowFlipsInto(&out.Victim, cfg.Bank, cfg.VictimPhys, cfg.VictimPhys, cfg.Pattern); err != nil {
 		return err
 	}
@@ -354,6 +327,68 @@ func (t *Tester) hammerInto(cfg HammerConfig, out *HammerResult, singles bool) e
 		}
 	}
 	return nil
+}
+
+// hammerVictim runs a test up to its readback: it validates cfg, sets
+// the trial's salt, writes the pattern over V±8 and hammers, returning
+// the hammering time. The caller reads what it observes and then
+// restores salt 0, since the reads evaluate the disturbance.
+func (t *Tester) hammerVictim(cfg HammerConfig) (dram.Picos, error) {
+	if err := t.validateVictim(cfg.Bank, cfg.VictimPhys); err != nil {
+		return 0, err
+	}
+	if cfg.Hammers < 0 {
+		return 0, fmt.Errorf("rowhammer: negative hammer count")
+	}
+	t.ensureScratch()
+	t.b.Model.SetSalt(cfg.Trial)
+
+	if err := t.writePattern(cfg.Bank, cfg.VictimPhys, cfg.Pattern); err != nil {
+		return 0, err
+	}
+
+	tm := t.b.Timing()
+	aggOn := tm.TRAS
+	if cfg.AggOnNs > 0 {
+		aggOn = dram.PicosFromNs(cfg.AggOnNs)
+	}
+	aggOff := tm.TRP
+	if cfg.AggOffNs > 0 {
+		aggOff = dram.PicosFromNs(cfg.AggOffNs)
+	}
+	t.aggRows[0] = t.logical(cfg.VictimPhys - 1)
+	t.aggRows[1] = t.logical(cfg.VictimPhys + 1)
+	bld := t.bld.Reset()
+	bld.HammerShared(cfg.Bank, t.aggRows[:], cfg.Hammers, aggOn, aggOff)
+	start := t.b.Exec.Now()
+	if err := t.b.Exec.RunInto(bld.View(), &t.res); err != nil {
+		return 0, err
+	}
+	return t.b.Exec.Now() - start, nil
+}
+
+// victimFlipped runs a test and reports only whether the victim flipped:
+// the victim is compare-read against its pattern words (still in the
+// row arena after writePattern) instead of read back. The compare-read
+// is timed, checked and counted like the readback, but a device that
+// can tell whether a row flips without applying the flips
+// (dram.FlipProber) leaves a flipped victim stale: its stored words
+// lack the flips. The caller must overwrite the victim in full — the
+// next test's pattern write does — before anything else touches it.
+func (t *Tester) victimFlipped(cfg HammerConfig) (bool, error) {
+	defer t.b.Model.SetSalt(0)
+	if _, err := t.hammerVictim(cfg); err != nil {
+		return false, err
+	}
+	tm := t.b.Timing()
+	bld := t.bld.Reset()
+	bld.Act(cfg.Bank, t.logical(cfg.VictimPhys)).Wait(tm.TRCD)
+	bld.CmpRow(cfg.Bank, t.rowArena[patternRadius], tm.TCCD)
+	bld.Wait(tm.TRAS).Pre(cfg.Bank).Wait(tm.TRP)
+	if err := t.b.Exec.RunInto(bld.View(), &t.res); err != nil {
+		return false, err
+	}
+	return t.res.Differs, nil
 }
 
 // WorstCasePattern finds the module's worst-case data pattern (WCDP):

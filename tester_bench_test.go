@@ -47,6 +47,28 @@ func BenchmarkHCFirstMin(b *testing.B) {
 	}
 }
 
+// BenchmarkHCFirstCold times one min-of-3 HCfirst search on a fresh
+// module: every iteration builds a new bench outside the timer, so the
+// fault model's kernel starts with no candidate set for the row —
+// the case of the first search of every row in a profiling campaign,
+// which BenchmarkHCFirstMin's warm cache never sees.
+func BenchmarkHCFirstCold(b *testing.B) {
+	cfg := rh.HCFirstConfig{Bank: 0, VictimPhys: 100, Pattern: rh.PatCheckered}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := testerBench(b, 1)
+		b.StartTimer()
+		res, err := tr.HCFirstMin(cfg, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Found {
+			b.Fatal("no HCfirst found; benchmark vacuous")
+		}
+	}
+}
+
 // BenchmarkTemperatureSweepParallel times one two-worker temperature
 // sweep (the Fig. 3/4 and Table 3 measurement): three temperature
 // points × two victims × two repetitions, each shard on a bench clone.
