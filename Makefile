@@ -141,15 +141,19 @@ serve-smoke:
 # Short fuzz pass over the checkpoint reader and its resume round trip
 # (OpenCheckpoint + one appended record loses nothing), the CRC trailer
 # codec, the shard fence decoder, the campaign-submission decoder
-# (decode, lower and resolve a POST /v1/campaigns body) and the
-# artifact store's index reload; the committed corpora under
-# internal/{campaign,shard}/testdata/fuzz and every target's f.Add
-# seeds replay on every plain `go test`.
+# (decode, lower and resolve a POST /v1/campaigns body), the spec-file
+# reader (an rhfleet -spec file decodes exactly as a submission does),
+# every lease-service POST handler (no panic, no 5xx, 4xx for a
+# malformed body) and the artifact store's index reload; the committed
+# corpora under internal/{campaign,shard}/testdata/fuzz and every
+# target's f.Add seeds replay on every plain `go test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzRecordCRCTrailer -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzReadFence -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitSpec -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzReadSpec -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzLeaseRequests -fuzztime 30s ./internal/leasesvc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreReload -fuzztime 30s ./internal/store/
 
 check: build vet test race

@@ -105,21 +105,11 @@ func renderFig6(out io.Writer, a *artifact.Artifact) error {
 // aggSweepRows is the per-module victim budget of §6 sweeps.
 const aggSweepRows = 12
 
-// AggTimePoint summarizes one grid value for one manufacturer.
-type AggTimePoint struct {
-	ValueNs float64
-	// BERs and HCs are per-(module,row) samples.
-	BERs []float64
-	HCs  []float64
-	// Box/letter statistics for the figure rendering.
-	BERBox stats.BoxPlot
-	HCLV   stats.LetterValues
-}
-
-// AggTimeResult is a full §6 sweep for all manufacturers.
-type AggTimeResult struct {
-	Mfrs   []string
-	Points [][]AggTimePoint // [mfr][gridIdx]
+// aggPoint holds one grid value's per-(module,row) samples for one
+// manufacturer.
+type aggPoint struct {
+	valueNs   float64
+	bers, hcs []float64
 }
 
 // aggNormalize applies the §6 geometry floor: BER amplification
@@ -135,15 +125,15 @@ func aggNormalize(cfg Config) Config {
 
 // aggSweepMfr runs the §6 measurement of one manufacturer over a
 // timing grid; onSweep selects the aggressor-on grid (vs off).
-func aggSweepMfr(cfg Config, mfr string, gridNs []float64, onSweep bool) ([]AggTimePoint, error) {
+func aggSweepMfr(cfg Config, mfr string, gridNs []float64, onSweep bool) ([]aggPoint, error) {
 	bs, err := benches(cfg, mfr)
 	if err != nil {
 		return nil, err
 	}
 	rows := sampleRows(cfg, aggSweepRows)
-	points := make([]AggTimePoint, len(gridNs))
+	points := make([]aggPoint, len(gridNs))
 	for gi, v := range gridNs {
-		points[gi].ValueNs = v
+		points[gi].valueNs = v
 	}
 	for _, b := range bs {
 		t := rh.NewTester(b)
@@ -166,7 +156,7 @@ func aggSweepMfr(cfg Config, mfr string, gridNs []float64, onSweep bool) ([]AggT
 				if err != nil {
 					return nil, err
 				}
-				points[gi].BERs = append(points[gi].BERs, float64(hr.Victim.Count()))
+				points[gi].bers = append(points[gi].bers, float64(hr.Victim.Count()))
 				hc, err := t.HCFirstMin(rh.HCFirstConfig{
 					Bank: 0, VictimPhys: row, MaxHammers: cfg.Scale.MaxHammers,
 					AggOnNs: onNs, AggOffNs: offNs, Pattern: pat,
@@ -175,80 +165,36 @@ func aggSweepMfr(cfg Config, mfr string, gridNs []float64, onSweep bool) ([]AggT
 					return nil, err
 				}
 				if hc.Found {
-					points[gi].HCs = append(points[gi].HCs, float64(hc.HCfirst))
+					points[gi].hcs = append(points[gi].hcs, float64(hc.HCfirst))
 				}
 			}
-		}
-	}
-	for gi := range points {
-		if len(points[gi].BERs) > 0 {
-			points[gi].BERBox, _ = stats.NewBoxPlot(points[gi].BERs)
-		}
-		if len(points[gi].HCs) > 0 {
-			points[gi].HCLV, _ = stats.NewLetterValues(points[gi].HCs, 2)
 		}
 	}
 	return points, nil
 }
 
-// aggSweep runs the §6 measurement over a timing grid for all
-// manufacturers.
-func aggSweep(cfg Config, gridNs []float64, onSweep bool) (AggTimeResult, error) {
-	cfg = aggNormalize(cfg)
-	var res AggTimeResult
-	perMfr, err := mapMfrs(cfg, func(mfr string) ([]AggTimePoint, error) {
-		return aggSweepMfr(cfg, mfr, gridNs, onSweep)
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	res.Points = perMfr
-	return res, nil
-}
-
-// AggOnSweep measures Figs. 7 and 8.
-func AggOnSweep(cfg Config) (AggTimeResult, error) { return aggSweep(cfg, aggOnGridNs, true) }
-
-// AggOffSweep measures Figs. 9 and 10.
-func AggOffSweep(cfg Config) (AggTimeResult, error) { return aggSweep(cfg, aggOffGridNs, false) }
-
-// MeanBERRatio returns mean BER at the last grid point over the first.
-func (r AggTimeResult) MeanBERRatio(mfrIdx int) float64 {
-	pts := r.Points[mfrIdx]
-	base := stats.Mean(pts[0].BERs)
+// meanBERRatio returns mean BER at the last grid point over the first.
+func meanBERRatio(pts []aggPoint) float64 {
+	base := stats.Mean(pts[0].bers)
 	if base == 0 {
 		return 0
 	}
-	return stats.Mean(pts[len(pts)-1].BERs) / base
+	return stats.Mean(pts[len(pts)-1].bers) / base
 }
 
-// MeanHCChange returns the fractional mean HCfirst change from the
+// meanHCChange returns the fractional mean HCfirst change from the
 // first to the last grid point.
-func (r AggTimeResult) MeanHCChange(mfrIdx int) float64 {
-	pts := r.Points[mfrIdx]
-	base := stats.Mean(pts[0].HCs)
+func meanHCChange(pts []aggPoint) float64 {
+	base := stats.Mean(pts[0].hcs)
 	if base == 0 {
 		return 0
 	}
-	return stats.Mean(pts[len(pts)-1].HCs)/base - 1
-}
-
-// CVChange returns the fractional change of the BER coefficient of
-// variation from the first to the last grid point (Obsv. 9/11).
-func (r AggTimeResult) CVChange(mfrIdx int) float64 {
-	pts := r.Points[mfrIdx]
-	base := stats.CV(pts[0].BERs)
-	if base == 0 {
-		return 0
-	}
-	return stats.CV(pts[len(pts)-1].BERs)/base - 1
+	return stats.Mean(pts[len(pts)-1].hcs)/base - 1
 }
 
 // aggShard returns the per-manufacturer Compute of one §6 sweep. The
-// artifact stores the raw per-grid-point samples; renderers rebuild
-// the box/letter statistics from them, so the fragment stays compact
-// and the rendered text stays byte-identical.
+// artifact stores the raw per-grid-point samples; renderers derive the
+// box/letter statistics from them.
 func aggShard(gridNs []float64, onSweep bool) func(context.Context, Config, string) (*artifact.Artifact, error) {
 	return func(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact, error) {
 		cfg = aggNormalize(cfg.WithContext(ctx))
@@ -259,56 +205,43 @@ func aggShard(gridNs []float64, onSweep bool) func(context.Context, Config, stri
 		a := artifact.New(mfr)
 		for gi, p := range points {
 			key := fmt.Sprintf("%s/g=%02d", mfrKey(mfr), gi)
-			a.AddRow(key).Set("value_ns", p.ValueNs)
-			a.AddSeries(key+"/bers", p.BERs)
-			a.AddSeries(key+"/hcs", p.HCs)
+			a.AddRow(key).Set("value_ns", p.valueNs)
+			a.AddSeries(key+"/bers", p.bers)
+			a.AddSeries(key+"/hcs", p.hcs)
 		}
 		return a, nil
 	}
 }
 
 // aggPoints rebuilds one manufacturer's sweep points from the
-// artifact, recomputing the derived statistics from the stored raw
-// samples with the same stats code the typed compute uses.
-func aggPoints(a *artifact.Artifact, mfr string) []AggTimePoint {
-	var points []AggTimePoint
+// artifact.
+func aggPoints(a *artifact.Artifact, mfr string) []aggPoint {
+	var points []aggPoint
 	for _, r := range a.RowsWithPrefix(mfrKey(mfr) + "/g=") {
-		p := AggTimePoint{
-			ValueNs: r.V("value_ns"),
-			BERs:    a.SeriesPoints(r.Key + "/bers"),
-			HCs:     a.SeriesPoints(r.Key + "/hcs"),
-		}
-		if len(p.BERs) > 0 {
-			p.BERBox, _ = stats.NewBoxPlot(p.BERs)
-		}
-		if len(p.HCs) > 0 {
-			p.HCLV, _ = stats.NewLetterValues(p.HCs, 2)
-		}
-		points = append(points, p)
+		points = append(points, aggPoint{
+			valueNs: r.V("value_ns"),
+			bers:    a.SeriesPoints(r.Key + "/bers"),
+			hcs:     a.SeriesPoints(r.Key + "/hcs"),
+		})
 	}
 	return points
-}
-
-// aggResult rebuilds the full sweep result from the merged artifact.
-func aggResult(a *artifact.Artifact) AggTimeResult {
-	res := AggTimeResult{Mfrs: a.Shards}
-	for _, mfr := range a.Shards {
-		res.Points = append(res.Points, aggPoints(a, mfr))
-	}
-	return res
 }
 
 // renderAggBER returns the BER-sweep renderer (Figs. 7 and 9).
 func renderAggBER(label string) func(io.Writer, *artifact.Artifact) error {
 	return func(out io.Writer, a *artifact.Artifact) error {
-		res := aggResult(a)
-		for i, mfr := range res.Mfrs {
-			fmt.Fprintf(out, "Mfr. %s (mean BER ratio last/first: %.1fx)\n", mfr, res.MeanBERRatio(i))
+		for _, mfr := range a.Shards {
+			points := aggPoints(a, mfr)
+			fmt.Fprintf(out, "Mfr. %s (mean BER ratio last/first: %.1fx)\n", mfr, meanBERRatio(points))
 			w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 			fmt.Fprintf(w, "%s\tmin\tQ1\tmedian\tQ3\tmax\tmean\n", label)
-			for _, p := range res.Points[i] {
+			for _, p := range points {
+				var box stats.BoxPlot
+				if len(p.bers) > 0 {
+					box, _ = stats.NewBoxPlot(p.bers)
+				}
 				fmt.Fprintf(w, "%.1f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.1f\n",
-					p.ValueNs, p.BERBox.Min, p.BERBox.Q1, p.BERBox.Median, p.BERBox.Q3, p.BERBox.Max, stats.Mean(p.BERs))
+					p.valueNs, box.Min, box.Q1, box.Median, box.Q3, box.Max, stats.Mean(p.bers))
 			}
 			if err := w.Flush(); err != nil {
 				return err
@@ -322,17 +255,21 @@ func renderAggBER(label string) func(io.Writer, *artifact.Artifact) error {
 // renderAggHC returns the HCfirst-sweep renderer (Figs. 8 and 10).
 func renderAggHC(label string) func(io.Writer, *artifact.Artifact) error {
 	return func(out io.Writer, a *artifact.Artifact) error {
-		res := aggResult(a)
-		for i, mfr := range res.Mfrs {
-			fmt.Fprintf(out, "Mfr. %s (mean HCfirst change: %+.1f%%)\n", mfr, 100*res.MeanHCChange(i))
+		for _, mfr := range a.Shards {
+			points := aggPoints(a, mfr)
+			fmt.Fprintf(out, "Mfr. %s (mean HCfirst change: %+.1f%%)\n", mfr, 100*meanHCChange(points))
 			w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 			fmt.Fprintf(w, "%s\tmedian HCfirst\tquartile box\tsamples\n", label)
-			for _, p := range res.Points[i] {
-				box := "-"
-				if len(p.HCLV.Boxes) > 0 {
-					box = fmt.Sprintf("[%.0f, %.0f]", p.HCLV.Boxes[0][0], p.HCLV.Boxes[0][1])
+			for _, p := range points {
+				var lv stats.LetterValues
+				if len(p.hcs) > 0 {
+					lv, _ = stats.NewLetterValues(p.hcs, 2)
 				}
-				fmt.Fprintf(w, "%.1f\t%.0f\t%s\t%d\n", p.ValueNs, p.HCLV.Median, box, len(p.HCs))
+				box := "-"
+				if len(lv.Boxes) > 0 {
+					box = fmt.Sprintf("[%.0f, %.0f]", lv.Boxes[0][0], lv.Boxes[0][1])
+				}
+				fmt.Fprintf(w, "%.1f\t%.0f\t%s\t%d\n", p.valueNs, lv.Median, box, len(p.hcs))
 			}
 			if err := w.Flush(); err != nil {
 				return err

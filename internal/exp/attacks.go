@@ -12,16 +12,6 @@ import (
 	"rowhammer/internal/defense"
 )
 
-// Attack1Result quantifies Improvement 1: informed (temperature-
-// targeted) vs uninformed victim-row choice.
-type Attack1Result struct {
-	Mfrs []string
-	// InformedHC/MedianHC at the attack temperature.
-	InformedHC, MedianHC []int64
-	// Reduction = 1 - informed/median.
-	Reduction []float64
-}
-
 // attack1Mfr profiles one manufacturer's candidate rows and compares
 // the informed choice against the median row.
 func attack1Mfr(cfg Config, mfr string) (best, median int64, err error) {
@@ -45,24 +35,6 @@ func attack1Mfr(cfg Config, mfr string) (best, median int64, err error) {
 		return 0, 0, err
 	}
 	return best, median, nil
-}
-
-// Attack1 profiles candidate rows across temperatures and compares
-// the informed choice against the median row.
-func Attack1(cfg Config) (Attack1Result, error) {
-	cfg = cfg.normalize()
-	var res Attack1Result
-	for _, mfr := range mfrNames {
-		best, median, err := attack1Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.InformedHC = append(res.InformedHC, best)
-		res.MedianHC = append(res.MedianHC, median)
-		res.Reduction = append(res.Reduction, 1-float64(best)/float64(median))
-	}
-	return res, nil
 }
 
 // attack1Shard measures one manufacturer's Improvement 1 numbers.
@@ -220,23 +192,6 @@ func renderAttack2(out io.Writer, a *artifact.Artifact) error {
 	return nil
 }
 
-// Attack3Result quantifies Improvement 3: extended aggressor on-time.
-type Attack3Result struct {
-	Mfrs []string
-	// Reads is the extra READs per activation; OnTimeNs the resulting
-	// on-time.
-	Reads    int
-	OnTimeNs float64
-	// BaseHC/ExtHC are mean HCfirst without/with extension; BERRatio
-	// the BER amplification.
-	BaseHC, ExtHC []float64
-	HCReduction   []float64
-	BERRatio      []float64
-	// DefenseDefeated: a Graphene tracker configured for the baseline
-	// HCfirst lets the extended attack flip bits.
-	BaselinePrevented, ExtendedDefeats []bool
-}
-
 // attack3Reads is the READs-per-activation count of Improvement 3.
 const attack3Reads = 15
 
@@ -358,35 +313,10 @@ func attack3Mfr(cfg Config, mfr string) (attack3Out, error) {
 	return out, nil
 }
 
-// Attack3 measures the on-time extension attack and its effect on a
-// threshold-configured defense.
-func Attack3(cfg Config) (Attack3Result, error) {
-	cfg = cfg.normalize()
-	res := Attack3Result{Reads: attack3Reads}
-	for _, mfr := range mfrNames {
-		o, err := attack3Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		res.OnTimeNs = o.onTimeNs
-		if !o.ok {
-			continue
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.BaseHC = append(res.BaseHC, o.baseHC)
-		res.ExtHC = append(res.ExtHC, o.extHC)
-		res.HCReduction = append(res.HCReduction, 1-o.extHC/o.baseHC)
-		res.BERRatio = append(res.BERRatio, o.berRatio)
-		res.BaselinePrevented = append(res.BaselinePrevented, o.basePrevented)
-		res.ExtendedDefeats = append(res.ExtendedDefeats, o.extDefeats)
-	}
-	return res, nil
-}
-
 // attack3Shard measures one manufacturer's Improvement 3 numbers. The
-// on-time info row is always present (the header uses the last
-// shard's value, mirroring the serial loop); the result row only when
-// the module produced a usable sample.
+// on-time info row is always present (the header prints the last
+// shard's value); the result row only when the module produced a
+// usable sample.
 func attack3Shard(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact, error) {
 	cfg = cfg.WithContext(ctx).normalize()
 	o, err := attack3Mfr(cfg, mfr)

@@ -12,20 +12,6 @@ import (
 	"rowhammer/internal/sched"
 )
 
-// Defense1Result quantifies Improvement 1: row-aware thresholds.
-type Defense1Result struct {
-	Mfrs []string
-	// WorstHC and P5HC are the measured worst-case and 5th-percentile
-	// HCfirst values the configurations derive from.
-	WorstHC, P5HC []float64
-	// Area fractions and reductions per mechanism.
-	GrapheneBase, GrapheneRowAware       []float64
-	BlockHammerBase, BlockHammerRowAware []float64
-	GrapheneReduction, BHReduction       []float64
-	// PARA slowdown at worst-case vs relaxed probability.
-	PARABase, PARARelaxed []float64
-}
-
 // defense1Out is one manufacturer's row-aware configuration study.
 type defense1Out struct {
 	worst, p5             float64
@@ -56,32 +42,6 @@ func defense1From(cfg Config, s rh.RowVariationSummary) defense1Out {
 		paraBase:    defense.PARASlowdown(defense.PARAProbability(int64(worst), 1e-15)),
 		paraRelaxed: defense.PARASlowdown(defense.PARAProbability(int64(p5), 1e-15)),
 	}
-}
-
-// Defense1 derives row-aware defense configurations from measured row
-// variation.
-func Defense1(cfg Config) (Defense1Result, error) {
-	cfg = cfg.normalize()
-	f11, err := Fig11(cfg)
-	if err != nil {
-		return Defense1Result{}, err
-	}
-	var res Defense1Result
-	for i, mfr := range f11.Mfrs {
-		o := defense1From(cfg, f11.Summary[i])
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.WorstHC = append(res.WorstHC, o.worst)
-		res.P5HC = append(res.P5HC, o.p5)
-		res.GrapheneBase = append(res.GrapheneBase, o.gBase)
-		res.GrapheneRowAware = append(res.GrapheneRowAware, o.gRow)
-		res.BlockHammerBase = append(res.BlockHammerBase, o.bBase)
-		res.BlockHammerRowAware = append(res.BlockHammerRowAware, o.bRow)
-		res.GrapheneReduction = append(res.GrapheneReduction, o.gRed)
-		res.BHReduction = append(res.BHReduction, o.bRed)
-		res.PARABase = append(res.PARABase, o.paraBase)
-		res.PARARelaxed = append(res.PARARelaxed, o.paraRelaxed)
-	}
-	return res, nil
 }
 
 // defense1Shard measures one manufacturer's row-aware configuration.
@@ -117,18 +77,6 @@ func renderDefense1(out io.Writer, a *artifact.Artifact) error {
 			pct(r.V("para_base")), pct(r.V("para_relaxed")))
 	}
 	return w.Flush()
-}
-
-// Defense2Result quantifies Improvement 2: subarray-sampled profiling.
-type Defense2Result struct {
-	Mfrs []string
-	// FullMin is the module's true minimum HCfirst from full
-	// profiling; SampledEstimate the prediction from profiling a
-	// subset of subarrays via the Fig. 14 linear model.
-	FullMin, SampledEstimate []float64
-	RelError                 []float64
-	// Speedup is subarrays-total / subarrays-sampled.
-	Speedup []float64
 }
 
 // defense2Out is one manufacturer's sampled-profiling prediction. ok
@@ -188,30 +136,6 @@ func defense2Mfr(cfg Config, mfr string) (defense2Out, error) {
 	}
 	out.speedup = float64(len(target))
 	return out, nil
-}
-
-// Defense2 predicts a new module's worst-case HCfirst from one sampled
-// subarray plus a min-vs-avg linear model fitted on *other* modules of
-// the same manufacturer (Obsv. 15/16: the relation transfers across
-// modules).
-func Defense2(cfg Config) (Defense2Result, error) {
-	cfg = cfg.normalize()
-	var res Defense2Result
-	for _, mfr := range mfrNames {
-		o, err := defense2Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		if !o.ok {
-			continue
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.FullMin = append(res.FullMin, o.trueMin)
-		res.SampledEstimate = append(res.SampledEstimate, o.estimate)
-		res.RelError = append(res.RelError, o.relErr)
-		res.Speedup = append(res.Speedup, o.speedup)
-	}
-	return res, nil
 }
 
 // defense2Shard measures one manufacturer's sampled-profiling study.
@@ -337,14 +261,6 @@ func renderDefense3(out io.Writer, a *artifact.Artifact) error {
 	return nil
 }
 
-// Defense4Result quantifies Improvement 4: cooling.
-type Defense4Result struct {
-	Mfrs []string
-	// BERReduction going from 90 °C to 50 °C (positive = cooling
-	// helps; negative for Mfr B).
-	BERReduction []float64
-}
-
 // defense4Reduction derives the cooling reduction from the Fig. 4
 // trend at 90 °C: BER(90) = (1+at90)×BER(50).
 func defense4Reduction(at90 float64) float64 {
@@ -352,21 +268,6 @@ func defense4Reduction(at90 float64) float64 {
 		return at90 / (1 + at90)
 	}
 	return 0
-}
-
-// Defense4 compares BER at 90 °C and 50 °C.
-func Defense4(cfg Config) (Defense4Result, error) {
-	cfg = cfg.normalize()
-	f4, err := Fig4(cfg)
-	if err != nil {
-		return Defense4Result{}, err
-	}
-	var res Defense4Result
-	for i, mfr := range f4.Mfrs {
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.BERReduction = append(res.BERReduction, defense4Reduction(f4.TrendAt(i, 90)))
-	}
-	return res, nil
 }
 
 // defense4Shard measures one manufacturer's cooling reduction.
@@ -504,14 +405,6 @@ func renderDefense5(out io.Writer, a *artifact.Artifact) error {
 	return nil
 }
 
-// Defense6Result quantifies Improvement 6: column-aware ECC.
-type Defense6Result struct {
-	Mfrs []string
-	// ExposureRatio = column-aware exposure / uniform exposure (< 1
-	// means the column-aware plan absorbs more flips).
-	ExposureRatio []float64
-}
-
 // defense6From plans ECC provisioning from one measured column
 // profile.
 func defense6From(acc *rh.ColumnAccumulator) float64 {
@@ -529,21 +422,6 @@ func defense6From(acc *rh.ColumnAccumulator) float64 {
 		return ea / eu
 	}
 	return 1.0
-}
-
-// Defense6 plans ECC provisioning from measured column profiles.
-func Defense6(cfg Config) (Defense6Result, error) {
-	cfg = cfg.normalize()
-	f12, err := Fig12(cfg)
-	if err != nil {
-		return Defense6Result{}, err
-	}
-	var res Defense6Result
-	for i, mfr := range f12.Mfrs {
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.ExposureRatio = append(res.ExposureRatio, defense6From(f12.Acc[i]))
-	}
-	return res, nil
 }
 
 // defense6Shard measures one manufacturer's ECC planning study.

@@ -1,11 +1,14 @@
 // Package exp contains one driver per table and figure of the paper's
 // evaluation (§5–§8). Every experiment is split into three stages:
-// Compute (typed, pure, ctx-aware measurement of one shard), Artifact
-// (the uniform rows/series structure of internal/artifact), and
-// Render (the paper's text report, generated from the artifact alone).
-// Typed compute functions remain exported so tests can assert the
-// reproduced trends; the registry drives everything else — rhchar,
-// golden tests, and experiment-generic fleet campaigns.
+// Compute (pure, ctx-aware measurement of one shard), Artifact (the
+// uniform rows/series structure of internal/artifact), and Render (the
+// paper's text report, generated from the artifact alone). The
+// registry is the only compute path: rhchar, rhfleet, rhserved, the
+// golden tests, the trend tests and the root benchmarks all read the
+// artifact ComputeAll (or MergeFleet) returns. A single-shard study
+// keeps an exported typed function (Table2, Fig6, Attack2, Defense3,
+// Defense5, ManySided, Interference, DefCompare) only because it is
+// the implementation behind its shard.
 package exp
 
 import (
@@ -107,10 +110,11 @@ func (e Experiment) Run(ctx context.Context, cfg Config) error {
 	return e.Render(cfg.Out, a)
 }
 
-// Shard names: most experiments decompose per manufacturer; a few are
-// single-module or cross-module studies that run as one shard.
+// Shard names: most experiments decompose per manufacturer (in paper
+// order); a few are single-module or cross-module studies that run as
+// one shard.
 var (
-	mfrShards  = mfrNames
+	mfrShards  = []string{"A", "B", "C", "D"}
 	oneShard   = []string{"all"}
 	ddr3Shards = []string{"A", "B", "C"}
 )
@@ -188,9 +192,6 @@ func benches(cfg Config, mfr string) ([]*rh.Bench, error) {
 	}
 	return out, nil
 }
-
-// mfrNames lists the manufacturers in paper order.
-var mfrNames = []string{"A", "B", "C", "D"}
 
 // sampleRows subsamples the scale's region rows down to at most n,
 // evenly spaced, preserving region coverage.

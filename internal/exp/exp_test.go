@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	rh "rowhammer"
+	"rowhammer/internal/artifact"
 )
 
 // tinyConfig keeps experiment tests fast while preserving the trends.
@@ -75,30 +76,29 @@ func TestTable2Inventory(t *testing.T) {
 }
 
 func TestTable3NoGapDominates(t *testing.T) {
-	res, err := Table3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := tinyArtifact(t, "table3")
+	if len(a.Shards) != 4 {
+		t.Fatalf("mfrs = %v", a.Shards)
 	}
-	if len(res.Mfrs) != 4 {
-		t.Fatalf("mfrs = %v", res.Mfrs)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.NoGapFrac[i] < 0.9 {
-			t.Errorf("mfr %s: no-gap fraction %.3f, want > 0.9 (paper ≈0.98-0.99)", mfr, res.NoGapFrac[i])
+	for _, mfr := range a.Shards {
+		if f := val(t, a, mfrKey(mfr), "no_gap_frac"); f < 0.9 {
+			t.Errorf("mfr %s: no-gap fraction %.3f, want > 0.9 (paper ≈0.98-0.99)", mfr, f)
 		}
 	}
 }
 
 func TestFig3ClusterShape(t *testing.T) {
-	res, err := Fig3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		m := res.Matrices[i]
-		if m.Total == 0 {
+	a := tinyArtifact(t, "fig3")
+	matrices := map[string]*rh.TempClusterMatrix{}
+	for _, mfr := range a.Shards {
+		if val(t, a, mfrKey(mfr), "total") == 0 {
 			t.Fatalf("mfr %s: no vulnerable cells", mfr)
 		}
+		m, err := clusterFromArtifact(a, mfrKey(mfr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matrices[mfr] = m
 		// Obsv. 2: the full-range cluster is the largest single
 		// cluster for every manufacturer (paper: 9.6%–29.8%).
 		full := m.FullRangeFraction()
@@ -107,20 +107,31 @@ func TestFig3ClusterShape(t *testing.T) {
 		}
 	}
 	// Obsv. 3: narrow-range cells exist but are a small minority.
-	for i, mfr := range res.Mfrs {
-		if n := res.Matrices[i].NarrowRangeFraction(); n > 0.5 {
+	for _, mfr := range a.Shards {
+		if n := matrices[mfr].NarrowRangeFraction(); n > 0.5 {
 			t.Errorf("mfr %s: single-temperature cells %.2f, want minority", mfr, n)
 		}
 	}
 }
 
-func TestFig4TemperatureTrends(t *testing.T) {
-	res, err := Fig4(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+// berChangeAt reads a Fig. 4 artifact's distance-0 mean BER change at
+// tempC for one manufacturer, failing the test when the point is
+// missing.
+func berChangeAt(t *testing.T, a *artifact.Artifact, mfr string, tempC float64) float64 {
+	t.Helper()
+	for _, r := range a.RowsWithPrefix(mfrKey(mfr) + "/p=") {
+		if val(t, a, r.Key, "dist") == 0 && val(t, a, r.Key, "temp_c") == tempC {
+			return val(t, a, r.Key, "mean_change")
+		}
 	}
-	for i, mfr := range res.Mfrs {
-		at90 := res.TrendAt(i, 90)
+	t.Fatalf("fig4 artifact: mfr %s has no distance-0 point at %.0f °C", mfr, tempC)
+	return 0
+}
+
+func TestFig4TemperatureTrends(t *testing.T) {
+	a := tinyArtifact(t, "fig4")
+	for _, mfr := range a.Shards {
+		at90 := berChangeAt(t, a, mfr, 90)
 		switch mfr {
 		case "B":
 			if at90 >= 0 {
@@ -133,29 +144,26 @@ func TestFig4TemperatureTrends(t *testing.T) {
 		}
 	}
 	// Mfr D shows the strongest increase (paper ≈ +200%).
-	if res.TrendAt(3, 90) <= res.TrendAt(2, 90) {
-		t.Errorf("Mfr D trend %.2f should exceed Mfr C %.2f", res.TrendAt(3, 90), res.TrendAt(2, 90))
+	if d, c := berChangeAt(t, a, "D", 90), berChangeAt(t, a, "C", 90); d <= c {
+		t.Errorf("Mfr D trend %.2f should exceed Mfr C %.2f", d, c)
 	}
 }
 
 func TestFig5HCFirstChange(t *testing.T) {
-	res, err := Fig5(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if len(res.Change90[i]) == 0 {
+	a := tinyArtifact(t, "fig5")
+	for _, mfr := range a.Shards {
+		if len(series(t, a, mfrKey(mfr)+"/change90")) == 0 {
 			t.Fatalf("mfr %s: no rows measured", mfr)
 		}
 		// Obsv. 5: both directions occur — crossings well inside
 		// (0, 100).
-		if res.Cross90[i] <= 5 || res.Cross90[i] >= 95 {
-			t.Errorf("mfr %s: 50→90 crossing P%.0f, want interior", mfr, res.Cross90[i])
+		if c := val(t, a, mfrKey(mfr), "cross90"); c <= 5 || c >= 95 {
+			t.Errorf("mfr %s: 50→90 crossing P%.0f, want interior", mfr, c)
 		}
 		// Obsv. 7: larger temperature change ⇒ larger cumulative
 		// magnitude (paper: ≈4×).
-		if res.MagnitudeRatio[i] <= 1 {
-			t.Errorf("mfr %s: magnitude ratio %.2f, want > 1", mfr, res.MagnitudeRatio[i])
+		if r := val(t, a, mfrKey(mfr), "magnitude_ratio"); r <= 1 {
+			t.Errorf("mfr %s: magnitude ratio %.2f, want > 1", mfr, r)
 		}
 	}
 }
@@ -179,118 +187,126 @@ func TestFig6CommandTimings(t *testing.T) {
 	}
 }
 
-func TestFig7And8AggressorOnTrends(t *testing.T) {
-	res, err := AggOnSweep(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+// aggSweep reads one manufacturer's §6 sweep points from a fig7–fig10
+// artifact, failing the test when a grid row or series is missing.
+func aggSweep(t *testing.T, a *artifact.Artifact, mfr string) []aggPoint {
+	t.Helper()
+	rows := a.RowsWithPrefix(mfrKey(mfr) + "/g=")
+	if len(rows) < 2 {
+		t.Fatalf("%s artifact: mfr %s has %d grid points", a.Experiment, mfr, len(rows))
 	}
-	for i, mfr := range res.Mfrs {
-		if r := res.MeanBERRatio(i); r <= 1.5 {
+	pts := make([]aggPoint, len(rows))
+	for i, r := range rows {
+		pts[i] = aggPoint{
+			valueNs: val(t, a, r.Key, "value_ns"),
+			bers:    series(t, a, r.Key+"/bers"),
+			hcs:     series(t, a, r.Key+"/hcs"),
+		}
+	}
+	return pts
+}
+
+func TestFig7And8AggressorOnTrends(t *testing.T) {
+	ber, hc := tinyArtifact(t, "fig7"), tinyArtifact(t, "fig8")
+	ratios := map[string]float64{}
+	for _, mfr := range ber.Shards {
+		ratios[mfr] = meanBERRatio(aggSweep(t, ber, mfr))
+		if r := ratios[mfr]; r <= 1.5 {
 			t.Errorf("mfr %s: BER ratio %.2f at 154.5 ns, want > 1.5 (paper 3.1–10.2x)", mfr, r)
 		}
-		if c := res.MeanHCChange(i); c >= -0.1 {
+		if c := meanHCChange(aggSweep(t, hc, mfr)); c >= -0.1 {
 			t.Errorf("mfr %s: HCfirst change %+.2f, want < -0.1 (paper −28%%…−40%%)", mfr, c)
 		}
 	}
 	// Mfr A has the strongest BER response (paper 10.2×) and B the
 	// weakest (3.1×).
-	if res.MeanBERRatio(0) <= res.MeanBERRatio(1) {
-		t.Errorf("Mfr A BER ratio %.1f should exceed Mfr B %.1f", res.MeanBERRatio(0), res.MeanBERRatio(1))
+	if ratios["A"] <= ratios["B"] {
+		t.Errorf("Mfr A BER ratio %.1f should exceed Mfr B %.1f", ratios["A"], ratios["B"])
 	}
 }
 
 func TestFig9And10AggressorOffTrends(t *testing.T) {
-	res, err := AggOffSweep(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		pts := res.Points[i]
-		if len(pts[0].BERs) == 0 {
+	ber, hc := tinyArtifact(t, "fig9"), tinyArtifact(t, "fig10")
+	for _, mfr := range ber.Shards {
+		pts := aggSweep(t, ber, mfr)
+		if len(pts[0].bers) == 0 {
 			t.Fatalf("mfr %s: no baseline samples", mfr)
 		}
-		if r := res.MeanBERRatio(i); r >= 0.7 {
+		if r := meanBERRatio(pts); r >= 0.7 {
 			t.Errorf("mfr %s: BER ratio %.2f at 40.5 ns, want < 0.7 (paper ÷2.9–6.3)", mfr, r)
 		}
-		if c := res.MeanHCChange(i); c <= 0.1 {
+		if c := meanHCChange(aggSweep(t, hc, mfr)); c <= 0.1 {
 			t.Errorf("mfr %s: HCfirst change %+.2f, want > +0.1 (paper +25%%…+50%%)", mfr, c)
 		}
 	}
 }
 
 func TestFig11RowVariation(t *testing.T) {
-	res, err := Fig11(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		s := res.Summary[i]
-		if s.Vulnerable < 5 {
-			t.Fatalf("mfr %s: only %d vulnerable rows", mfr, s.Vulnerable)
+	a := tinyArtifact(t, "fig11")
+	for _, mfr := range a.Shards {
+		key := mfrKey(mfr)
+		if n := val(t, a, key, "vulnerable"); n < 5 {
+			t.Fatalf("mfr %s: only %.0f vulnerable rows", mfr, n)
 		}
-		if s.RatioP95 < 1.0 {
-			t.Errorf("mfr %s: P95 ratio %.2f < 1", mfr, s.RatioP95)
+		p99, p95, p90 := val(t, a, key, "ratio_p99"), val(t, a, key, "ratio_p95"), val(t, a, key, "ratio_p90")
+		if p95 < 1.0 {
+			t.Errorf("mfr %s: P95 ratio %.2f < 1", mfr, p95)
 		}
 		// Ratios are ordered by construction: deeper percentiles sit
 		// closer to the minimum.
-		if !(s.RatioP99 <= s.RatioP95 && s.RatioP95 <= s.RatioP90) {
-			t.Errorf("mfr %s: ratio ordering violated: %+v", mfr, s)
+		if !(p99 <= p95 && p95 <= p90) {
+			t.Errorf("mfr %s: ratio ordering violated: P99 %.2f, P95 %.2f, P90 %.2f", mfr, p99, p95, p90)
 		}
 	}
 }
 
 func TestFig12And13ColumnVariation(t *testing.T) {
-	cfg := tinyConfig()
-	res, err := Fig12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f12 := tinyArtifact(t, "fig12")
 	// Obsv. 13: Mfr B (low column sigma) has far fewer zero-flip
 	// columns than A/C.
-	byName := map[string]int{}
-	for i, m := range res.Mfrs {
-		byName[m] = i
-	}
-	if res.ZeroFrac[byName["B"]] >= res.ZeroFrac[byName["A"]] {
-		t.Errorf("Mfr B zero-columns %.2f should be below Mfr A %.2f",
-			res.ZeroFrac[byName["B"]], res.ZeroFrac[byName["A"]])
+	zeroA, zeroB := val(t, f12, mfrKey("A"), "zero_frac"), val(t, f12, mfrKey("B"), "zero_frac")
+	if zeroB >= zeroA {
+		t.Errorf("Mfr B zero-columns %.2f should be below Mfr A %.2f", zeroB, zeroA)
 	}
 
-	f13, err := Fig13(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f13 := tinyArtifact(t, "fig13")
 	// Obsv. 14: B is design-dominated (low cross-chip variation), A is
 	// process-dominated (high cross-chip variation). At test scale the
 	// mean CV is the robust version of the paper's CV=0/CV=1 bucket
 	// masses.
-	if f13.MeanCV[byName["B"]] >= f13.MeanCV[byName["A"]] {
-		t.Errorf("Mfr B mean cross-chip CV %.2f should be below Mfr A %.2f",
-			f13.MeanCV[byName["B"]], f13.MeanCV[byName["A"]])
+	cvA, cvB := val(t, f13, mfrKey("A"), "mean_cv"), val(t, f13, mfrKey("B"), "mean_cv")
+	if cvB >= cvA {
+		t.Errorf("Mfr B mean cross-chip CV %.2f should be below Mfr A %.2f", cvB, cvA)
 	}
 	// A's heavy column factors concentrate flips in few columns.
-	if f13.ColumnSkew[byName["B"]] >= f13.ColumnSkew[byName["A"]] {
-		t.Errorf("Mfr B column skew %.2f should be below Mfr A %.2f",
-			f13.ColumnSkew[byName["B"]], f13.ColumnSkew[byName["A"]])
+	skewA, skewB := val(t, f13, mfrKey("A"), "column_skew"), val(t, f13, mfrKey("B"), "column_skew")
+	if skewB >= skewA {
+		t.Errorf("Mfr B column skew %.2f should be below Mfr A %.2f", skewB, skewA)
 	}
 }
 
 func TestFig14SubarrayRegression(t *testing.T) {
-	res, err := Fig14(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		fit := res.Fits[i]
-		if fit.Slope <= 0 || fit.Slope >= 1.2 {
-			t.Errorf("mfr %s: slope %.2f outside plausible range (min cannot exceed avg)", mfr, fit.Slope)
+	a := tinyArtifact(t, "fig14")
+	cfg := tinyConfig().normalize()
+	for _, mfr := range a.Shards {
+		if slope := val(t, a, mfrKey(mfr), "slope"); slope <= 0 || slope >= 1.2 {
+			t.Errorf("mfr %s: slope %.2f outside plausible range (min cannot exceed avg)", mfr, slope)
 		}
-		if len(res.Subarrays[i]) < 4 {
-			t.Errorf("mfr %s: only %d subarray points", mfr, len(res.Subarrays[i]))
+		n := val(t, a, mfrKey(mfr), "n")
+		if n < 4 {
+			t.Errorf("mfr %s: only %.0f subarray points", mfr, n)
 		}
 		// Obsv. 15: the minimum is well below the average in every
-		// subarray.
-		for _, s := range res.Subarrays[i] {
+		// subarray. The artifact stores only the fit, so the pooled
+		// points come from the shard's own per-manufacturer compute.
+		subs, _, err := fig14Mfr(cfg, mfr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subs) != int(n) {
+			t.Fatalf("mfr %s: %d pooled subarrays, artifact fit over %.0f", mfr, len(subs), n)
+		}
+		for _, s := range subs {
 			if s.Min > s.Avg {
 				t.Fatalf("mfr %s: subarray %d min %.0f above avg %.0f", mfr, s.Subarray, s.Min, s.Avg)
 			}
@@ -299,14 +315,13 @@ func TestFig14SubarrayRegression(t *testing.T) {
 }
 
 func TestFig15SubarraySimilarity(t *testing.T) {
-	res, err := Fig15(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if len(res.SameModule[i]) == 0 || len(res.DiffModule[i]) == 0 {
+	a := tinyArtifact(t, "fig15")
+	for _, mfr := range a.Shards {
+		same, diff := series(t, a, mfrKey(mfr)+"/same"), series(t, a, mfrKey(mfr)+"/diff")
+		if len(same) == 0 || len(diff) == 0 {
 			t.Fatalf("mfr %s: missing pair populations", mfr)
 		}
+		p5Same, p5Diff := fig15P5(same), fig15P5(diff)
 		// Obsv. 16: same-module subarrays are at least as similar as
 		// different-module subarrays. The separation scales with
 		// module-to-module variation, so it is only individually
@@ -314,27 +329,25 @@ func TestFig15SubarraySimilarity(t *testing.T) {
 		// for A and D at this sample size the populations overlap.
 		switch mfr {
 		case "B", "C":
-			if res.P5Same[i] <= res.P5Diff[i] {
-				t.Errorf("mfr %s: P5 same %.3f not above P5 diff %.3f", mfr, res.P5Same[i], res.P5Diff[i])
+			if p5Same <= p5Diff {
+				t.Errorf("mfr %s: P5 same %.3f not above P5 diff %.3f", mfr, p5Same, p5Diff)
 			}
 		default:
-			if res.P5Same[i] < res.P5Diff[i]-0.2 {
-				t.Errorf("mfr %s: P5 same %.3f far below P5 diff %.3f", mfr, res.P5Same[i], res.P5Diff[i])
+			if p5Same < p5Diff-0.2 {
+				t.Errorf("mfr %s: P5 same %.3f far below P5 diff %.3f", mfr, p5Same, p5Diff)
 			}
 		}
 	}
 }
 
 func TestAttack1InformedChoice(t *testing.T) {
-	res, err := Attack1(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.InformedHC[i] > res.MedianHC[i] {
-			t.Errorf("mfr %s: informed HC %d above median %d", mfr, res.InformedHC[i], res.MedianHC[i])
+	a := tinyArtifact(t, "atk1")
+	for _, mfr := range a.Shards {
+		informed, median := val(t, a, mfrKey(mfr), "informed_hc"), val(t, a, mfrKey(mfr), "median_hc")
+		if informed > median {
+			t.Errorf("mfr %s: informed HC %.0f above median %.0f", mfr, informed, median)
 		}
-		if res.Reduction[i] < 0 {
+		if val(t, a, mfrKey(mfr), "reduction") < 0 {
 			t.Errorf("mfr %s: negative reduction", mfr)
 		}
 	}
@@ -354,75 +367,82 @@ func TestAttack2TriggerCensus(t *testing.T) {
 }
 
 func TestAttack3ExtendedOnTime(t *testing.T) {
-	res, err := Attack3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mfrs) == 0 {
-		t.Fatal("no manufacturers measured")
-	}
-	for i, mfr := range res.Mfrs {
-		if res.HCReduction[i] <= 0.05 {
-			t.Errorf("mfr %s: HC reduction %.2f, want > 0.05 (paper ≈36%%)", mfr, res.HCReduction[i])
+	a := tinyArtifact(t, "atk3")
+	measured := 0
+	for _, mfr := range a.Shards {
+		// The result row is present only for manufacturers whose
+		// module produced a usable sample at test scale.
+		key := mfrKey(mfr) + "/res"
+		if a.Row(key) == nil {
+			continue
 		}
-		if res.BERRatio[i] > 0 && res.BERRatio[i] <= 1 {
-			t.Errorf("mfr %s: BER ratio %.2f, want > 1 (paper 3.2–10.2x)", mfr, res.BERRatio[i])
+		measured++
+		if r := val(t, a, key, "reduction"); r <= 0.05 {
+			t.Errorf("mfr %s: HC reduction %.2f, want > 0.05 (paper ≈36%%)", mfr, r)
 		}
-		if !res.BaselinePrevented[i] {
+		if r := val(t, a, key, "ber_ratio"); r > 0 && r <= 1 {
+			t.Errorf("mfr %s: BER ratio %.2f, want > 1 (paper 3.2–10.2x)", mfr, r)
+		}
+		if val(t, a, key, "base_prevented") == 0 {
 			t.Errorf("mfr %s: defense failed to stop the baseline attack", mfr)
 		}
-		if !res.ExtendedDefeats[i] {
+		if val(t, a, key, "ext_defeats") == 0 {
 			t.Errorf("mfr %s: extended attack did not defeat the threshold defense", mfr)
 		}
+	}
+	if measured == 0 {
+		t.Fatal("no manufacturers measured")
 	}
 }
 
 func TestDefense1RowAwareSavings(t *testing.T) {
-	res, err := Defense1(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.P5HC[i] <= res.WorstHC[i] {
+	a := tinyArtifact(t, "def1")
+	for _, mfr := range a.Shards {
+		key := mfrKey(mfr)
+		if val(t, a, key, "p5_hc") <= val(t, a, key, "worst_hc") {
 			t.Errorf("mfr %s: P5 HC not above worst case", mfr)
 		}
 		// At test scale the measured P5/worst ratio understates the
 		// paper's 2× (few rows ⇒ the empirical P5 hugs the min), so
 		// only the direction is asserted here; EXPERIMENTS.md records
 		// the full-scale values.
-		if res.GrapheneReduction[i] <= 0 {
-			t.Errorf("mfr %s: Graphene saving %.2f, want positive", mfr, res.GrapheneReduction[i])
+		gRed, bRed := val(t, a, key, "graphene_red"), val(t, a, key, "bh_red")
+		if gRed <= 0 {
+			t.Errorf("mfr %s: Graphene saving %.2f, want positive", mfr, gRed)
 		}
-		if res.BHReduction[i] <= 0 {
-			t.Errorf("mfr %s: BlockHammer saving %.2f, want positive", mfr, res.BHReduction[i])
+		if bRed <= 0 {
+			t.Errorf("mfr %s: BlockHammer saving %.2f, want positive", mfr, bRed)
 		}
 		// Graphene benefits more from threshold relaxation than
 		// BlockHammer (steeper area law).
-		if res.GrapheneReduction[i] <= res.BHReduction[i] {
-			t.Errorf("mfr %s: Graphene saving %.2f should exceed BlockHammer %.2f",
-				mfr, res.GrapheneReduction[i], res.BHReduction[i])
+		if gRed <= bRed {
+			t.Errorf("mfr %s: Graphene saving %.2f should exceed BlockHammer %.2f", mfr, gRed, bRed)
 		}
-		if res.PARARelaxed[i] >= res.PARABase[i] {
+		if val(t, a, key, "para_relaxed") >= val(t, a, key, "para_base") {
 			t.Errorf("mfr %s: relaxed PARA slowdown not lower", mfr)
 		}
 	}
 }
 
 func TestDefense2SampledProfiling(t *testing.T) {
-	res, err := Defense2(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := tinyArtifact(t, "def2")
+	measured := 0
+	for _, mfr := range a.Shards {
+		// A manufacturer lacking the modules or subarrays for the
+		// transfer study at test scale publishes no row.
+		if a.Row(mfrKey(mfr)) == nil {
+			continue
+		}
+		measured++
+		if s := val(t, a, mfrKey(mfr), "speedup"); s < 2 {
+			t.Errorf("mfr %s: speedup %.0f < 2", mfr, s)
+		}
+		if e := val(t, a, mfrKey(mfr), "rel_error"); e < -0.6 || e > 0.6 {
+			t.Errorf("mfr %s: estimate off by %+.0f%%", mfr, 100*e)
+		}
 	}
-	if len(res.Mfrs) == 0 {
+	if measured == 0 {
 		t.Fatal("no results")
-	}
-	for i, mfr := range res.Mfrs {
-		if res.Speedup[i] < 2 {
-			t.Errorf("mfr %s: speedup %.0f < 2", mfr, res.Speedup[i])
-		}
-		if res.RelError[i] < -0.6 || res.RelError[i] > 0.6 {
-			t.Errorf("mfr %s: estimate off by %+.0f%%", mfr, 100*res.RelError[i])
-		}
 	}
 }
 
@@ -440,19 +460,12 @@ func TestDefense3Retirement(t *testing.T) {
 }
 
 func TestDefense4Cooling(t *testing.T) {
-	res, err := Defense4(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := tinyArtifact(t, "def4")
+	if r := val(t, a, mfrKey("A"), "ber_reduction"); r <= 0 {
+		t.Errorf("Mfr A cooling reduction %.2f, want positive (paper ≈25%%)", r)
 	}
-	byName := map[string]int{}
-	for i, m := range res.Mfrs {
-		byName[m] = i
-	}
-	if res.BERReduction[byName["A"]] <= 0 {
-		t.Errorf("Mfr A cooling reduction %.2f, want positive (paper ≈25%%)", res.BERReduction[byName["A"]])
-	}
-	if res.BERReduction[byName["B"]] >= 0 {
-		t.Errorf("Mfr B cooling reduction %.2f, want negative (B worsens when cooled)", res.BERReduction[byName["B"]])
+	if r := val(t, a, mfrKey("B"), "ber_reduction"); r >= 0 {
+		t.Errorf("Mfr B cooling reduction %.2f, want negative (B worsens when cooled)", r)
 	}
 }
 
@@ -482,13 +495,10 @@ func TestDefense5OpenTimeLimiter(t *testing.T) {
 }
 
 func TestDefense6ColumnAwareECC(t *testing.T) {
-	res, err := Defense6(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.ExposureRatio[i] >= 1 {
-			t.Errorf("mfr %s: column-aware ECC exposure ratio %.2f, want < 1", mfr, res.ExposureRatio[i])
+	a := tinyArtifact(t, "def6")
+	for _, mfr := range a.Shards {
+		if r := val(t, a, mfrKey(mfr), "exposure_ratio"); r >= 1 {
+			t.Errorf("mfr %s: column-aware ECC exposure ratio %.2f, want < 1", mfr, r)
 		}
 	}
 }
@@ -511,8 +521,7 @@ func TestRunAllPrintersProduceOutput(t *testing.T) {
 
 func TestCheapPrintersSmoke(t *testing.T) {
 	// End-to-end smoke of printers not covered elsewhere; the heavy
-	// sweep printers share their compute paths with the tested
-	// compute functions.
+	// sweep printers render the artifacts the trend tests assert on.
 	for _, id := range []string{"wcdp", "defcompare", "manysided", "interference", "def5"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

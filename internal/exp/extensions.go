@@ -18,15 +18,6 @@ import (
 // TRRespass-style many-sided attack against the in-DRAM TRR sampler
 // (§2.3 background), and the §4.2 interference checklist.
 
-// DDR3Result verifies Obsv. 2 on DDR3 SODIMM benches: a significant
-// fraction of vulnerable cells flips at all tested temperatures.
-type DDR3Result struct {
-	Mfrs          []string
-	FullRangeFrac []float64
-	NoGapFrac     []float64
-	Vulnerable    []int
-}
-
 // ddr3Mfr sweeps one manufacturer's DDR3 module across the study
 // temperatures.
 func ddr3Mfr(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
@@ -52,24 +43,6 @@ func ddr3Mfr(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
 		return nil, err
 	}
 	return sweep.ClusterByRange(), nil
-}
-
-// DDR3 sweeps DDR3 modules (manufacturers A–C have DDR3 SODIMMs in
-// Table 2) across the study temperatures.
-func DDR3(cfg Config) (DDR3Result, error) {
-	cfg = cfg.normalize()
-	var res DDR3Result
-	for _, mfr := range ddr3Shards {
-		m, err := ddr3Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.FullRangeFrac = append(res.FullRangeFrac, m.FullRangeFraction())
-		res.NoGapFrac = append(res.NoGapFrac, m.NoGapFraction())
-		res.Vulnerable = append(res.Vulnerable, m.Total)
-	}
-	return res, nil
 }
 
 // ddr3Shard measures one manufacturer's DDR3 verification.

@@ -3,22 +3,20 @@ package exp
 import "testing"
 
 func TestDDR3Observation2(t *testing.T) {
-	res, err := DDR3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := tinyArtifact(t, "ddr3")
+	if len(a.Shards) != 3 {
+		t.Fatalf("mfrs = %v", a.Shards)
 	}
-	if len(res.Mfrs) != 3 {
-		t.Fatalf("mfrs = %v", res.Mfrs)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.Vulnerable[i] == 0 {
+	for _, mfr := range a.Shards {
+		key := mfrKey(mfr)
+		if val(t, a, key, "vulnerable") == 0 {
 			t.Fatalf("mfr %s DDR3: no vulnerable cells", mfr)
 		}
-		if res.FullRangeFrac[i] <= 0 {
+		if val(t, a, key, "full_range_frac") <= 0 {
 			t.Errorf("mfr %s DDR3: no full-range cells (Obsv. 2 should hold on DDR3)", mfr)
 		}
-		if res.NoGapFrac[i] < 0.9 {
-			t.Errorf("mfr %s DDR3: no-gap fraction %.2f", mfr, res.NoGapFrac[i])
+		if f := val(t, a, key, "no_gap_frac"); f < 0.9 {
+			t.Errorf("mfr %s DDR3: no-gap fraction %.2f", mfr, f)
 		}
 	}
 }
@@ -94,18 +92,15 @@ func TestDefCompareScorecard(t *testing.T) {
 }
 
 func TestWCDPSurvey(t *testing.T) {
-	res, err := WCDP(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if len(res.Patterns[i]) == 0 {
+	a := tinyArtifact(t, "wcdp")
+	for _, mfr := range a.Shards {
+		if len(series(t, a, mfrKey(mfr)+"/patterns")) == 0 {
 			t.Fatalf("mfr %s: no modules surveyed", mfr)
 		}
 		// Pattern choice must matter: the WCDP flips strictly more
 		// than the weakest pattern (the coupling mechanism).
-		if res.Gain[i] <= 1 {
-			t.Errorf("mfr %s: WCDP gain %.2f, want > 1", mfr, res.Gain[i])
+		if g := val(t, a, mfrKey(mfr), "gain"); g <= 1 {
+			t.Errorf("mfr %s: WCDP gain %.2f, want > 1", mfr, g)
 		}
 	}
 }

@@ -99,32 +99,6 @@ func clusterMatrix(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
 	return mergeClusters(sweeps), nil
 }
 
-// Table3Result holds the per-manufacturer no-gap fractions.
-type Table3Result struct {
-	Mfrs      []string
-	NoGapFrac []float64
-}
-
-// Table3 measures the fraction of vulnerable cells that flip at every
-// temperature point within their vulnerable range.
-func Table3(cfg Config) (Table3Result, error) {
-	cfg = cfg.normalize()
-	var res Table3Result
-	fracs, err := mapMfrs(cfg, func(mfr string) (float64, error) {
-		m, err := clusterMatrix(cfg, mfr)
-		if err != nil {
-			return 0, err
-		}
-		return m.NoGapFraction(), nil
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	res.NoGapFrac = fracs
-	return res, nil
-}
-
 // table3Shard measures one manufacturer's Table 3 statistic.
 func table3Shard(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact, error) {
 	cfg = cfg.WithContext(ctx).normalize()
@@ -153,28 +127,6 @@ func renderTable3(out io.Writer, a *artifact.Artifact) error {
 	}
 	fmt.Fprintln(w)
 	return w.Flush()
-}
-
-// Fig3Result holds the per-manufacturer cluster matrices.
-type Fig3Result struct {
-	Mfrs     []string
-	Matrices []*rh.TempClusterMatrix
-}
-
-// Fig3 clusters vulnerable cells by their vulnerable temperature
-// range.
-func Fig3(cfg Config) (Fig3Result, error) {
-	cfg = cfg.normalize()
-	var res Fig3Result
-	mats, err := mapMfrs(cfg, func(mfr string) (*rh.TempClusterMatrix, error) {
-		return clusterMatrix(cfg, mfr)
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	res.Matrices = mats
-	return res, nil
 }
 
 // clusterToArtifact stores a cluster matrix under the shard's key
@@ -272,27 +224,21 @@ func max1(n int) int {
 	return n
 }
 
-// Fig4Point is BER change at one temperature for one victim distance.
-type Fig4Point struct {
-	TempC      float64
-	Distance   int // 0 or ±2
-	MeanChange float64
-	CI95       float64
-}
-
-// Fig4Result holds per-manufacturer BER-vs-temperature series.
-type Fig4Result struct {
-	Mfrs   []string
-	Series [][]Fig4Point
+// fig4Point is BER change at one temperature for one victim distance.
+type fig4Point struct {
+	tempC      float64
+	distance   int // 0 or ±2
+	meanChange float64
+	ci95       float64
 }
 
 // fig4Mfr measures one manufacturer's BER-change series.
-func fig4Mfr(cfg Config, mfr string) ([]Fig4Point, error) {
+func fig4Mfr(cfg Config, mfr string) ([]fig4Point, error) {
 	sweeps, err := runTempSweeps(cfg, mfr)
 	if err != nil {
 		return nil, err
 	}
-	var series []Fig4Point
+	var series []fig4Point
 	for _, dist := range []int{-2, 0, 2} {
 		count := func(hr rh.HammerResult) float64 {
 			switch dist {
@@ -324,43 +270,21 @@ func fig4Mfr(cfg Config, mfr string) ([]Fig4Point, error) {
 				}
 			}
 			m, ci := stats.MeanCI95(changes)
-			series = append(series, Fig4Point{TempC: temp, Distance: dist, MeanChange: m, CI95: ci})
+			series = append(series, fig4Point{tempC: temp, distance: dist, meanChange: m, ci95: ci})
 		}
 	}
 	return series, nil
 }
 
-// Fig4 measures the percentage change in BER with temperature
-// relative to the mean BER at 50 °C, per victim distance.
-func Fig4(cfg Config) (Fig4Result, error) {
-	cfg = cfg.normalize()
-	var res Fig4Result
-	perMfr, err := mapMfrs(cfg, func(mfr string) ([]Fig4Point, error) {
-		return fig4Mfr(cfg, mfr)
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	res.Series = perMfr
-	return res, nil
-}
-
 // trendAt returns the mean BER change at the given temperature for
 // distance 0, or 0 when absent.
-func trendAt(points []Fig4Point, tempC float64) float64 {
+func trendAt(points []fig4Point, tempC float64) float64 {
 	for _, p := range points {
-		if p.Distance == 0 && p.TempC == tempC {
-			return p.MeanChange
+		if p.distance == 0 && p.tempC == tempC {
+			return p.meanChange
 		}
 	}
 	return 0
-}
-
-// TrendAt returns the mean BER change at the given temperature for
-// distance 0, or 0 when absent.
-func (r Fig4Result) TrendAt(mfrIdx int, tempC float64) float64 {
-	return trendAt(r.Series[mfrIdx], tempC)
 }
 
 // fig4Shard measures one manufacturer's Fig. 4 series.
@@ -373,8 +297,8 @@ func fig4Shard(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact,
 	a := artifact.New(mfr)
 	for i, p := range points {
 		a.AddRow(fmt.Sprintf("%s/p=%03d", mfrKey(mfr), i)).
-			SetInt("dist", int64(p.Distance)).Set("temp_c", p.TempC).
-			Set("mean_change", p.MeanChange).Set("ci95", p.CI95)
+			SetInt("dist", int64(p.distance)).Set("temp_c", p.tempC).
+			Set("mean_change", p.meanChange).Set("ci95", p.ci95)
 	}
 	return a, nil
 }
@@ -399,18 +323,6 @@ func renderFig4(out io.Writer, a *artifact.Artifact) error {
 
 // fig5Rows is the per-module victim budget of the Fig. 5 measurement.
 const fig5Rows = 16
-
-// Fig5Result holds the HCfirst-change distributions.
-type Fig5Result struct {
-	Mfrs []string
-	// Change55/Change90[mfr] are per-row fractional HCfirst changes
-	// going 50→55 °C and 50→90 °C.
-	Change55, Change90 [][]float64
-	// Crossing percentiles (share of rows with *increased* HCfirst).
-	Cross55, Cross90 []float64
-	// MagnitudeRatio is cumulative |change| at 90 over 55 (Obsv. 7).
-	MagnitudeRatio []float64
-}
 
 // fig5Changes holds one manufacturer's per-row HCfirst changes.
 type fig5Changes struct{ c55, c90 []float64 }
@@ -464,29 +376,6 @@ func fig5Summary(c fig5Changes) (cross55, cross90, ratio float64) {
 			(m55 / float64(max1(len(c.c55))))
 	}
 	return cross55, cross90, ratio
-}
-
-// Fig5 measures the distribution of HCfirst change when temperature
-// rises from 50 °C to 55 °C and to 90 °C.
-func Fig5(cfg Config) (Fig5Result, error) {
-	cfg = cfg.normalize()
-	var res Fig5Result
-	perMfr, err := mapMfrs(cfg, func(mfr string) (fig5Changes, error) {
-		return fig5Mfr(cfg, mfr)
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	for _, c := range perMfr {
-		cross55, cross90, ratio := fig5Summary(c)
-		res.Change55 = append(res.Change55, c.c55)
-		res.Change90 = append(res.Change90, c.c90)
-		res.Cross55 = append(res.Cross55, cross55)
-		res.Cross90 = append(res.Cross90, cross90)
-		res.MagnitudeRatio = append(res.MagnitudeRatio, ratio)
-	}
-	return res, nil
 }
 
 // fig5Shard measures one manufacturer's Fig. 5 distributions.

@@ -10,19 +10,6 @@ import (
 	"rowhammer/internal/artifact"
 )
 
-// WCDPResult records which Table 1 data pattern is the worst case for
-// each module — the §4.2 methodology step the characterization
-// experiments rely on.
-type WCDPResult struct {
-	Mfrs []string
-	// Patterns[mfr][module] is the winning pattern.
-	Patterns [][]rh.PatternKind
-	// Gain[mfr] is flips under the WCDP over flips under the weakest
-	// pattern (add-one smoothed: sparse modules can have zero-flip
-	// weakest patterns).
-	Gain []float64
-}
-
 // wcdpMfr surveys one manufacturer's modules for their worst-case
 // pattern.
 func wcdpMfr(cfg Config, mfr string) ([]rh.PatternKind, float64, error) {
@@ -44,29 +31,6 @@ func wcdpMfr(cfg Config, mfr string) ([]rh.PatternKind, float64, error) {
 		worstSum += s.WorstFlips
 	}
 	return pats, float64(bestSum+1) / float64(worstSum+1), nil
-}
-
-// WCDP surveys the worst-case data pattern across modules.
-func WCDP(cfg Config) (WCDPResult, error) {
-	cfg = cfg.normalize()
-	var res WCDPResult
-	type mfrOut struct {
-		pats []rh.PatternKind
-		gain float64
-	}
-	perMfr, err := mapMfrs(cfg, func(mfr string) (mfrOut, error) {
-		pats, gain, err := wcdpMfr(cfg, mfr)
-		return mfrOut{pats: pats, gain: gain}, err
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	for _, o := range perMfr {
-		res.Patterns = append(res.Patterns, o.pats)
-		res.Gain = append(res.Gain, o.gain)
-	}
-	return res, nil
 }
 
 // wcdpShard surveys one manufacturer's worst-case patterns.

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rowhammer/internal/campaign"
@@ -61,4 +64,34 @@ func resolveWire(ws Spec) (Resolved, error) {
 		return Resolved{}, err
 	}
 	return Resolve(raw)
+}
+
+// FuzzReadSpec feeds arbitrary bytes through the rhfleet -spec file
+// path. ReadSpec must not panic, and it must accept exactly what the
+// POST /v1/campaigns decoder accepts, decoding it to the same spec:
+// one schema, one strictness, for both entry points.
+func FuzzReadSpec(f *testing.F) {
+	f.Add([]byte(`{"kind":"hcfirst","mfrs":["A","B"],"modules_per_mfr":2,"scale":"tiny","seed":7}` + "\n"))
+	f.Add([]byte(`{"kind":"fig5","scale":"tiny","seed":1,"shards":4}`))
+	f.Add([]byte(`{"kind":"hcfirst","modules_per_mf":2}`))
+	f.Add([]byte(`{"kind":"ber"} {"kind":"ber"}`))
+	f.Add([]byte(`{"kind":"ber"`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ferr := ReadSpec(path)
+		want, herr := decodeSpec(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), DefaultMaxSpecBytes)
+		if (ferr == nil) != (herr == nil) {
+			t.Fatalf("file path err %v, submit path err %v for %q", ferr, herr, body)
+		}
+		if ferr != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("file path decoded %+v, submit path %+v", got, want)
+		}
+	})
 }

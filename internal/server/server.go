@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -81,16 +80,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// decodeSpec decodes a POST /v1/campaigns body: at most limit bytes
-// (an *http.MaxBytesError beyond), no unknown fields.
-func decodeSpec(w http.ResponseWriter, body io.ReadCloser, limit int64) (Spec, error) {
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	return spec, err
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -8,7 +8,10 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"time"
 
@@ -59,17 +62,41 @@ type Spec struct {
 }
 
 // ReadSpec reads a wire spec file: an rhfleet -spec file, or the
-// spec.json persisted in a campaign or shard directory.
+// spec.json persisted in a campaign or shard directory. It decodes
+// exactly as POST /v1/campaigns does, so a file with a typo'd field
+// fails here rather than silently running with defaults.
 func ReadSpec(path string) (Spec, error) {
-	var ws Spec
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return ws, err
+		return Spec{}, err
 	}
-	if err := json.Unmarshal(b, &ws); err != nil {
+	defer f.Close()
+	ws, err := decodeSpec(nil, f, DefaultMaxSpecBytes)
+	if err != nil {
 		return ws, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	return ws, nil
+}
+
+// decodeSpec is the one wire-spec decoder behind both entry points:
+// at most limit bytes (an *http.MaxBytesError beyond), no unknown
+// fields, and nothing but whitespace after the spec. w is the HTTP
+// response the bound is reported to, or nil outside a handler.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser, limit int64) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return spec, nil
+	case err != nil:
+		return spec, err
+	default:
+		return spec, errors.New("unexpected data after the spec")
+	}
 }
 
 // CampaignSpec lowers the wire spec to the library spec, resolving

@@ -4,6 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,5 +137,52 @@ func TestResolveRejectsHugeJobCount(t *testing.T) {
 	}
 	if _, err := Resolve(raw); err != nil {
 		t.Errorf("spec of exactly %d jobs: %v", campaign.MaxJobs, err)
+	}
+}
+
+// TestSpecStrictOnBothEntryPoints: an rhfleet -spec file and a POST
+// /v1/campaigns body decode through one strict decoder, so a typo'd
+// field or trailing junk is refused by both alike instead of the file
+// silently running with defaults.
+func TestSpecStrictOnBothEntryPoints(t *testing.T) {
+	ts, mgr, _ := newTestServer(t, ManagerConfig{})
+	for name, body := range map[string]string{
+		"unknown field": `{"kind":"hcfirst","mfrs":["A"],"modules_per_mf":2,"scale":"tiny"}`,
+		"trailing data": `{"kind":"hcfirst","mfrs":["A"],"modules_per_mfr":2,"scale":"tiny"} {}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "spec.json")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if ws, err := ReadSpec(path); err == nil {
+				t.Errorf("ReadSpec accepted %s as %+v", body, ws)
+			}
+			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST /v1/campaigns = %d, want 400", resp.StatusCode)
+			}
+		})
+	}
+	if got := mgr.Statuses(); len(got) != 0 {
+		t.Fatalf("rejected specs queued %d campaign(s)", len(got))
+	}
+
+	// The well-formed spec both refusals were one edit away from
+	// reads back field for field.
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(`{"kind":"hcfirst","mfrs":["A"],"modules_per_mfr":2,"scale":"tiny"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := ReadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Spec{Kind: "hcfirst", Mfrs: []string{"A"}, ModulesPerMfr: 2, Scale: "tiny"}); !reflect.DeepEqual(ws, want) {
+		t.Fatalf("ReadSpec = %+v, want %+v", ws, want)
 	}
 }
