@@ -24,13 +24,15 @@ test:
 # coordinator/scheduler/worker loops). The root package's parallel
 # measurement cores run here too: their worker-invariance, clone
 # reset and clone-budget tests exercise the per-worker bench clones,
-# and the compare-read and existence-probe tests drive HCfirst
-# searches whose existence walks share the kernel cache.
+# the compare-read and existence-probe tests drive HCfirst
+# searches whose existence walks share the kernel cache, and the
+# victim-only tests run parallel sweeps on per-worker clones, each
+# with its own row arena.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/durable/... ./internal/pool/... ./internal/exp/... \
 		./internal/store/... ./internal/server/... ./internal/faultmodel/... ./internal/dram/... \
 		./internal/leasesvc/... ./internal/shard/...
-	$(GO) test -race -run 'WorkerInvariance|Reset|Clone|CompareRead|Existence|ProbeLadder' .
+	$(GO) test -race -run 'WorkerInvariance|Reset|Clone|CompareRead|Existence|ProbeLadder|VictimOnly|Arena' .
 
 vet:
 	$(GO) vet ./...
@@ -62,14 +64,15 @@ bench-check:
 	$(GO) run ./cmd/benchjson -compare bench-current.json -threshold $(BENCHTHRESHOLD) BENCH_*.json
 
 # One-iteration pass over the disturb hot-path benchmarks, the
-# Tester-operation benchmarks (warm and cold HCfirst search, parallel
-# temperature sweep, parallel HCfirst profile) and the cold candidate-build
+# Tester-operation benchmarks (warm and cold HCfirst search, WCDP
+# survey, parallel temperature sweep, parallel HCfirst profile) and the
+# cold candidate-build
 # benchmark under the race detector: catches data races in the sharded
 # kernel cache, the parallel cores' shared chamber snapshots and their
 # per-worker clones, and keeps the benchmark bodies themselves
 # compiling and running in CI without benchmark-grade runtime.
 bench-smoke:
-	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|HCFirstCold|TemperatureSweepParallel|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|HCFirstCold|SurveyPatterns|TemperatureSweepParallel|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
 	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 
 # Golden suite: every experiment's rendered text and JSON artifact is

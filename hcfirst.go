@@ -100,7 +100,7 @@ func (t *Tester) HCFirst(cfg HCFirstConfig) (HCFirstResult, error) {
 	// the search observes nothing else).
 	out.Probes++
 	test.Hammers = hc
-	res := &t.probeRes
+	res := &t.victimRes
 	if err := t.hammerInto(test, res, false); err != nil {
 		return out, fmt.Errorf("rowhammer: HCfirst final probe at %d: %w", hc, err)
 	}

@@ -2,6 +2,39 @@ package dram
 
 import "fmt"
 
+// Rows are stored in pages of rowPageRows consecutive physical rows,
+// indexed directly by row number: row r lives in slot r&rowPageMask of
+// page r>>rowPageShift.
+const (
+	rowPageShift = 6
+	rowPageRows  = 1 << rowPageShift
+	rowPageMask  = rowPageRows - 1
+)
+
+// rowSlot is everything a bank keeps for one physical row.
+type rowSlot struct {
+	// data is the row's backing words, allocated lazily on first
+	// activation or write.
+	data []uint64
+	// check is the row's on-die ECC check bytes (one per 64-bit data
+	// word), allocated only when ECC is enabled.
+	check []uint8
+	// ledger is the row's accumulated disturbance.
+	ledger RowLedger
+	// restoredAt is the row's last charge-restore time, valid when
+	// restored is set (tracked only when retention modeling is enabled).
+	restoredAt Picos
+	restored   bool
+	// stale marks a row whose flips a compare-read found but never
+	// applied (Module.CmpRowBulk), so its stored words are not what the
+	// device would hold. A full-row write burst or a reset clears the
+	// mark; until then data and dataIfPresent panic on it.
+	stale bool
+}
+
+// rowPage is one page of a bank's row table (8 KiB, a Go size class).
+type rowPage [rowPageRows]rowSlot
+
 // bankState is the per-bank state machine plus timing bookkeeping.
 type bankState struct {
 	// activeRow is the open physical row, or -1 when precharged.
@@ -26,145 +59,159 @@ type bankState struct {
 	// execAct defers it, resolveSense or a full-row write settles it.
 	senseDue bool
 
-	// rows maps physical row index → backing data words. Rows are
-	// allocated lazily on first activation or write.
-	rows map[int][]uint64
-	// check maps physical row index → on-die ECC check bytes (one per
-	// 64-bit data word), allocated only when ECC is enabled.
-	check map[int][]uint8
-	// ledgers maps physical row index → accumulated disturbance.
-	ledgers map[int]*RowLedger
-	// restoredAt maps physical row index → last charge-restore time
-	// (tracked only when retention modeling is enabled).
-	restoredAt map[int]Picos
-	// stale holds the physical rows whose flips a compare-read found
-	// but never applied (Module.CmpRowBulk), so their stored words are
-	// not what the device would hold. A full-row write burst or a reset
-	// clears a row's mark; until then data and dataIfPresent panic on
-	// it.
-	stale map[int]struct{}
+	// pages is the row table: one entry per rowPageRows rows, nil until
+	// a row of the page is first touched. Pages are kept, zeroed, across
+	// reset, so a reset bank re-touching its rows allocates no page.
+	pages []*rowPage
+	// live lists the indexes of the pages touched since the last reset,
+	// the only pages reset has to clear; isLive marks them.
+	live   []int
+	isLive []bool
+	// staleRows counts the rows marked stale.
+	staleRows int
 
-	// Free lists of row words, check bytes and ledgers released by
-	// reset; data, checkBytes and ledger reuse them (zeroed) before
-	// making new ones, so a reset module re-touching rows allocates
-	// nothing.
-	freeRows    [][]uint64
-	freeChecks  [][]uint8
-	freeLedgers []*RowLedger
+	// Free lists of row words and check bytes released by reset; data
+	// and checkBytes reuse them (zeroed) before making new ones, so a
+	// reset module re-touching rows allocates nothing.
+	freeRows   [][]uint64
+	freeChecks [][]uint8
 }
 
-func newBankState() *bankState {
-	b := &bankState{
-		rows:       make(map[int][]uint64),
-		check:      make(map[int][]uint8),
-		ledgers:    make(map[int]*RowLedger),
-		restoredAt: make(map[int]Picos),
-		stale:      make(map[int]struct{}),
-	}
+func newBankState(rows int) *bankState {
+	n := (rows + rowPageRows - 1) / rowPageRows
+	b := &bankState{pages: make([]*rowPage, n), isLive: make([]bool, n)}
 	b.reset()
 	return b
 }
 
 // reset returns the bank to the state newBankState builds: precharged,
 // no timing history and no rows. The rows' storage moves to the free
-// lists.
+// lists and their pages are zeroed.
 func (b *bankState) reset() {
-	for _, d := range b.rows {
-		b.freeRows = append(b.freeRows, d)
+	for _, pi := range b.live {
+		p := b.pages[pi]
+		for i := range p {
+			s := &p[i]
+			if s.data != nil {
+				b.freeRows = append(b.freeRows, s.data)
+			}
+			if s.check != nil {
+				b.freeChecks = append(b.freeChecks, s.check)
+			}
+		}
+		*p = rowPage{}
+		b.isLive[pi] = false
 	}
-	for _, c := range b.check {
-		b.freeChecks = append(b.freeChecks, c)
-	}
-	for _, l := range b.ledgers {
-		b.freeLedgers = append(b.freeLedgers, l)
-	}
-	clear(b.rows)
-	clear(b.check)
-	clear(b.ledgers)
-	clear(b.restoredAt)
-	clear(b.stale)
 	*b = bankState{
-		activeRow:   -1,
-		rows:        b.rows,
-		check:       b.check,
-		ledgers:     b.ledgers,
-		restoredAt:  b.restoredAt,
-		stale:       b.stale,
-		freeRows:    b.freeRows,
-		freeChecks:  b.freeChecks,
-		freeLedgers: b.freeLedgers,
+		activeRow:  -1,
+		pages:      b.pages,
+		live:       b.live[:0],
+		isLive:     b.isLive,
+		freeRows:   b.freeRows,
+		freeChecks: b.freeChecks,
 	}
 }
 
-// ledger returns the ledger for a physical row, creating it on demand.
-func (b *bankState) ledger(row int) *RowLedger {
-	l := b.ledgers[row]
-	if l == nil {
-		if n := len(b.freeLedgers); n > 0 {
-			l = b.freeLedgers[n-1]
-			b.freeLedgers = b.freeLedgers[:n-1]
-			*l = RowLedger{}
-		} else {
-			l = &RowLedger{}
-		}
-		b.ledgers[row] = l
+// slot returns a physical row's slot, allocating its page on first
+// touch.
+func (b *bankState) slot(row int) *rowSlot {
+	pi := row >> rowPageShift
+	p := b.pages[pi]
+	if p == nil {
+		p = new(rowPage)
+		b.pages[pi] = p
 	}
-	return l
+	if !b.isLive[pi] {
+		b.isLive[pi] = true
+		b.live = append(b.live, pi)
+	}
+	return &p[row&rowPageMask]
 }
+
+// peek returns a physical row's slot without allocating, or nil when
+// its page was never touched (every field of such a row is zero).
+func (b *bankState) peek(row int) *rowSlot {
+	if p := b.pages[row>>rowPageShift]; p != nil {
+		return &p[row&rowPageMask]
+	}
+	return nil
+}
+
+// ledger returns the ledger for a physical row.
+func (b *bankState) ledger(row int) *RowLedger { return &b.slot(row).ledger }
 
 // data returns the backing words for a physical row, allocating a
 // zero-filled row on demand.
 func (b *bankState) data(row, words int) []uint64 {
-	if len(b.stale) != 0 {
-		b.mustBeFresh(row)
+	s := b.slot(row)
+	if s.stale {
+		panicStale(row)
 	}
-	d := b.rows[row]
-	if d == nil {
+	if s.data == nil {
 		if n := len(b.freeRows); n > 0 {
-			d = b.freeRows[n-1]
+			s.data = b.freeRows[n-1]
 			b.freeRows = b.freeRows[:n-1]
-			clear(d)
+			clear(s.data)
 		} else {
-			d = make([]uint64, words)
+			s.data = make([]uint64, words)
 		}
-		b.rows[row] = d
 	}
-	return d
+	return s.data
 }
 
 // checkBytes returns the on-die ECC check bytes of a physical row,
 // allocating zeroed ones on demand.
 func (b *bankState) checkBytes(row, cols int) []uint8 {
-	c := b.check[row]
-	if c == nil {
+	s := b.slot(row)
+	if s.check == nil {
 		if n := len(b.freeChecks); n > 0 {
-			c = b.freeChecks[n-1]
+			s.check = b.freeChecks[n-1]
 			b.freeChecks = b.freeChecks[:n-1]
-			clear(c)
+			clear(s.check)
 		} else {
-			c = make([]uint8, cols)
+			s.check = make([]uint8, cols)
 		}
-		b.check[row] = c
 	}
-	return c
+	return s.check
 }
 
 // dataIfPresent returns the row's backing words without allocating.
 func (b *bankState) dataIfPresent(row int) []uint64 {
-	if len(b.stale) != 0 {
-		b.mustBeFresh(row)
+	s := b.peek(row)
+	if s == nil {
+		return nil
 	}
-	return b.rows[row]
+	if s.stale {
+		panicStale(row)
+	}
+	return s.data
 }
 
-// mustBeFresh panics when a physical row is stale: its words lack
-// flips a compare-read found, and handing them out — to a read, a
-// partial write, a peek, retention decay or a neighbor's disturbance —
-// would observe a state the device never had. Only a caller that
+// markStale marks a physical row stale (see rowSlot.stale).
+func (b *bankState) markStale(row int) {
+	if s := b.slot(row); !s.stale {
+		s.stale = true
+		b.staleRows++
+	}
+}
+
+// clearStale clears a physical row's stale mark, if any.
+func (b *bankState) clearStale(row int) {
+	if b.staleRows == 0 {
+		return
+	}
+	if s := b.peek(row); s != nil && s.stale {
+		s.stale = false
+		b.staleRows--
+	}
+}
+
+// panicStale reports an access to a stale row: its words lack flips a
+// compare-read found, and handing them out — to a read, a partial
+// write, a peek, retention decay or a neighbor's disturbance — would
+// observe a state the device never had. Only a caller that
 // compare-reads a row and then touches it before overwriting it in
 // full can get here.
-func (b *bankState) mustBeFresh(row int) {
-	if _, ok := b.stale[row]; ok {
-		panic(fmt.Sprintf("dram: physical row %d is stale: a compare-read found flips it never applied, so only a full-row write burst or Reset may touch it", row))
-	}
+func panicStale(row int) {
+	panic(fmt.Sprintf("dram: physical row %d is stale: a compare-read found flips it never applied, so only a full-row write burst or Reset may touch it", row))
 }

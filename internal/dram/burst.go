@@ -67,7 +67,7 @@ func (m *Module) WrRowBulk(bank int, data []uint64, step, start Picos) error {
 	}
 	if n == m.geo.ColumnsPerRow {
 		m.dropSense(bank)
-		delete(b.stale, b.activeRow)
+		b.clearStale(b.activeRow)
 	} else {
 		m.resolveSense(bank)
 	}
@@ -171,7 +171,7 @@ func (m *Module) compareOpenRow(bank int, b *bankState, want []uint64) bool {
 			return false
 		}
 		b.senseDue = false
-		led := b.ledgers[phys]
+		led := b.ledger(phys)
 		flips := m.prober.DisturbAny(DisturbContext{
 			Bank:     bank,
 			Row:      phys,
@@ -183,7 +183,7 @@ func (m *Module) compareOpenRow(bank int, b *bankState, want []uint64) bool {
 		})
 		led.Reset()
 		if flips {
-			b.stale[phys] = struct{}{}
+			b.markStale(phys)
 		}
 		return flips
 	}

@@ -119,7 +119,7 @@ func TestCmpRowBulkMatchesReadCompare(t *testing.T) {
 			if g, w := bankTiming(cb), bankTiming(rb); g != w {
 				t.Fatalf("bank timing %v, read burst %v", g, w)
 			}
-			if !cb.ledgers[senseVictim].Empty() {
+			if !cb.peek(senseVictim).ledger.Empty() {
 				t.Fatal("compare-read left the victim's ledger unreset")
 			}
 			gs, rs := cmp.m.Stats(), ref.m.Stats()
@@ -129,7 +129,7 @@ func TestCmpRowBulkMatchesReadCompare(t *testing.T) {
 			if gs != rs {
 				t.Fatalf("stats %+v, read burst %+v", gs, rs)
 			}
-			_, stale := cb.stale[senseVictim]
+			stale := cb.peek(senseVictim).stale
 			if stale != (c.fast && differs) {
 				t.Fatalf("victim stale = %v after a compare-read answering %v (fast %v)", stale, differs, c.fast)
 			}
@@ -247,7 +247,7 @@ func TestStaleRowGuard(t *testing.T) {
 		if got := s.m.PeekRow(0, senseVictim); got != nil {
 			t.Fatalf("reset module still holds the victim: %#x", got)
 		}
-		if n := len(s.m.banks[0].stale); n != 0 {
+		if n := s.m.banks[0].staleRows; n != 0 {
 			t.Fatalf("%d stale rows after Reset", n)
 		}
 	})

@@ -17,6 +17,9 @@ const (
 	PatRandom
 )
 
+// NumPatterns is the number of Table 1 patterns (len(AllPatterns)).
+const NumPatterns = 7
+
 // AllPatterns lists every Table 1 pattern in a stable order.
 var AllPatterns = []PatternKind{
 	PatColStripe, PatColStripeInv,

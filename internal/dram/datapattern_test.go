@@ -75,8 +75,8 @@ func TestRandomPatternDeterministicAndVaried(t *testing.T) {
 }
 
 func TestPatternStrings(t *testing.T) {
-	if len(AllPatterns) != 7 {
-		t.Fatalf("AllPatterns has %d entries, want 7", len(AllPatterns))
+	if len(AllPatterns) != 7 || NumPatterns != 7 {
+		t.Fatalf("AllPatterns has %d entries and NumPatterns is %d, want 7", len(AllPatterns), NumPatterns)
 	}
 	seen := map[string]bool{}
 	for _, p := range AllPatterns {

@@ -104,8 +104,9 @@ func NewModule(cfg ModuleConfig) (*Module, error) {
 // bytes, ledgers or restore stamps; stats and refresh state cleared;
 // TRR samplers and retention state rebuilt from the config; and the
 // temperature back at InitialTempC. Rows are allocated lazily again,
-// from storage the reset keeps on per-bank free lists, so a reset
-// module that re-touches the rows it had allocates nothing.
+// from storage the reset keeps (row-table pages, zeroed, and per-bank
+// free lists of row words), so a reset module that re-touches the rows
+// it had allocates nothing.
 func (m *Module) Reset() { m.init() }
 
 // init sets every field of m from m.cfg. NewModule and Reset share it,
@@ -143,7 +144,7 @@ func (m *Module) init() {
 	}
 	for i, b := range banks {
 		if b == nil {
-			banks[i] = newBankState()
+			banks[i] = newBankState(m.geo.RowsPerBank)
 		} else {
 			b.reset()
 		}
@@ -265,7 +266,7 @@ func (m *Module) execAct(cmd Command, now Picos) error {
 	// command that can observe it (resolveSense), or dropped by a
 	// full-row write.
 	m.restoreRetention(cmd.Bank, phys, now)
-	if led := b.ledgers[phys]; led != nil && !led.Empty() {
+	if s := b.peek(phys); s != nil && !s.ledger.Empty() {
 		b.senseDue = true
 	}
 
@@ -370,7 +371,9 @@ func (m *Module) execRd(cmd Command, now Picos) (uint64, error) {
 // or nil when ECC is off or the row was never written.
 func (m *Module) openCheck(b *bankState) []uint8 {
 	if m.cfg.OnDieECC && m.beatBits == 64 {
-		return b.check[b.activeRow]
+		if s := b.peek(b.activeRow); s != nil {
+			return s.check
+		}
 	}
 	return nil
 }
@@ -487,8 +490,9 @@ func (m *Module) senseRow(bank, phys int, now Picos) {
 func (m *Module) restoreRetention(bank, phys int, now Picos) {
 	b := m.banks[bank]
 	if m.ret != nil {
-		if last, ok := b.restoredAt[phys]; ok {
-			if held := now - last; held >= retentionFloor {
+		s := b.slot(phys)
+		if s.restored {
+			if held := now - s.restoredAt; held >= retentionFloor {
 				if data := b.dataIfPresent(phys); data != nil {
 					n := m.applyRetention(bank, phys, data, held)
 					m.stats.RetentionFlips += int64(n)
@@ -496,7 +500,7 @@ func (m *Module) restoreRetention(bank, phys int, now Picos) {
 				}
 			}
 		}
-		b.restoredAt[phys] = now
+		s.restoredAt, s.restored = now, true
 	}
 }
 
@@ -522,7 +526,7 @@ func (m *Module) dropSense(bank int) {
 		return
 	}
 	b.senseDue = false
-	b.ledgers[b.activeRow].Reset()
+	b.ledger(b.activeRow).Reset()
 }
 
 // Settle applies every deferred disturbance, leaving the stored data
@@ -539,10 +543,11 @@ func (m *Module) Settle() {
 // applies the resulting flips and resets its ledger.
 func (m *Module) applyDisturb(bank, phys int) {
 	b := m.banks[bank]
-	led := b.ledgers[phys]
-	if led == nil || led.Empty() {
+	s := b.peek(phys)
+	if s == nil || s.ledger.Empty() {
 		return
 	}
+	led := &s.ledger
 	data := b.data(phys, m.geo.RowWords())
 	flips, mask := m.disturber.Disturb(DisturbContext{
 		Bank:     bank,
@@ -607,7 +612,7 @@ func (m *Module) insertBeat(data []uint64, col int, beat uint64) {
 // nil when the row was never touched. Test/diagnostic use: real chips
 // have no such port, and characterization code must use RD commands.
 func (m *Module) PeekRow(bank, physRow int) []uint64 {
-	if bank < 0 || bank >= m.geo.Banks {
+	if bank < 0 || bank >= m.geo.Banks || physRow < 0 || physRow >= m.geo.RowsPerBank {
 		return nil
 	}
 	m.resolvePeek(bank, physRow)
@@ -623,15 +628,15 @@ func (m *Module) PeekRow(bank, physRow int) []uint64 {
 // PeekLedger returns a copy of a physical row's disturbance ledger
 // (diagnostic use).
 func (m *Module) PeekLedger(bank, physRow int) RowLedger {
-	if bank < 0 || bank >= m.geo.Banks {
+	if bank < 0 || bank >= m.geo.Banks || physRow < 0 || physRow >= m.geo.RowsPerBank {
 		return RowLedger{}
 	}
 	m.resolvePeek(bank, physRow)
-	l := m.banks[bank].ledgers[physRow]
-	if l == nil {
+	s := m.banks[bank].peek(physRow)
+	if s == nil {
 		return RowLedger{}
 	}
-	return *l
+	return s.ledger
 }
 
 // resolvePeek applies a deferred disturbance before a diagnostic peek

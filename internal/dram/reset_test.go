@@ -172,26 +172,54 @@ func TestResetEqualsNewModule(t *testing.T) {
 // TestResetStateEqualsNewModule: beyond what programs observe, a
 // reset module's state is field for field a new module's — including
 // state no later command reads, such as the restore stamps of rows
-// that no longer exist — apart from the storage kept on the free lists.
+// that no longer exist — apart from the storage a reset keeps: the
+// free lists and the zeroed row-table pages.
 func TestResetStateEqualsNewModule(t *testing.T) {
 	m := resetTestModule(t)
 	dirtyProgram(t, m, 0)
 	m.Reset()
-	if got, want := comparableState(m), comparableState(resetTestModule(t)); !reflect.DeepEqual(got, want) {
+	if got, want := comparableState(t, m), comparableState(t, resetTestModule(t)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reset module state differs from a new one:\nreset: %+v\nnew:   %+v", got, want)
 	}
 }
 
+// moduleState is a module's state as TestResetStateEqualsNewModule
+// compares it: the module without the storage a reset keeps, plus the
+// state of every row of every bank that holds any.
+type moduleState struct {
+	Module Module
+	Rows   []map[int]rowSlot
+}
+
 // comparableState copies m's state without what a reset deliberately
-// keeps: the free lists, the hammer scratch and the TRR tables'
-// capacity.
-func comparableState(m *Module) Module {
+// keeps: the free lists, the row-table pages (their rows' state is
+// compared through Rows instead), the hammer scratch and the TRR
+// tables' capacity. A page outside a bank's live list must be all
+// zero.
+func comparableState(t *testing.T, m *Module) moduleState {
+	t.Helper()
 	c := *m
 	c.hammerPhys = nil
 	c.banks = nil
-	for _, b := range m.banks {
+	var rows []map[int]rowSlot
+	for bi, b := range m.banks {
+		held := make(map[int]rowSlot)
+		for pi, p := range b.pages {
+			if p == nil {
+				continue
+			}
+			if !b.isLive[pi] && !reflect.ValueOf(*p).IsZero() {
+				t.Fatalf("bank %d: page %d is not live but holds state", bi, pi)
+			}
+			for i, s := range p {
+				if !reflect.ValueOf(s).IsZero() {
+					held[pi*rowPageRows+i] = s
+				}
+			}
+		}
+		rows = append(rows, held)
 		bc := *b
-		bc.freeRows, bc.freeChecks, bc.freeLedgers = nil, nil, nil
+		bc.pages, bc.live, bc.isLive, bc.freeRows, bc.freeChecks = nil, nil, nil, nil, nil
 		c.banks = append(c.banks, &bc)
 	}
 	c.trr = nil
@@ -202,7 +230,7 @@ func comparableState(m *Module) Module {
 		}
 		c.trr = append(c.trr, &sc)
 	}
-	return c
+	return moduleState{Module: c, Rows: rows}
 }
 
 // TestResetAllocatesNothing: a reset keeps every row's storage on the

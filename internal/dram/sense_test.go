@@ -113,9 +113,9 @@ func newSenseSetupOn(t *testing.T, ecc bool, ret *RetentionConfig, hold Picos, r
 	}
 	b := m.banks[0]
 	return &senseSetup{m: m, d: d, rec: rec, base: base, want: senseCall{
-		Bank: 0, Row: senseVictim, Ledger: *b.ledgers[senseVictim],
-		Data: clone(b.rows[senseVictim]),
-		Up:   clone(b.rows[senseVictim-1]), Down: clone(b.rows[senseVictim+1]),
+		Bank: 0, Row: senseVictim, Ledger: b.peek(senseVictim).ledger,
+		Data: clone(b.dataIfPresent(senseVictim)),
+		Up:   clone(b.dataIfPresent(senseVictim - 1)), Down: clone(b.dataIfPresent(senseVictim + 1)),
 	}}
 }
 
@@ -149,7 +149,7 @@ func (s *senseSetup) checkOneCall(t *testing.T) {
 	}
 }
 
-func (s *senseSetup) victimData() []uint64 { return clone(s.m.banks[0].rows[senseVictim]) }
+func (s *senseSetup) victimData() []uint64 { return clone(s.m.banks[0].peek(senseVictim).data) }
 
 func TestFullRowBurstDropsDeferredSense(t *testing.T) {
 	for _, ecc := range []bool{false, true} {
@@ -171,7 +171,7 @@ func TestFullRowBurstDropsDeferredSense(t *testing.T) {
 		}
 		if ecc {
 			for col, w := range words {
-				if got, want := s.m.banks[0].check[senseVictim][col], ECCEncode(w); got != want {
+				if got, want := s.m.banks[0].peek(senseVictim).check[col], ECCEncode(w); got != want {
 					t.Fatalf("check byte %d = %#x, want %#x", col, got, want)
 				}
 			}
@@ -276,7 +276,7 @@ func TestDeferredSenseResolutionPoints(t *testing.T) {
 			if got := s.victimData(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("victim row = %#x, want %#x", got, want)
 			}
-			if !s.m.banks[0].ledgers[senseVictim].Empty() {
+			if !s.m.banks[0].peek(senseVictim).ledger.Empty() {
 				t.Fatal("ledger not reset by the resolved sense")
 			}
 			if got, want := s.m.Stats().FlipsInjected-s.base.FlipsInjected, int64(s.rec.calls[0].flips); got != want {

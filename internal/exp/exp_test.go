@@ -149,6 +149,28 @@ func TestFig4TemperatureTrends(t *testing.T) {
 	}
 }
 
+// TestFig4CarriesSingleSidedPoints: Fig. 4's sweeps read the
+// single-sided victims (TempSweepConfig.Singles), so every
+// manufacturer's series has a distance -2 and +2 point at every study
+// temperature, next to the distance-0 ones.
+func TestFig4CarriesSingleSidedPoints(t *testing.T) {
+	a := tinyArtifact(t, "fig4")
+	temps := rh.StudyTemps()
+	for _, mfr := range a.Shards {
+		points := map[[2]float64]bool{}
+		for _, r := range a.RowsWithPrefix(mfrKey(mfr) + "/p=") {
+			points[[2]float64{val(t, a, r.Key, "dist"), val(t, a, r.Key, "temp_c")}] = true
+		}
+		for _, dist := range []float64{-2, 0, 2} {
+			for _, temp := range temps {
+				if !points[[2]float64{dist, temp}] {
+					t.Fatalf("mfr %s: no dist=%+.0f point at %.0f °C", mfr, dist, temp)
+				}
+			}
+		}
+	}
+}
+
 func TestFig5HCFirstChange(t *testing.T) {
 	a := tinyArtifact(t, "fig5")
 	for _, mfr := range a.Shards {

@@ -30,8 +30,9 @@ func wcdp(t *rh.Tester, cfg Config) (rh.PatternKind, error) {
 const tempSweepRows = 24
 
 // runTempSweeps sweeps every module of a manufacturer across the
-// study temperatures.
-func runTempSweeps(cfg Config, mfr string) ([]*rh.TempSweepResult, error) {
+// study temperatures; singles also reads each test's single-sided
+// victims (V±2), which only Fig. 4 reports.
+func runTempSweeps(cfg Config, mfr string, singles bool) ([]*rh.TempSweepResult, error) {
 	bs, err := benches(cfg, mfr)
 	if err != nil {
 		return nil, err
@@ -54,6 +55,7 @@ func runTempSweeps(cfg Config, mfr string) ([]*rh.TempSweepResult, error) {
 			Hammers:     2 * cfg.Scale.Hammers,
 			Pattern:     pat,
 			Repetitions: cfg.Scale.Repetitions,
+			Singles:     singles,
 		})
 		if err != nil {
 			return nil, err
@@ -92,7 +94,7 @@ func mergeClusters(sweeps []*rh.TempSweepResult) *rh.TempClusterMatrix {
 // merges them into its cluster matrix — the shared compute of Table 3
 // and Fig. 3.
 func clusterMatrix(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
-	sweeps, err := runTempSweeps(cfg, mfr)
+	sweeps, err := runTempSweeps(cfg, mfr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +236,7 @@ type fig4Point struct {
 
 // fig4Mfr measures one manufacturer's BER-change series.
 func fig4Mfr(cfg Config, mfr string) ([]fig4Point, error) {
-	sweeps, err := runTempSweeps(cfg, mfr)
+	sweeps, err := runTempSweeps(cfg, mfr, true)
 	if err != nil {
 		return nil, err
 	}

@@ -55,8 +55,9 @@ type PatternFlips struct {
 // PatternSurvey is the result of probing every Table 1 data pattern on
 // a victim sample (§4.2's WCDP step).
 type PatternSurvey struct {
-	// Totals lists per-pattern flip counts in AllPatterns order.
-	Totals []PatternFlips
+	// Totals lists per-pattern flip counts in AllPatterns order (an
+	// array, so a survey allocates nothing).
+	Totals [dram.NumPatterns]PatternFlips
 	// Best is the worst-case data pattern (most flips; ties go to the
 	// earlier pattern in AllPatterns order, matching the paper driver).
 	Best PatternKind
@@ -66,29 +67,28 @@ type PatternSurvey struct {
 }
 
 // SurveyPatterns hammers the victim sample once per Table 1 pattern
-// and tallies flips, identifying the module's worst-case data pattern.
-// It checks ctx between patterns.
+// and tallies the victims' flips (it reads nothing else), identifying
+// the module's worst-case data pattern. It checks ctx between patterns.
 func (t *Tester) SurveyPatterns(ctx context.Context, bank int, victims []int, hammers int64) (PatternSurvey, error) {
 	var s PatternSurvey
 	if len(victims) == 0 {
 		return s, fmt.Errorf("rowhammer: pattern survey needs victim rows")
 	}
 	bestFlips, worstFlips := -1, -1
-	for _, pat := range dram.AllPatterns {
+	for i, pat := range dram.AllPatterns {
 		if err := ctx.Err(); err != nil {
 			return s, err
 		}
 		total := 0
 		for _, v := range victims {
-			res, err := t.Hammer(HammerConfig{
+			if err := t.hammerInto(HammerConfig{
 				Bank: bank, VictimPhys: v, Hammers: hammers, Pattern: pat, Trial: 1,
-			})
-			if err != nil {
+			}, &t.victimRes, false); err != nil {
 				return s, err
 			}
-			total += res.Victim.Count()
+			total += t.victimRes.Victim.Count()
 		}
-		s.Totals = append(s.Totals, PatternFlips{Pattern: pat, Flips: total})
+		s.Totals[i] = PatternFlips{Pattern: pat, Flips: total}
 		if total > bestFlips {
 			bestFlips = total
 			s.Best = pat

@@ -141,6 +141,39 @@ func TestTemperatureSweepWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestTemperatureSweepWorkerInvarianceOnUsedBench: successive sweeps
+// on one bench agree across worker counts. A sweep leaves the chamber
+// at 50 °C but not in its construction state, so the parallel sweep
+// must settle its point snapshots from the bench's current chamber, as
+// the serial sweep's SetTemperature calls do.
+func TestTemperatureSweepWorkerInvarianceOnUsedBench(t *testing.T) {
+	run := func(workers int) []*TempSweepResult {
+		tester := NewTester(newBenchFor(t, "D", 35))
+		tester.SetWorkers(workers)
+		var out []*TempSweepResult
+		for _, pat := range []PatternKind{PatCheckered, PatRowStripe, PatRandom} {
+			sweep, err := tester.TemperatureSweep(TempSweepConfig{
+				Victims: []int{100, 201}, Temps: []float64{50, 70, 90},
+				Hammers: 250_000, Pattern: pat, Repetitions: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, sweep)
+		}
+		return out
+	}
+	serial, par := run(1), run(2)
+	for i := range serial {
+		if len(serial[i].Cells) == 0 {
+			t.Fatalf("sweep %d observed no flips; test vacuous", i)
+		}
+		if !reflect.DeepEqual(serial[i].Cells, par[i].Cells) {
+			t.Fatalf("sweep %d on a used bench: parallel cells differ from serial", i)
+		}
+	}
+}
+
 // TestMeasureModuleCoresWorkerInvariance runs the fleet measurement
 // cores end to end at several worker counts and compares the full
 // (pattern, metrics, series) outputs.

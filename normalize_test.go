@@ -157,14 +157,22 @@ func TestTempGridPointLimit(t *testing.T) {
 		t.Fatalf("RunCampaign(33 points) = %v, want *TempGridSizeError", err)
 	}
 
-	b, err := NewBench(BenchConfig{Profile: ProfileByName("A"), Seed: 7, Geometry: TinyGeometry()})
-	if err != nil {
-		t.Fatal(err)
+	// Each worker count sweeps a bench of its own: a sweep leaves the
+	// chamber at 50 °C but not in its construction state, so a second
+	// sweep on the same bench measures at slightly different settled
+	// temperatures.
+	newTester := func(workers int) *Tester {
+		b, err := NewBench(BenchConfig{Profile: ProfileByName("A"), Seed: 7, Geometry: TinyGeometry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tester := NewTester(b)
+		tester.SetWorkers(workers)
+		return tester
 	}
-	tester := NewTester(b)
 	cfg := TempSweepConfig{Victims: []int{40}, Temps: long, Hammers: 300_000, Pattern: PatCheckered, Repetitions: 1}
 	for _, workers := range []int{1, 2} {
-		tester.SetWorkers(workers)
+		tester := newTester(workers)
 		if _, err := tester.TemperatureSweep(cfg); !errors.As(err, &tge) {
 			t.Fatalf("workers=%d: TemperatureSweep(33 points) = %v, want *TempGridSizeError", workers, err)
 		}
@@ -180,8 +188,7 @@ func TestTempGridPointLimit(t *testing.T) {
 	}
 	var sweeps []*TempSweepResult
 	for _, workers := range []int{1, 2} {
-		tester.SetWorkers(workers)
-		sweep, err := tester.TemperatureSweep(cfg)
+		sweep, err := newTester(workers).TemperatureSweep(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: TemperatureSweep(32 points) = %v", workers, err)
 		}

@@ -30,6 +30,11 @@ type TempSweepConfig struct {
 	// Repetitions per (victim, temperature); a cell counts as flipped
 	// at a temperature if it flips in any repetition.
 	Repetitions int
+	// Singles also reads the two single-sided victims (V±2) of every
+	// test into the results' SingleLo/SingleHi (Fig. 4's ±2 series).
+	// Without it only the double-sided victim is read and they stay
+	// empty; Victim and Cells are the same either way.
+	Singles bool
 }
 
 // TempSweepResult holds the raw sweep data.
@@ -88,13 +93,13 @@ func (t *Tester) temperatureSweep(ctx context.Context, cfg TempSweepConfig) (*Te
 			// are scoped per victim.
 			var worst, cur HammerResult
 			for rep := 0; rep < cfg.Repetitions; rep++ {
-				if err := t.HammerInto(HammerConfig{
+				if err := t.hammerInto(HammerConfig{
 					Bank:       cfg.Bank,
 					VictimPhys: victim,
 					Hammers:    cfg.Hammers,
 					Pattern:    cfg.Pattern,
 					Trial:      uint64(rep) + 1,
-				}, &cur); err != nil {
+				}, &cur, cfg.Singles); err != nil {
 					return nil, err
 				}
 				for _, bit := range cur.Victim.Bits {
@@ -125,16 +130,17 @@ type sweepUnit struct {
 
 // temperatureSweepParallel fans the (temperature, victim) grid out
 // over the pool and merges the units back in grid order. The chamber
-// trajectory a fresh bench follows through the sweep is settled once,
-// from the construction snapshot, into one snapshot per temperature
-// point. Each worker builds one hermetic bench clone and, before every
-// unit, resets it to the unit's point snapshot — the state a clone
-// replaying the trajectory would reach — so the settled plant
-// temperature, and with it every recorded measurement, is
+// trajectory the bench follows through the sweep is settled once, from
+// a copy of its current chamber (a bench that already ran a sweep is
+// not back at its construction state), into one snapshot per
+// temperature point. Each worker builds one hermetic bench clone and,
+// before every unit, resets it to the unit's point snapshot — the
+// state a clone replaying the trajectory would reach — so the settled
+// plant temperature, and with it every recorded measurement, is
 // bit-identical to the shared-bench serial sweep.
 func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
 	points := make([]*thermal.Chamber, len(cfg.Temps))
-	ch := t.b.settled.Clone()
+	ch := t.b.Chamber.Clone()
 	for ti, temp := range cfg.Temps {
 		if err := ch.SetAndSettle(temp); err != nil {
 			return nil, err
@@ -152,13 +158,13 @@ func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConf
 		var cur HammerResult // swaps with unit.worst, as in BER
 		seen := make([]uint64, seenWords)
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			if err := sub.HammerInto(HammerConfig{
+			if err := sub.hammerInto(HammerConfig{
 				Bank:       cfg.Bank,
 				VictimPhys: cfg.Victims[ri],
 				Hammers:    cfg.Hammers,
 				Pattern:    cfg.Pattern,
 				Trial:      uint64(rep) + 1,
-			}, &cur); err != nil {
+			}, &cur, cfg.Singles); err != nil {
 				return sweepUnit{}, err
 			}
 			for _, bit := range cur.Victim.Bits {

@@ -36,9 +36,16 @@ type Tester struct {
 	bld      *softmc.Builder
 	res      softmc.Result
 	rowArena [][]uint64 // one pattern buffer per V±patternRadius position
+	// arenaKey is the (bank, victim, pattern) whose in-range V±8 rows
+	// rowArena holds, set by writePattern (victim -1 until the first
+	// write).
+	arenaKey patternKey
+	rowWant  []uint64 // expected words of a readback the arena misses
 	aggRows  [2]int
 	salts    []uint64
-	probeRes HammerResult // HCFirst's probe result, reused across searches
+	// victimRes is the victim-only result HCFirst's final probe and
+	// SurveyPatterns reuse across tests.
+	victimRes HammerResult
 
 	// clones counts the bench clones cloneAt built, from any pool
 	// worker, so tests can hold the parallel cores to their
@@ -97,8 +104,16 @@ func (t *Tester) Bench() *Bench { return t.b }
 
 // InitPattern writes the Table 1 pattern into the victim and its
 // ±8 physical neighbors (public entry point for attack/defense
-// harnesses built on top of the Tester).
+// harnesses built on top of the Tester). The bank and the victim must
+// lie in the module; the victim may sit at its edge, where the rows of
+// its window outside the bank are skipped.
 func (t *Tester) InitPattern(bank, victimPhys int, pat dram.PatternKind) error {
+	if err := t.validateBank(bank); err != nil {
+		return err
+	}
+	if victimPhys < 0 || victimPhys >= t.b.Geometry().RowsPerBank {
+		return fmt.Errorf("rowhammer: victim row %d out of range", victimPhys)
+	}
 	return t.writePattern(bank, victimPhys, pat)
 }
 
@@ -143,7 +158,10 @@ type FlipSet struct {
 func (f FlipSet) Count() int { return len(f.Bits) }
 
 // HammerResult is the outcome of one double-sided test: flips in the
-// victim (distance 0) and in the two single-sided victims (±2).
+// victim (distance 0) and in the two single-sided victims (±2). A
+// measurement that observes only the victim (BER, SurveyPatterns,
+// TemperatureSweep without Singles) leaves SingleLo and SingleHi
+// empty.
 type HammerResult struct {
 	Victim    FlipSet
 	SingleLo  FlipSet // physical victim-2
@@ -159,10 +177,10 @@ func (r HammerResult) TotalFlips() int {
 // validateVictim checks that a double-sided attack on the victim is
 // physically possible.
 func (t *Tester) validateVictim(bank, victim int) error {
-	g := t.b.Geometry()
-	if bank < 0 || bank >= g.Banks {
-		return fmt.Errorf("rowhammer: bank %d out of range", bank)
+	if err := t.validateBank(bank); err != nil {
+		return err
 	}
+	g := t.b.Geometry()
 	if victim < 1 || victim >= g.RowsPerBank-1 {
 		return fmt.Errorf("rowhammer: victim row %d has no physical neighbor", victim)
 	}
@@ -170,6 +188,20 @@ func (t *Tester) validateVictim(bank, victim int) error {
 		return fmt.Errorf("rowhammer: victim row %d sits on a subarray edge", victim)
 	}
 	return nil
+}
+
+// validateBank checks that a bank exists in the module.
+func (t *Tester) validateBank(bank int) error {
+	if bank < 0 || bank >= t.b.Geometry().Banks {
+		return fmt.Errorf("rowhammer: bank %d out of range", bank)
+	}
+	return nil
+}
+
+// patternKey identifies the words writePattern puts in the row arena.
+type patternKey struct {
+	bank, victim int
+	pat          dram.PatternKind
 }
 
 // fillRow writes the pattern's fill words for one row into dst
@@ -195,10 +227,11 @@ const writePatternInstrs = 6
 // ensureScratch lazily sizes the Tester's reusable buffers: a builder
 // whose instruction buffer persists across programs (sized up front
 // for writePattern, the longest program, so it never regrows), a
-// result whose read buffer persists across runs, and one pattern
-// buffer per V±patternRadius row position (WrRowShared aliases them
-// until the program runs; the device copies words into bank storage,
-// so reuse afterwards is safe).
+// result whose read buffer persists across runs, one pattern buffer per
+// V±patternRadius row position (WrRowShared aliases them until the
+// program runs; the device copies words into bank storage and never
+// writes them, so they stay valid for later writes and readbacks) and
+// one row of expected words for readbacks the arena does not hold.
 func (t *Tester) ensureScratch() {
 	if t.bld != nil {
 		return
@@ -206,34 +239,55 @@ func (t *Tester) ensureScratch() {
 	g := t.b.Geometry()
 	n := 2*patternRadius + 1
 	t.bld = softmc.NewBuilder(t.b.Timing().TCK).Grow(n * writePatternInstrs)
-	backing := make([]uint64, n*g.ColumnsPerRow)
+	backing := make([]uint64, (n+1)*g.ColumnsPerRow)
 	t.rowArena = make([][]uint64, n)
 	for i := range t.rowArena {
 		t.rowArena[i] = backing[i*g.ColumnsPerRow : (i+1)*g.ColumnsPerRow : (i+1)*g.ColumnsPerRow]
 	}
+	t.rowWant = backing[n*g.ColumnsPerRow:]
+	t.arenaKey = patternKey{victim: -1}
 }
 
 // writePattern initializes the victim and its ±patternRadius physical
 // neighbors with the pattern, via regular WR commands (issued as one
 // bulk burst per row — bit-identical to the per-command sequence).
+// The row arena is refilled only when (bank, victim, pattern) changed
+// since the last write: the words depend on nothing else.
 func (t *Tester) writePattern(bank, victim int, pat dram.PatternKind) error {
 	t.ensureScratch()
 	g := t.b.Geometry()
 	tm := t.b.Timing()
+	refill := t.arenaKey != patternKey{bank, victim, pat}
 	bld := t.bld.Reset()
 	for phys := victim - patternRadius; phys <= victim+patternRadius; phys++ {
 		if phys < 0 || phys >= g.RowsPerBank {
 			continue
 		}
 		words := t.rowArena[phys-victim+patternRadius]
-		logical := t.logical(phys)
-		bld.Act(bank, logical).Wait(tm.TRCD)
-		t.fillRow(words, bank, phys, phys-victim, pat)
+		if refill {
+			t.fillRow(words, bank, phys, phys-victim, pat)
+		}
+		bld.Act(bank, t.logical(phys)).Wait(tm.TRCD)
 		bld.WrRowShared(bank, words, tm.TCCD)
 		bld.Wait(tm.TRAS). // generous: covers tWR and the tRAS remainder
 					Pre(bank).Wait(tm.TRP)
 	}
+	t.arenaKey = patternKey{bank, victim, pat}
 	return t.b.Exec.RunInto(bld.View(), &t.res)
+}
+
+// expectedRow returns the words a physical row was initialized with
+// for the given victim: the row arena's when the last pattern write
+// was for this (bank, victim, pattern) and covered the row, otherwise
+// the pattern's fill words, computed into scratch.
+func (t *Tester) expectedRow(bank, phys, victim int, pat dram.PatternKind) []uint64 {
+	dist := phys - victim
+	if t.arenaKey == (patternKey{bank, victim, pat}) &&
+		dist >= -patternRadius && dist <= patternRadius && phys >= 0 && phys < t.b.Geometry().RowsPerBank {
+		return t.rowArena[dist+patternRadius]
+	}
+	t.fillRow(t.rowWant, bank, phys, dist, pat)
+	return t.rowWant
 }
 
 // readRowFlips reads one physical row and returns the bits that differ
@@ -261,14 +315,9 @@ func (t *Tester) readRowFlipsInto(flips *FlipSet, bank, phys, victim int, pat dr
 	if err := t.b.Exec.RunInto(bld.View(), &t.res); err != nil {
 		return err
 	}
-	dist := phys - victim
-	random := pat == dram.PatRandom
-	want := pat.FillWord(t.patternSeed, bank, phys, dist, 0)
+	want := t.expectedRow(bank, phys, victim, pat)
 	for col, got := range t.res.Reads {
-		if random {
-			want = pat.FillWord(t.patternSeed, bank, phys, dist, col)
-		}
-		diff := got ^ want
+		diff := got ^ want[col]
 		for diff != 0 {
 			flips.Bits = append(flips.Bits, col*64+bits.TrailingZeros64(diff))
 			diff &= diff - 1
@@ -415,7 +464,8 @@ func (t *Tester) declareTrialSalts(reps int) {
 
 // BER measures the bit error rate of a victim row: the number of
 // RowHammer bit flips at the given hammer count, using the worst case
-// over the configured repetitions (the paper repeats five times).
+// over the configured repetitions (the paper repeats five times). It
+// reads only the victim: the result's SingleLo and SingleHi stay empty.
 func (t *Tester) BER(cfg HammerConfig, repetitions int) (HammerResult, error) {
 	if repetitions < 1 {
 		repetitions = 1
@@ -427,7 +477,7 @@ func (t *Tester) BER(cfg HammerConfig, repetitions int) (HammerResult, error) {
 	for rep := 0; rep < repetitions; rep++ {
 		c := cfg
 		c.Trial = uint64(rep) + 1
-		if err := t.HammerInto(c, &cur); err != nil {
+		if err := t.hammerInto(c, &cur, false); err != nil {
 			return worst, err
 		}
 		if rep == 0 || cur.Victim.Count() > worst.Victim.Count() {

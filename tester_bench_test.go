@@ -1,7 +1,8 @@
 // Benchmarks for the Tester-operation layer: one complete §4.2
-// measurement — an HCfirst search repeated over trials, a parallel
-// temperature sweep and a parallel HCfirst profile — on a small module,
-// with allocations reported. `make bench-smoke` runs them once under the race detector.
+// measurement — an HCfirst search repeated over trials, a WCDP survey,
+// a parallel temperature sweep and a parallel HCfirst profile — on a
+// small module, with allocations reported. `make bench-smoke` runs
+// them once under the race detector.
 package rowhammer_test
 
 import (
@@ -108,5 +109,29 @@ func BenchmarkRowHCFirstProfileParallel(b *testing.B) {
 		if len(rh.VulnerableHCs(profile)) == 0 {
 			b.Fatal("no row found an HCfirst; benchmark vacuous")
 		}
+	}
+}
+
+// BenchmarkSurveyPatterns times one WCDP survey (§4.2: every Table 1
+// pattern on three victims, the first step of every per-module
+// measurement) on a warm module. The survey reads only the victims,
+// into a result buffer the Tester reuses.
+func BenchmarkSurveyPatterns(b *testing.B) {
+	tr := testerBench(b, 1)
+	victims := []int{100, 201, 302}
+	survey := func() {
+		s, err := tr.SurveyPatterns(context.Background(), 0, victims, 150_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.BestFlips == 0 {
+			b.Fatal("no pattern flipped a bit; benchmark vacuous")
+		}
+	}
+	survey() // warm the module's rows and the fault model's caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		survey()
 	}
 }
