@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"rowhammer/internal/dram"
 	"rowhammer/internal/softmc"
 )
 
@@ -31,32 +32,78 @@ func arenaWrites(rows int) []patternWrite {
 }
 
 // TestArenaWritePatternMatchesFreshTester: a Tester that reuses its
-// row arena across pattern writes issues the same command trace and
-// leaves the same stored words over V±8 as a fresh Tester (whose arena
-// is empty) writing the same pattern on an identical bench.
+// row arena and its pattern-write program across writes issues the
+// same command trace, leaves the same stored words over V±8 and
+// measures the same flips as a fresh Tester (whose arena is empty and
+// whose program is assembled afresh) on an identical bench — across
+// repeated, re-patterned, moved and re-banked writes, with hammer
+// tests, readbacks and compare-reads assembled in between, and after
+// UseMapping changes the logical rows the held program activates.
 func TestArenaWritePatternMatchesFreshTester(t *testing.T) {
 	memoBench, freshBench := newBenchFor(t, "A", 41), newBenchFor(t, "A", 41)
 	memoBench.Exec.SetTrace(true)
 	freshBench.Exec.SetTrace(true)
 	memo := NewTester(memoBench)
-	rows := memoBench.Geometry().RowsPerBank
-	for i, w := range arenaWrites(rows) {
+	freshWith := func(m dram.RemapScheme) *Tester {
 		fresh := NewTester(freshBench)
-		if err := memo.InitPattern(w.bank, w.victim, w.pat); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.InitPattern(w.bank, w.victim, w.pat); err != nil {
-			t.Fatal(err)
-		}
-		if len(memo.res.Trace) == 0 || !reflect.DeepEqual(memo.res.Trace, fresh.res.Trace) {
-			t.Fatalf("write %d %+v: trace of %d commands, fresh Tester %d (or they differ)", i, w, len(memo.res.Trace), len(fresh.res.Trace))
-		}
-		for phys := max(w.victim-patternRadius, 0); phys <= min(w.victim+patternRadius, rows-1); phys++ {
-			got, want := memoBench.Module.PeekRow(w.bank, phys), freshBench.Module.PeekRow(w.bank, phys)
-			if got == nil || !slices.Equal(got, want) {
-				t.Fatalf("write %d %+v: row %d holds %#x, fresh Tester wrote %#x", i, w, phys, got, want)
+		fresh.UseMapping(m)
+		return fresh
+	}
+	rows := memoBench.Geometry().RowsPerBank
+	flips := 0
+	for mi, m := range []dram.RemapScheme{memoBench.Module.Remap(), dram.MirrorRemap{}, dram.DefaultScramble()} {
+		memo.UseMapping(m)
+		for i, w := range arenaWrites(rows) {
+			fresh := freshWith(m)
+			if err := memo.InitPattern(w.bank, w.victim, w.pat); err != nil {
+				t.Fatal(err)
 			}
+			if err := fresh.InitPattern(w.bank, w.victim, w.pat); err != nil {
+				t.Fatal(err)
+			}
+			if len(memo.res.Trace) == 0 || !reflect.DeepEqual(memo.res.Trace, fresh.res.Trace) {
+				t.Fatalf("mapping %d write %d %+v: trace of %d commands, fresh Tester %d (or they differ)",
+					mi, i, w, len(memo.res.Trace), len(fresh.res.Trace))
+			}
+			for phys := max(w.victim-patternRadius, 0); phys <= min(w.victim+patternRadius, rows-1); phys++ {
+				got, want := memoBench.Module.PeekRow(w.bank, phys), freshBench.Module.PeekRow(w.bank, phys)
+				if got == nil || !slices.Equal(got, want) {
+					t.Fatalf("mapping %d write %d %+v: row %d holds %#x, fresh Tester wrote %#x", mi, i, w, phys, got, want)
+				}
+			}
+			if memo.validateVictim(w.bank, w.victim) != nil {
+				continue
+			}
+			// A hammer test rewrites the same key with the held program,
+			// then reads back and compare-reads through the short builder.
+			cfg := HammerConfig{Bank: w.bank, VictimPhys: w.victim, Hammers: 400_000, Pattern: w.pat, Trial: 1}
+			got, err := memo.Hammer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := freshWith(m).Hammer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mapping %d write %d %+v: hammer test %+v, fresh Tester %+v", mi, i, w, got, want)
+			}
+			gotF, err := memo.victimFlipped(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantF, err := freshWith(m).victimFlipped(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotF != wantF {
+				t.Fatalf("mapping %d write %d %+v: compare-read %v, fresh Tester %v", mi, i, w, gotF, wantF)
+			}
+			flips += got.TotalFlips()
 		}
+	}
+	if flips == 0 {
+		t.Fatal("no hammer test flipped a bit; test vacuous")
 	}
 }
 

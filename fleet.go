@@ -333,21 +333,13 @@ func moduleRunner(scale Scale, geom Geometry) campaign.Runner {
 			return campaign.Record{}, err
 		}
 		t := NewTester(b)
-		// Split the machine between the campaign pool and the
-		// per-module row parallelism: when the campaign already runs
-		// several modules concurrently, each module's measurement
-		// cores get the remaining share of the CPUs. Results are
+		// The measurement cores get this job's share of the CPUs left
+		// by the engine workers running in the process: every
+		// campaign's, so the concurrent shards of a sharded campaign
+		// do not each fan out over the whole machine. Results are
 		// worker-count-invariant, so this is purely a scheduling
 		// decision.
-		campaignWorkers := spec.Workers
-		if campaignWorkers < 1 {
-			campaignWorkers = pool.DefaultWorkers()
-		}
-		inner := pool.DefaultWorkers() / campaignWorkers
-		if inner < 1 {
-			inner = 1
-		}
-		t.SetWorkers(inner)
+		t.SetWorkers(pool.Share())
 		scope := MeasureScope{Scale: scale, Temps: spec.Temps}
 
 		core, ok := measureCores[job.Kind]

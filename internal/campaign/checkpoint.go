@@ -357,6 +357,10 @@ type ResumeReport struct {
 	QuarantinePath string
 }
 
+// maxCheckpointLine is the longest checkpoint line the reader accepts
+// (16 MiB); a longer line fails the read with bufio.ErrTooLong.
+const maxCheckpointLine = 1 << 24
+
 // ReadCheckpointReport parses a v1 or v2 JSONL checkpoint stream into
 // a resume report. It verifies per-record CRCs (v2), rejects streams
 // whose header identifies a different campaign than opts.ExpectSpec,
@@ -376,7 +380,10 @@ func ReadCheckpointReport(r io.Reader, opts ResumeOptions) (*ResumeReport, error
 	}
 	rep := &ResumeReport{Version: 1, Records: make(map[string]Record)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	// A nil buffer starts small and doubles on demand up to the cap, so
+	// a read of a few KB of records allocates a few KB: a sharded
+	// campaign reads every shard checkpoint twice.
+	sc.Buffer(nil, maxCheckpointLine)
 	line := 0
 	// One bad line is held pending: if it turns out to be the final
 	// line it is a torn write and is forgiven; if more lines follow it

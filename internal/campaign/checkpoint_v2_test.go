@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -626,5 +627,47 @@ func TestQuarantineRetentionIsBounded(t *testing.T) {
 	}
 	if len(rep.Records) != 1 {
 		t.Fatalf("the valid record should survive, got %d", len(rep.Records))
+	}
+}
+
+// TestCheckpointLongRecordLines: the reader's line buffer starts small
+// and grows on demand, so a record line longer than 1 MiB (and below
+// the maxCheckpointLine cap) loads intact wherever it sits in the
+// stream, while a line over the cap fails the read with
+// bufio.ErrTooLong.
+func TestCheckpointLongRecordLines(t *testing.T) {
+	spec := v2Spec()
+	big := v2Record("hcfirst/A/0", 1)
+	big.Series = map[string][]float64{"hc": make([]float64, 200_000)}
+	for i := range big.Series["hc"] {
+		big.Series["hc"][i] = float64(i) + 0.125
+	}
+	var buf bytes.Buffer
+	cw := NewCheckpointWriter(&buf, spec)
+	for _, r := range []Record{v2Record("hcfirst/A/1", 2), big, v2Record("hcfirst/B/0", 3)} {
+		if err := cw.WriteRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	longest := 0
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		longest = max(longest, len(line))
+	}
+	if longest <= 1<<20 || longest >= maxCheckpointLine {
+		t.Fatalf("longest line is %d bytes, want between 1 MiB and the %d-byte cap", longest, maxCheckpointLine)
+	}
+	recs := checkpointRecords(t, buf.Bytes(), spec)
+	if len(recs) != 3 {
+		t.Fatalf("loaded %d records, want 3", len(recs))
+	}
+	got := recs[big.Key].Series["hc"]
+	if len(got) != len(big.Series["hc"]) || got[len(got)-1] != big.Series["hc"][len(got)-1] {
+		t.Fatalf("long record came back with %d series points, want %d", len(got), len(big.Series["hc"]))
+	}
+
+	over := append(bytes.Clone(buf.Bytes()), bytes.Repeat([]byte("x"), maxCheckpointLine+1)...)
+	over = append(over, '\n')
+	if _, err := ReadCheckpointReport(bytes.NewReader(over), ResumeOptions{ExpectSpec: &spec}); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over the cap: err = %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rowhammer/internal/pool"
 	"rowhammer/internal/rng"
 )
 
@@ -174,14 +175,16 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	jobCh := make(chan Job)
 	recCh := make(chan Record)
 	var wg sync.WaitGroup
-	workers := spec.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	// Each worker holds one process-wide slot (pool.Share) until it
+	// exits, so a runner's inner fan-out sees every engine running in
+	// the process, not only this one.
+	workers := min(spec.Workers, len(pending))
+	pool.Reserve(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer pool.Release(1)
 			for j := range jobCh {
 				recCh <- runJob(ctx, opts.Runner, spec, j, br)
 			}

@@ -69,6 +69,11 @@ func (g Geometry) Validate() error {
 // (the concatenation of the per-chip rows).
 func (g Geometry) RowBits() int { return g.Chips * g.ChipWidth * g.ColumnsPerRow }
 
+// BeatBits returns the width of one column access in bits: every chip
+// of the rank contributes ChipWidth bits. Column col's beat occupies
+// row bits col·BeatBits through col·BeatBits+BeatBits−1.
+func (g Geometry) BeatBits() int { return g.Chips * g.ChipWidth }
+
 // RowWords returns the number of 64-bit words backing one row.
 func (g Geometry) RowWords() int { return (g.RowBits() + 63) / 64 }
 

@@ -90,8 +90,7 @@ func NewModule(cfg ModuleConfig) (*Module, error) {
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
-	beat := cfg.Geometry.Chips * cfg.Geometry.ChipWidth
-	if beat > 64 {
+	if beat := cfg.Geometry.BeatBits(); beat > 64 {
 		return nil, fmt.Errorf("dram: beat width %d bits exceeds 64 (unsupported)", beat)
 	}
 	m := &Module{cfg: cfg}
@@ -124,7 +123,7 @@ func (m *Module) init() {
 		remap:     cfg.Remap,
 		disturber: cfg.Disturber,
 		tempC:     cfg.InitialTempC,
-		beatBits:  cfg.Geometry.Chips * cfg.Geometry.ChipWidth,
+		beatBits:  cfg.Geometry.BeatBits(),
 		// JEDEC refreshes the array over 8192 REF commands per tREFW.
 		rowsPerRef: (cfg.Geometry.RowsPerBank + 8191) / 8192,
 		hammerPhys: phys[:0],

@@ -189,10 +189,10 @@ func NewModel(cfg Config) (*Model, error) {
 		m.cfNegAlpha[chip] = make([]float64, arrayCols)
 		for c := 0; c < arrayCols; c++ {
 			zd := design[c]
-			zp := rng.NormalFromHash(
-				rng.Hash64x5(m.seed, keyColProc, uint64(chip), uint64(c), 1),
-				rng.Hash64x5(m.seed, keyColProc, uint64(chip), uint64(c), 2),
-			)
+			// Hash64x5(seed, keyColProc, chip, c, 1|2), with the shared
+			// four-key fold hoisted into one prefix per column.
+			prefix := rng.HashPrefix(m.seed, keyColProc, uint64(chip), uint64(c))
+			zp := rng.NormalFromHash(rng.Hash64Suffix(prefix, 1), rng.Hash64Suffix(prefix, 2))
 			zc := math.Sqrt(1-wp)*zd + math.Sqrt(wp)*zp
 			lf := cfg.Profile.ColSigma * zc
 			f := math.Exp(lf)

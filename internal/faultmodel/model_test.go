@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rowhammer/internal/dram"
+	"rowhammer/internal/rng"
 	"rowhammer/internal/stats"
 )
 
@@ -510,5 +511,44 @@ func TestForkDisturbAllocs(t *testing.T) {
 	parent.DisturbBatch(ctx, salts, masks, flips)
 	if n := testing.AllocsPerRun(20, func() { parent.DisturbBatch(ctx, salts, masks, flips) }); n != 0 {
 		t.Fatalf("steady-state DisturbBatch allocates %.0f objects, want 0", n)
+	}
+}
+
+// TestColumnFactorsMatchHash64x5Reference pins NewModel's hoisted
+// column-process hash (one HashPrefix per column, two Hash64Suffix
+// draws): colFactor and cfNegAlpha must be bit-identical to the
+// per-draw Hash64x5 formulation for every profile, at the tiny and
+// the default geometry.
+func TestColumnFactorsMatchHash64x5Reference(t *testing.T) {
+	tiny := dram.Geometry{Banks: 1, RowsPerBank: 512, SubarrayRows: 128, Chips: 8, ChipWidth: 8, ColumnsPerRow: 32}
+	for _, geo := range []dram.Geometry{tiny, dram.DefaultDDR4Geometry()} {
+		for _, p := range Profiles() {
+			m, err := NewModel(Config{Profile: p, ModuleSeed: 0xc01f, Geometry: geo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			designKey := rng.Hash64(uint64(len(p.Name)), uint64(p.Name[0]), keyColDesign)
+			minNegAlpha := math.Pow(minColFactor, -p.TailAlpha)
+			for chip := 0; chip < geo.Chips; chip++ {
+				for c := 0; c < geo.ChipRowBits(); c++ {
+					zd := rng.NormalFromHash(rng.Hash64x3(designKey, uint64(c), 1), rng.Hash64x3(designKey, uint64(c), 2))
+					zp := rng.NormalFromHash(
+						rng.Hash64x5(m.seed, keyColProc, uint64(chip), uint64(c), 1),
+						rng.Hash64x5(m.seed, keyColProc, uint64(chip), uint64(c), 2),
+					)
+					lf := p.ColSigma * (math.Sqrt(1-p.ColProcessWeight)*zd + math.Sqrt(p.ColProcessWeight)*zp)
+					f, negAlpha := math.Exp(lf), math.Exp(-p.TailAlpha*lf)
+					if f < minColFactor {
+						f, negAlpha = minColFactor, minNegAlpha
+					}
+					if got := m.colFactor[chip][c]; math.Float64bits(got) != math.Float64bits(f) {
+						t.Fatalf("%s %+v chip %d col %d: colFactor %v, reference %v", p.Name, geo, chip, c, got, f)
+					}
+					if got := m.cfNegAlpha[chip][c]; math.Float64bits(got) != math.Float64bits(negAlpha) {
+						t.Fatalf("%s %+v chip %d col %d: cfNegAlpha %v, reference %v", p.Name, geo, chip, c, got, negAlpha)
+					}
+				}
+			}
+		}
 	}
 }

@@ -11,10 +11,32 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers returns the default worker-pool size.
 func DefaultWorkers() int { return runtime.NumCPU() }
+
+// slots is the process-wide count of reserved worker slots: the outer
+// workers of every campaign engine running in this process.
+var slots atomic.Int64
+
+// Reserve adds n worker slots to the process-wide count. The campaign
+// engine reserves one slot per worker goroutine it starts, and each
+// worker releases its slot as it exits.
+func Reserve(n int) { slots.Add(int64(n)) }
+
+// Release returns n worker slots to the process-wide count.
+func Release(n int) { slots.Add(-int64(n)) }
+
+// Reserved returns the number of worker slots currently reserved.
+func Reserved() int { return int(slots.Load()) }
+
+// Share returns the inner fan-out one job may use right now: the CPUs
+// divided by the reserved slots, at least 1. Concurrent campaigns —
+// the shards of one sharded campaign among them — split the machine
+// through this one count instead of each assuming it owns every CPU.
+func Share() int { return max(1, DefaultWorkers()/max(1, Reserved())) }
 
 // Map runs f(i) for every i in [0, n) on at most workers goroutines
 // and returns the results in index order. A workers value < 1 selects

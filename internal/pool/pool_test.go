@@ -160,3 +160,26 @@ func TestMapZeroTasks(t *testing.T) {
 		t.Fatalf("empty map: out=%v err=%v", out, err)
 	}
 }
+
+// TestShareSplitsCPUsAcrossReservedSlots: Share is the CPUs divided by
+// the reserved slots, at least 1, and NumCPU when none are reserved.
+func TestShareSplitsCPUsAcrossReservedSlots(t *testing.T) {
+	base := Reserved()
+	cpus := DefaultWorkers()
+	for _, n := range []int{1, 2, 3, cpus, 2 * cpus} {
+		Reserve(n)
+		if got, want := Reserved(), base+n; got != want {
+			t.Fatalf("Reserve(%d): %d reserved, want %d", n, got, want)
+		}
+		if got, want := Share(), max(1, cpus/max(1, base+n)); got != want {
+			t.Fatalf("%d reserved on %d CPUs: Share = %d, want %d", base+n, cpus, got, want)
+		}
+		Release(n)
+	}
+	if Reserved() != base {
+		t.Fatalf("%d reserved after releasing everything, want %d", Reserved(), base)
+	}
+	if base == 0 && Share() != cpus {
+		t.Fatalf("nothing reserved: Share = %d, want NumCPU %d", Share(), cpus)
+	}
+}

@@ -100,7 +100,7 @@ func TestTemperatureSweepWorkerInvariance(t *testing.T) {
 	cfg := TempSweepConfig{
 		Victims:     []int{10, 21},
 		Temps:       []float64{50, 65, 80},
-		Hammers:     150_000,
+		Hammers:     300_000,
 		Pattern:     PatCheckered,
 		Repetitions: 2,
 	}

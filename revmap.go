@@ -101,16 +101,9 @@ func (t *Tester) readLogicalRowFlips(bank, logical, dist int, pat dram.PatternKi
 	if err != nil {
 		return FlipSet{}, err
 	}
-	var flips FlipSet
-	for col, got := range res.Reads {
-		want := pat.FillWord(t.patternSeed, bank, logical, dist, col)
-		diff := got ^ want
-		for diff != 0 {
-			flips.Bits = append(flips.Bits, col*64+tz64(diff))
-			diff &= diff - 1
-		}
-	}
-	return flips, nil
+	want := make([]uint64, g.ColumnsPerRow)
+	t.fillRow(want, bank, logical, dist, pat)
+	return FlipSet{Bits: t.appendFlips(nil, res.Reads, want)}, nil
 }
 
 // CandidateSchemes are the mapping schemes RecoverMapping tests

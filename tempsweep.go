@@ -148,7 +148,7 @@ func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConf
 		points[ti] = ch.Clone()
 	}
 	nR := len(cfg.Victims)
-	seenWords := t.b.Geometry().ColumnsPerRow // flip bit index is col·64 + offset
+	seenWords := t.b.Geometry().RowWords() // a flip's index is its row bit
 	newClone := func() (*Tester, error) { return t.cloneAt(t.b.settled) }
 	units, err := pool.MapWith(ctx, t.effectiveWorkers(), len(cfg.Temps)*nR, newClone, func(sub *Tester, u int) (sweepUnit, error) {
 		ti, ri := u/nR, u%nR

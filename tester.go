@@ -3,7 +3,6 @@ package rowhammer
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"rowhammer/internal/dram"
@@ -26,6 +25,11 @@ type Tester struct {
 	rowMap dram.RemapScheme
 	// patternSeed feeds the random data pattern.
 	patternSeed uint64
+	// beat is the module's column width in bits (Geometry.BeatBits)
+	// and beatMask its low-bit mask: a column stores only the beat's
+	// bits of a pattern word.
+	beat     int
+	beatMask uint64
 	// workers bounds the pool used by the parallel measurement cores;
 	// <1 selects one worker per CPU.
 	workers int
@@ -33,7 +37,7 @@ type Tester struct {
 	// Reusable scratch for the hot measurement loop (lazily built by
 	// ensureScratch). A Tester is single-threaded — parallel shards run
 	// on clones — so the buffers are never contended.
-	bld      *softmc.Builder
+	bld      *softmc.Builder // the short programs: hammer, readback, compare
 	res      softmc.Result
 	rowArena [][]uint64 // one pattern buffer per V±patternRadius position
 	// arenaKey is the (bank, victim, pattern) whose in-range V±8 rows
@@ -43,6 +47,12 @@ type Tester struct {
 	rowWant  []uint64 // expected words of a readback the arena misses
 	aggRows  [2]int
 	salts    []uint64
+	// wbld holds writePattern's program for progKey: one ACT/WR/PRE
+	// group per in-range V±8 row, its bursts aliasing the row arena.
+	// It is reassembled only when the key changes or UseMapping
+	// changes the logical rows it activates (victim -1: none held).
+	wbld    *softmc.Builder
+	progKey patternKey
 	// victimRes is the victim-only result HCFirst's final probe and
 	// SurveyPatterns reuse across tests.
 	victimRes HammerResult
@@ -57,11 +67,18 @@ type Tester struct {
 // the physical-address oracle (as if reverse engineering already ran;
 // use RecoverMapping to derive it from measurements instead).
 func NewTester(b *Bench) *Tester {
-	return &Tester{b: b, rowMap: b.Module.Remap(), patternSeed: rng.Hash64(b.Seed, 0xd7)}
+	beat := b.Geometry().BeatBits()
+	return &Tester{
+		b: b, rowMap: b.Module.Remap(), patternSeed: rng.Hash64(b.Seed, 0xd7),
+		beat: beat, beatMask: ^uint64(0) >> (64 - beat),
+	}
 }
 
 // UseMapping overrides the physical→logical row mapping.
-func (t *Tester) UseMapping(m dram.RemapScheme) { t.rowMap = m }
+func (t *Tester) UseMapping(m dram.RemapScheme) {
+	t.rowMap = m
+	t.progKey = patternKey{victim: -1}
+}
 
 // SetWorkers bounds the worker pool of the parallel measurement cores
 // (RowHCFirstProfileCtx, TemperatureSweepCtx, and the Measure* cores
@@ -94,7 +111,7 @@ func (t *Tester) cloneAt(ch *thermal.Chamber) (*Tester, error) {
 	}
 	t.clones.Add(1)
 	sub := NewTester(b)
-	sub.rowMap = t.rowMap
+	sub.UseMapping(t.rowMap)
 	sub.patternSeed = t.patternSeed
 	return sub, nil
 }
@@ -204,41 +221,63 @@ type patternKey struct {
 	pat          dram.PatternKind
 }
 
-// fillRow writes the pattern's fill words for one row into dst
+// fillRow writes the pattern's per-column beats for one row into dst:
+// each fill word masked to the beat, which is what the column stores
 // (hoisting the constant word of non-random patterns out of the
 // column loop).
 func (t *Tester) fillRow(dst []uint64, bank, phys, dist int, pat dram.PatternKind) {
 	if pat == dram.PatRandom {
 		for col := range dst {
-			dst[col] = pat.FillWord(t.patternSeed, bank, phys, dist, col)
+			dst[col] = pat.FillWord(t.patternSeed, bank, phys, dist, col) & t.beatMask
 		}
 		return
 	}
-	w := pat.FillWord(t.patternSeed, bank, phys, dist, 0)
+	w := pat.FillWord(t.patternSeed, bank, phys, dist, 0) & t.beatMask
 	for col := range dst {
 		dst[col] = w
 	}
+}
+
+// appendFlips appends the row-bit index of every bit where the read
+// beats differ from the expected ones: column col's bit off is row
+// bit col·beat + off, as the module packs them.
+func (t *Tester) appendFlips(bits []int, got, want []uint64) []int {
+	for col, g := range got {
+		diff := g ^ want[col]
+		for diff != 0 {
+			bits = append(bits, col*t.beat+tz64(diff))
+			diff &= diff - 1
+		}
+	}
+	return bits
 }
 
 // writePatternInstrs is the number of instructions writePattern
 // issues per row (ACT, wait, burst, wait, PRE, wait).
 const writePatternInstrs = 6
 
-// ensureScratch lazily sizes the Tester's reusable buffers: a builder
-// whose instruction buffer persists across programs (sized up front
-// for writePattern, the longest program, so it never regrows), a
-// result whose read buffer persists across runs, one pattern buffer per
-// V±patternRadius row position (WrRowShared aliases them until the
-// program runs; the device copies words into bank storage and never
-// writes them, so they stay valid for later writes and readbacks) and
-// one row of expected words for readbacks the arena does not hold.
+// shortProgramInstrs bounds the instructions of the programs t.bld
+// assembles (a readback or compare-read is ACT, wait, burst, wait,
+// PRE, wait; a hammer is one loop).
+const shortProgramInstrs = 6
+
+// ensureScratch lazily sizes the Tester's reusable buffers: two
+// builders whose instruction buffers persist across programs, each
+// sized up front so it never regrows (one for writePattern's program,
+// one for the short ones), a result whose read buffer persists across
+// runs, one pattern buffer per V±patternRadius row position
+// (WrRowShared aliases them while the write program is held; the
+// device copies words into bank storage and never writes them, so they
+// stay valid for later writes and readbacks) and one row of expected
+// words for readbacks the arena does not hold.
 func (t *Tester) ensureScratch() {
 	if t.bld != nil {
 		return
 	}
 	g := t.b.Geometry()
 	n := 2*patternRadius + 1
-	t.bld = softmc.NewBuilder(t.b.Timing().TCK).Grow(n * writePatternInstrs)
+	t.bld = softmc.NewBuilder(t.b.Timing().TCK).Grow(shortProgramInstrs)
+	t.wbld = softmc.NewBuilder(t.b.Timing().TCK).Grow(n * writePatternInstrs)
 	backing := make([]uint64, (n+1)*g.ColumnsPerRow)
 	t.rowArena = make([][]uint64, n)
 	for i := range t.rowArena {
@@ -246,34 +285,39 @@ func (t *Tester) ensureScratch() {
 	}
 	t.rowWant = backing[n*g.ColumnsPerRow:]
 	t.arenaKey = patternKey{victim: -1}
+	t.progKey = patternKey{victim: -1}
 }
 
 // writePattern initializes the victim and its ±patternRadius physical
 // neighbors with the pattern, via regular WR commands (issued as one
 // bulk burst per row — bit-identical to the per-command sequence).
-// The row arena is refilled only when (bank, victim, pattern) changed
-// since the last write: the words depend on nothing else.
+// The row arena is refilled, and the program reassembled, only when
+// (bank, victim, pattern) changed since the last write: the words
+// depend on nothing else, and the program only on the key and the
+// mapping.
 func (t *Tester) writePattern(bank, victim int, pat dram.PatternKind) error {
 	t.ensureScratch()
-	g := t.b.Geometry()
-	tm := t.b.Timing()
-	refill := t.arenaKey != patternKey{bank, victim, pat}
-	bld := t.bld.Reset()
-	for phys := victim - patternRadius; phys <= victim+patternRadius; phys++ {
-		if phys < 0 || phys >= g.RowsPerBank {
-			continue
+	// The window's rows that lie in the bank.
+	lo, hi := max(victim-patternRadius, 0), min(victim+patternRadius, t.b.Geometry().RowsPerBank-1)
+	key := patternKey{bank, victim, pat}
+	if t.arenaKey != key {
+		for phys := lo; phys <= hi; phys++ {
+			t.fillRow(t.rowArena[phys-victim+patternRadius], bank, phys, phys-victim, pat)
 		}
-		words := t.rowArena[phys-victim+patternRadius]
-		if refill {
-			t.fillRow(words, bank, phys, phys-victim, pat)
-		}
-		bld.Act(bank, t.logical(phys)).Wait(tm.TRCD)
-		bld.WrRowShared(bank, words, tm.TCCD)
-		bld.Wait(tm.TRAS). // generous: covers tWR and the tRAS remainder
-					Pre(bank).Wait(tm.TRP)
+		t.arenaKey = key
 	}
-	t.arenaKey = patternKey{bank, victim, pat}
-	return t.b.Exec.RunInto(bld.View(), &t.res)
+	if t.progKey != key {
+		tm := t.b.Timing()
+		bld := t.wbld.Reset()
+		for phys := lo; phys <= hi; phys++ {
+			bld.Act(bank, t.logical(phys)).Wait(tm.TRCD)
+			bld.WrRowShared(bank, t.rowArena[phys-victim+patternRadius], tm.TCCD)
+			bld.Wait(tm.TRAS). // generous: covers tWR and the tRAS remainder
+						Pre(bank).Wait(tm.TRP)
+		}
+		t.progKey = key
+	}
+	return t.b.Exec.RunInto(t.wbld.View(), &t.res)
 }
 
 // expectedRow returns the words a physical row was initialized with
@@ -315,14 +359,7 @@ func (t *Tester) readRowFlipsInto(flips *FlipSet, bank, phys, victim int, pat dr
 	if err := t.b.Exec.RunInto(bld.View(), &t.res); err != nil {
 		return err
 	}
-	want := t.expectedRow(bank, phys, victim, pat)
-	for col, got := range t.res.Reads {
-		diff := got ^ want[col]
-		for diff != 0 {
-			flips.Bits = append(flips.Bits, col*64+bits.TrailingZeros64(diff))
-			diff &= diff - 1
-		}
-	}
+	flips.Bits = t.appendFlips(flips.Bits, t.res.Reads, t.expectedRow(bank, phys, victim, pat))
 	return nil
 }
 
