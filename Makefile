@@ -4,7 +4,7 @@ BENCHOUT ?= BENCH_pr8.json
 BENCHTHRESHOLD ?= 0.10
 BENCHSET ?= HammerThroughput|CampaignFleet|DisturbBatch|FlipApply
 
-.PHONY: all build test race vet bench bench-json bench-check bench-smoke golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
+.PHONY: all build test race vet perfbench-check bench bench-json bench-check bench-smoke golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
 
 all: check
 
@@ -38,6 +38,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness is its own module (perfbench/go.mod replaces
+# rowhammer with ../), so the root `go build ./...` never compiles it:
+# vet and short-test it here so an API change cannot silently break
+# the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench CampaignFleet -run '^$$' -benchtime 3x .

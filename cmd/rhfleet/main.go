@@ -97,7 +97,7 @@ func main() {
 		jobTO   = flag.Duration("job-timeout", 0, "deadline per job attempt (0 = none)")
 		backoff = flag.Duration("retry-backoff", 0, "base of the exponential retry backoff with deterministic jitter (0 = retry immediately)")
 		breaker = flag.Int("breaker", 0, "quarantine a module after N consecutive failed attempts (0 = breaker off)")
-		wdog    = flag.Int("watchdog", 0, "abandon a job attempt after N×job-timeout without heartbeat and requeue it (0 = watchdog off; requires -job-timeout)")
+		wdog    = flag.Int("watchdog", 0, "cancel a job attempt still running after N×job-timeout, abandon and requeue it after another N×job-timeout (0 = watchdog off; requires -job-timeout)")
 		drainTO = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs after the first SIGINT/SIGTERM before a hard abort")
 		compact = flag.Bool("compact", false, "rewrite the -out checkpoint to one deduplicated record per job, then exit")
 		faults  = flag.String("fault-profile", "", "deterministic fault injection: none, transient, latency, drift, chaos, dead=MFR/IDX[,...], combined with + (e.g. chaos+dead=A/0+seed=7)")

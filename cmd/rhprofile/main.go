@@ -123,15 +123,7 @@ func main() {
 			fatal(err)
 		}
 		for cell, mask := range sweep.Cells {
-			lo, hi := -1, -1
-			for i := range sweep.Temps {
-				if mask&(1<<uint(i)) != 0 {
-					if lo < 0 {
-						lo = i
-					}
-					hi = i
-				}
-			}
+			lo, hi := rh.MaskRange(mask)
 			out.VulnerableCells = append(out.VulnerableCells, CellProfile{
 				Row: cell.Row, Bit: cell.Bit,
 				TempL: sweep.Temps[lo], TempH: sweep.Temps[hi],

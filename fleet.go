@@ -77,9 +77,9 @@ type CampaignSpec struct {
 	// consecutive failed attempts (0 = circuit breaker disabled).
 	BreakerThreshold int
 	// WatchdogFactor arms the stuck-job watchdog: a job attempt whose
-	// runner neither returns nor heartbeats (CampaignHeartbeat) for
-	// JobTimeout×WatchdogFactor is cancelled, and after a second such
-	// window abandoned and requeued through the bounded retry path.
+	// runner has not returned JobTimeout×WatchdogFactor after it
+	// started is cancelled, and after a second such window abandoned
+	// and requeued through the bounded retry path.
 	// 0 disables the watchdog; non-zero requires JobTimeout > 0.
 	WatchdogFactor int
 }
@@ -150,11 +150,6 @@ var ErrCampaignDrained = campaign.ErrDrained
 // campaign measuring something else (different kind, fleet, seed,
 // temps, scale or geometry) — resuming it would silently mix results.
 var ErrCampaignSpecMismatch = campaign.ErrSpecMismatch
-
-// CampaignHeartbeat reports liveness from inside a long-running job so
-// an armed watchdog (CampaignSpec.WatchdogFactor) does not abandon an
-// attempt that is slow but making progress. No-op without a watchdog.
-func CampaignHeartbeat(ctx context.Context) { campaign.Heartbeat(ctx) }
 
 // lowerSpec resolves the public spec's Scale/Geometry defaults and
 // lowers it to the engine spec, folding the measurement identity

@@ -49,7 +49,7 @@ func FindTrigger(sweep *rh.TempSweepResult, kind TriggerKind, targetC float64, b
 		return nil, fmt.Errorf("attack: target %.0f °C not in sweep", targetC)
 	}
 	for cell, mask := range sweep.Cells {
-		lo, hi := maskBounds(mask)
+		lo, hi := rh.MaskRange(mask)
 		switch kind {
 		case ExactTemperature:
 			// Flips at the target and nowhere else.
@@ -65,19 +65,6 @@ func FindTrigger(sweep *rh.TempSweepResult, kind TriggerKind, targetC float64, b
 		}
 	}
 	return nil, fmt.Errorf("attack: no %v trigger cell at %.0f °C", kind, targetC)
-}
-
-func maskBounds(mask uint32) (lo, hi int) {
-	lo, hi = -1, -1
-	for i := 0; i < 32; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	return lo, hi
 }
 
 // Probe hammers the sensor row and reports whether the sensor cell

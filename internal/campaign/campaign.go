@@ -118,9 +118,9 @@ type Spec struct {
 	// with explicit coverage accounting (0 = breaker disabled).
 	BreakerThreshold int `json:"breaker_threshold,omitempty"`
 	// WatchdogFactor arms the stuck-job watchdog: an attempt whose
-	// runner neither returns nor heartbeats (Heartbeat) for
-	// JobTimeout×WatchdogFactor is first cancelled, and if it still
-	// does not return within another such window the attempt is
+	// runner has not returned JobTimeout×WatchdogFactor after it
+	// started is first cancelled, and if it still does not return
+	// within another such window the attempt is
 	// abandoned — the worker is freed and the job requeued through the
 	// bounded retry path, so one wedged module that ignores its
 	// context can no longer stall the fleet forever. 0 disables the

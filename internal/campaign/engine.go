@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rowhammer/internal/pool"
@@ -42,23 +41,6 @@ func Attempt(ctx context.Context) int {
 		return n
 	}
 	return 1
-}
-
-// beatKey carries the watchdog heartbeat slot in the job context.
-type beatKey struct{}
-
-// heartbeat is the watchdog's per-attempt liveness slot.
-type heartbeat struct{ last atomic.Int64 }
-
-// Heartbeat marks the running job attempt as live, resetting its
-// watchdog clock (Spec.WatchdogFactor). Long-running runners call it
-// between measurement phases to prove they are making progress; a
-// no-op when the context carries no watchdog (watchdog disabled, or a
-// runner called directly).
-func Heartbeat(ctx context.Context) {
-	if hb, ok := ctx.Value(beatKey{}).(*heartbeat); ok {
-		hb.last.Store(time.Now().UnixNano())
-	}
 }
 
 // RecordWriter is a record-granular checkpoint sink; *CheckpointWriter
@@ -363,24 +345,18 @@ func quarantinedRecord(job Job, attempts int, cause error) Record {
 // worker hostage forever.
 func safeRun(ctx context.Context, spec Spec, runner Runner, job Job, attempt int) (Record, error) {
 	actx := withAttempt(ctx, attempt)
-	var hb *heartbeat
-	if spec.WatchdogFactor > 0 {
-		hb = &heartbeat{}
-		hb.last.Store(time.Now().UnixNano())
-		actx = context.WithValue(actx, beatKey{}, hb)
-	}
 	var cancel context.CancelFunc = func() {}
 	if spec.JobTimeout > 0 {
 		actx, cancel = context.WithTimeout(actx, spec.JobTimeout)
 	}
 	defer cancel()
-	if hb == nil {
+	if spec.WatchdogFactor <= 0 {
 		return runAttempt(actx, spec, runner, job, attempt)
 	}
 
 	// Supervised attempt: the runner executes in its own goroutine
-	// while this worker watches the heartbeat clock. A stall of
-	// JobTimeout×WatchdogFactor first cancels the attempt (a runner
+	// while this worker times it from the attempt's start. After
+	// JobTimeout×WatchdogFactor the attempt is cancelled (a runner
 	// that merely missed its deadline gets to unwind); a second full
 	// window with no return abandons the attempt — the goroutine is
 	// left to die on its own, the buffered channel swallows its late
@@ -396,33 +372,22 @@ func safeRun(ctx context.Context, spec Spec, runner Runner, job Job, attempt int
 		ch <- outcome{rec, err}
 	}()
 	threshold := spec.JobTimeout * time.Duration(spec.WatchdogFactor)
-	cancelled := false
-	for {
-		idle := time.Duration(time.Now().UnixNano() - hb.last.Load())
-		wait := threshold - idle
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		t := time.NewTimer(wait)
-		select {
-		case o := <-ch:
-			t.Stop()
-			return o.rec, o.err
-		case <-t.C:
-			if time.Duration(time.Now().UnixNano()-hb.last.Load()) < threshold {
-				continue // a heartbeat arrived while we slept
-			}
-			if !cancelled {
-				cancelled = true
-				cancel()
-				// Grant one more full window to unwind after the cancel.
-				hb.last.Store(time.Now().UnixNano())
-				continue
-			}
-			return Record{}, fmt.Errorf("job %s attempt %d stalled: no heartbeat or return within %v after cancellation; attempt abandoned by watchdog",
-				job.Key(), attempt, threshold)
-		}
+	t := time.NewTimer(threshold)
+	defer t.Stop()
+	select {
+	case o := <-ch:
+		return o.rec, o.err
+	case <-t.C:
 	}
+	cancel()
+	t.Reset(threshold)
+	select {
+	case o := <-ch:
+		return o.rec, o.err
+	case <-t.C:
+	}
+	return Record{}, fmt.Errorf("job %s attempt %d stalled: no return within %v after cancellation; attempt abandoned by watchdog",
+		job.Key(), attempt, threshold)
 }
 
 // runAttempt is one bare runner invocation, converting a panic into an

@@ -39,7 +39,7 @@ func TestWatchdogAbandonsWedgedRunner(t *testing.T) {
 	inner := fakeRunner(nil)
 	runner := func(ctx context.Context, spec Spec, job Job) (Record, error) {
 		if job.Key() == "hcfirst/A/0" {
-			<-release // wedged: no ctx, no heartbeat
+			<-release // wedged: ignores its context
 			return Record{}, errors.New("released")
 		}
 		return inner(ctx, spec, job)
@@ -70,48 +70,6 @@ func TestWatchdogAbandonsWedgedRunner(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("watchdog took %v, fleet was effectively stalled", elapsed)
 	}
-}
-
-func TestWatchdogHeartbeatDefersAbandonment(t *testing.T) {
-	// This runner also ignores its deadline, but it heartbeats while
-	// it works and returns its own answer after several watchdog
-	// windows. The heartbeats must keep the watchdog from abandoning
-	// the attempt, so the job's own error — not a stall report — is
-	// what lands in the record.
-	runner := func(ctx context.Context, spec Spec, job Job) (Record, error) {
-		deadline := time.After(120 * time.Millisecond) // 6 watchdog windows
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-deadline:
-				return Record{}, errors.New("gave up on its own")
-			case <-tick.C:
-				Heartbeat(ctx)
-			}
-		}
-	}
-	spec := testSpec([]string{"A"}, 1)
-	spec.Workers = 1
-	spec.MaxRetries = 0
-	spec.JobTimeout = 10 * time.Millisecond
-	spec.WatchdogFactor = 2
-
-	res, err := Run(context.Background(), spec, Options{Runner: runner})
-	if err == nil {
-		t.Fatal("job fails by its own hand; Run should report it")
-	}
-	rec := res.Records["hcfirst/A/0"]
-	if strings.Contains(rec.Err, "watchdog") {
-		t.Fatalf("heartbeating runner was abandoned by the watchdog: %+v", rec)
-	}
-	if !strings.Contains(rec.Err, "gave up on its own") {
-		t.Fatalf("record should carry the runner's own error, got %q", rec.Err)
-	}
-}
-
-func TestHeartbeatWithoutWatchdogIsNoop(t *testing.T) {
-	Heartbeat(context.Background()) // must not panic
 }
 
 func TestDrainStopsDispatchAndReturnsErrDrained(t *testing.T) {
@@ -209,7 +167,7 @@ func TestWatchdogLateReturnDoesNotCorruptCheckpoint(t *testing.T) {
 	lateReturned := make(chan struct{})
 	runner := func(ctx context.Context, spec Spec, job Job) (Record, error) {
 		if calls.Add(1) == 1 {
-			// Wedged: no ctx, no heartbeat. The watchdog abandons this
+			// Wedged: ignores its context. The watchdog abandons this
 			// attempt; the goroutine lives on until the test releases it.
 			<-release
 			defer close(lateReturned)

@@ -137,7 +137,7 @@ func aggSweepMfr(cfg Config, mfr string, gridNs []float64, onSweep bool) ([]aggP
 	}
 	for _, b := range bs {
 		t := rh.NewTester(b)
-		pat, err := wcdp(t, cfg)
+		pat, err := t.ProbeWCDP(cfg.Ctx, rh.MeasureScope{Scale: cfg.Scale})
 		if err != nil {
 			return nil, err
 		}

@@ -100,7 +100,7 @@ func Attack2(cfg Config) (Attack2Result, error) {
 	exact, above, total := 0, 0, 0
 	for _, mask := range sweep.Cells {
 		total++
-		lo, hi := maskLoHi(mask)
+		lo, hi := rh.MaskRange(mask)
 		if lo == targetIdx && hi == targetIdx {
 			exact++
 		}
@@ -134,19 +134,6 @@ func Attack2(cfg Config) (Attack2Result, error) {
 	}
 	res.Valid = !res.FiredBelow && res.FiredAbove
 	return res, nil
-}
-
-func maskLoHi(mask uint32) (lo, hi int) {
-	lo, hi = -1, -1
-	for i := 0; i < 32; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	return lo, hi
 }
 
 // boolInt stores a bool as an artifact value.

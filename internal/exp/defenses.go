@@ -202,7 +202,7 @@ func Defense3(cfg Config) (Defense3Result, error) {
 	policy := defense.NewRetirementPolicy()
 	flippedAt85 := map[int]bool{}
 	for cell, mask := range sweep.Cells {
-		lo, hi := maskLoHi(mask)
+		lo, hi := rh.MaskRange(mask)
 		policy.AddCellRange(cell.Row, sweep.Temps[lo], sweep.Temps[hi])
 		for ti, temp := range sweep.Temps {
 			if temp == 85 && mask&(1<<uint(ti)) != 0 {

@@ -26,7 +26,7 @@ func fig11Mfr(cfg Config, mfr string) ([][]float64, rh.RowVariationSummary, erro
 	var all []rh.RowHC
 	for _, b := range bs {
 		t := rh.NewTester(b)
-		pat, err := wcdp(t, cfg)
+		pat, err := t.ProbeWCDP(cfg.Ctx, rh.MeasureScope{Scale: cfg.Scale})
 		if err != nil {
 			return nil, rh.RowVariationSummary{}, err
 		}
@@ -134,7 +134,7 @@ func fig12Mfr(cfg Config, mfr string) (*rh.ColumnAccumulator, error) {
 	rows := spreadRows(cfg.Geometry, fig12Rows)
 	for _, b := range bs {
 		t := rh.NewTester(b)
-		pat, err := wcdp(t, cfg)
+		pat, err := t.ProbeWCDP(cfg.Ctx, rh.MeasureScope{Scale: cfg.Scale})
 		if err != nil {
 			return nil, err
 		}
@@ -377,7 +377,7 @@ func profileSubarrays(cfg Config, mfr string) ([][]rh.SubarrayStat, error) {
 	var out [][]rh.SubarrayStat
 	for _, b := range bs {
 		t := rh.NewTester(b)
-		pat, err := wcdp(t, cfg)
+		pat, err := t.ProbeWCDP(cfg.Ctx, rh.MeasureScope{Scale: cfg.Scale})
 		if err != nil {
 			return nil, err
 		}

@@ -11,21 +11,6 @@ import (
 	"rowhammer/internal/stats"
 )
 
-// wcdp finds a module's worst-case data pattern on a small victim
-// sample (§4.2), used by every characterization experiment.
-func wcdp(t *rh.Tester, cfg Config) (rh.PatternKind, error) {
-	cfg = cfg.normalize()
-	victims := sampleRows(cfg, 3)
-	if len(victims) == 0 {
-		return rh.PatCheckered, fmt.Errorf("exp: no victim rows available")
-	}
-	s, err := t.SurveyPatterns(cfg.Ctx, 0, victims, cfg.Scale.Hammers)
-	if err != nil {
-		return rh.PatCheckered, err
-	}
-	return s.Best, nil
-}
-
 // tempSweepRows is the per-module victim budget of temperature sweeps.
 const tempSweepRows = 24
 
@@ -41,7 +26,7 @@ func runTempSweeps(cfg Config, mfr string, singles bool) ([]*rh.TempSweepResult,
 	var out []*rh.TempSweepResult
 	for _, b := range bs {
 		t := rh.NewTester(b)
-		pat, err := wcdp(t, cfg)
+		pat, err := t.ProbeWCDP(cfg.Ctx, rh.MeasureScope{Scale: cfg.Scale})
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +325,7 @@ func fig5Mfr(cfg Config, mfr string) (fig5Changes, error) {
 	var c fig5Changes
 	for _, b := range bs {
 		t := rh.NewTester(b)
-		pat, err := wcdp(t, cfg)
+		pat, err := t.ProbeWCDP(cfg.Ctx, rh.MeasureScope{Scale: cfg.Scale})
 		if err != nil {
 			return c, err
 		}

@@ -670,7 +670,3 @@ func (m *Model) CellsMaterialized() int { return m.candCache.stats().cells }
 
 // RowBaseHC returns the generated base HCfirst of a physical row.
 func (m *Model) RowBaseHC(bank, row int) float64 { return m.rowParamsFor(bank, row).hc }
-
-// RowInflection returns the generated temperature inflection point of
-// a physical row.
-func (m *Model) RowInflection(bank, row int) float64 { return m.rowParamsFor(bank, row).tinf }

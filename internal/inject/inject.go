@@ -5,16 +5,13 @@
 // drift and wedged modules are routine — and the methodology has to
 // survive them without corrupting results.
 //
-// The injector interposes at three layers:
+// The injector interposes at two layers, the two a binary wires up:
 //
-//   - WrapDevice wraps the SoftMC command interface (softmc.Device)
-//     with transient link faults and CRC-detected readout corruption.
-//   - (*Profile).DriftHook drives the thermal chamber's disturbance
-//     input with deterministic uncontrolled-power bursts, so guarded
-//     holds can detect drift beyond the ±0.5 °C validity band.
 //   - WrapRunner wraps a campaign.Runner with the full fault profile:
 //     command errors, latency spikes, torn readouts, guardband drift
 //     and persistently-dead modules, keyed on (seed, job, attempt).
+//   - WrapTransport (netchaos.go) wraps the lease client's HTTP path
+//     with seeded drops, one-way losses, 503s, latency and partitions.
 //
 // Every fault decision is a pure function of (profile seed, identity,
 // attempt or op counter) via internal/rng, so a faulty run is exactly
@@ -63,7 +60,7 @@ type Profile struct {
 	Seed uint64
 
 	// CmdErrRate is the probability of a transient command/link error
-	// (per job attempt for WrapRunner, per command for WrapDevice).
+	// per job attempt.
 	CmdErrRate float64
 	// ReadCorruptRate is the probability of a torn/corrupted readout,
 	// detected CRC-style and surfaced as an error.
@@ -73,10 +70,8 @@ type Profile struct {
 	LatencySpikeRate float64
 	LatencySpike     time.Duration
 	// DriftRate is the probability an attempt's measurement is
-	// invalidated by thermal drift beyond the ±0.5 °C guardband, and
-	// DriftW the uncontrolled plant power DriftHook injects.
+	// invalidated by thermal drift beyond the ±0.5 °C guardband.
 	DriftRate float64
-	DriftW    float64
 
 	// MaxFaultAttempts bounds which attempts of a job are eligible for
 	// transient faults: attempts beyond it always run clean, so any
@@ -107,7 +102,7 @@ func Latency(seed uint64, spike time.Duration) *Profile {
 
 // Drift returns a profile of thermal-drift faults only.
 func Drift(seed uint64) *Profile {
-	return &Profile{Name: "drift", Seed: seed, DriftRate: 0.3, DriftW: 45, MaxFaultAttempts: 1}
+	return &Profile{Name: "drift", Seed: seed, DriftRate: 0.3, MaxFaultAttempts: 1}
 }
 
 // Chaos returns the kitchen-sink transient profile: command errors,
@@ -118,7 +113,6 @@ func Chaos(seed uint64) *Profile {
 		Name: "chaos", Seed: seed,
 		CmdErrRate: 0.3, ReadCorruptRate: 0.25, DriftRate: 0.2,
 		LatencySpikeRate: 0.25, LatencySpike: time.Millisecond,
-		DriftW:           45,
 		MaxFaultAttempts: 2,
 	}
 }
@@ -168,35 +162,6 @@ func (p *Profile) hitAttempt(rate float64, channel, key string, attempt int) boo
 	}
 	h := rng.Hash64(p.Seed, rng.HashString(channel), rng.HashString(key), uint64(attempt))
 	return rng.Uniform01(h) < rate
-}
-
-// hitOp decides one per-operation fault for device-level injection: a
-// pure function of (seed, channel, device key, op counter).
-func (p *Profile) hitOp(rate float64, channel string, key, op uint64) bool {
-	if rate <= 0 {
-		return false
-	}
-	h := rng.Hash64(p.Seed, rng.HashString(channel), key, op)
-	return rng.Uniform01(h) < rate
-}
-
-// DriftHook returns a thermal.Chamber.Disturb-compatible hook that
-// injects deterministic square bursts of uncontrolled power: each
-// 8-simulated-second window independently draws whether DriftW extra
-// watts leak into the plant. Returns nil when the profile has no
-// drift component.
-func (p *Profile) DriftHook(key uint64) func(elapsedSeconds float64) float64 {
-	if p == nil || p.DriftRate <= 0 || p.DriftW == 0 {
-		return nil
-	}
-	const windowSeconds = 8.0
-	return func(elapsed float64) float64 {
-		w := uint64(elapsed / windowSeconds)
-		if p.hitOp(p.DriftRate, chDrift, key, w) {
-			return p.DriftW
-		}
-		return 0
-	}
 }
 
 // String renders the profile for logs.
@@ -279,9 +244,6 @@ func (p *Profile) merge(o *Profile) {
 		p.LatencySpike = o.LatencySpike
 	}
 	p.DriftRate = maxf(p.DriftRate, o.DriftRate)
-	if o.DriftW != 0 {
-		p.DriftW = o.DriftW
-	}
 	if o.MaxFaultAttempts > p.MaxFaultAttempts {
 		p.MaxFaultAttempts = o.MaxFaultAttempts
 	}

@@ -3,7 +3,6 @@ package inject
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,13 +13,12 @@ import (
 )
 
 // Network fault channels — separate keyed streams per fault class,
-// like the device/runner channels above.
+// like the runner channels in inject.go.
 const (
 	chNetDrop   = "netdrop"
 	chNetOneWay = "netoneway"
 	chNetErr    = "neterr"
 	chNetLat    = "netlat"
-	chNetAccept = "netaccept"
 )
 
 // Sentinel errors of the network harness. Both model a partition, but
@@ -65,10 +63,6 @@ type NetProfile struct {
 	PartitionFrom int64
 	PartitionFor  int64
 
-	// AcceptDropRate is the listener-side fault: accepted connections
-	// are immediately closed at this rate (clients see a reset).
-	AcceptDropRate float64
-
 	// MaxOps bounds the faulty prefix: transport ops at index >= MaxOps
 	// always run clean (0 = faults forever). The convergence knob — a
 	// retried protocol under any MaxOps-bounded profile must finish
@@ -100,7 +94,7 @@ func (p *NetProfile) Active() bool {
 		return false
 	}
 	return p.DropRate > 0 || p.OneWayRate > 0 || p.ErrRate > 0 || p.LatencyRate > 0 ||
-		p.AcceptDropRate > 0 || p.PartitionFrom >= 0
+		p.PartitionFrom >= 0
 }
 
 // String renders the profile for logs.
@@ -114,8 +108,8 @@ func (p *NetProfile) String() string {
 	return "custom"
 }
 
-// hit decides one per-op fault — same derivation as Profile.hitOp, on
-// the network channels.
+// hit decides one per-op fault: a pure function of (seed, channel,
+// endpoint key, transport op counter).
 func (p *NetProfile) hit(rate float64, channel string, key, op uint64) bool {
 	if rate <= 0 {
 		return false
@@ -141,7 +135,7 @@ func (p *NetProfile) clean(op int64) bool { return p.MaxOps > 0 && op >= p.MaxOp
 //
 //	none | flaky | partition=FROM:FOR
 //	drop=RATE | oneway=RATE | err=RATE | latency=RATE:DUR
-//	acceptdrop=RATE | seed=N | maxops=N
+//	seed=N | maxops=N
 //
 // e.g. "flaky+seed=7+maxops=40", "partition=0:-1",
 // "drop=0.3+latency=0.2:5ms". "none" or "" yield nil (no injection).
@@ -216,13 +210,6 @@ func ParseNet(s string) (*NetProfile, error) {
 			}
 			p.LatencyRate, p.Latency = rate, d
 			seen = true
-		case strings.HasPrefix(term, "acceptdrop="):
-			v, err := parseRate(term, "acceptdrop=")
-			if err != nil {
-				return nil, err
-			}
-			p.AcceptDropRate = v
-			seen = true
 		case strings.HasPrefix(term, "seed="):
 			n, err := strconv.ParseUint(strings.TrimPrefix(term, "seed="), 0, 64)
 			if err != nil {
@@ -236,7 +223,7 @@ func ParseNet(s string) (*NetProfile, error) {
 			}
 			p.MaxOps = n
 		default:
-			return nil, fmt.Errorf("inject: unknown net-chaos term %q (have none, flaky, partition=from:for, drop=, oneway=, err=, latency=rate:dur, acceptdrop=, seed=, maxops=)", term)
+			return nil, fmt.Errorf("inject: unknown net-chaos term %q (have none, flaky, partition=from:for, drop=, oneway=, err=, latency=rate:dur, seed=, maxops=)", term)
 		}
 	}
 	if !seen {
@@ -325,39 +312,5 @@ func synth503(req *http.Request) *http.Response {
 		Header:  http.Header{"Content-Type": []string{"text/plain"}},
 		Body:    http.NoBody,
 		Request: req,
-	}
-}
-
-// chaosListener drops accepted connections at a seeded rate, keyed by
-// a per-listener accept counter — the server-side half of the
-// harness.
-type chaosListener struct {
-	net.Listener
-	p   *NetProfile
-	key uint64
-	op  atomic.Int64
-}
-
-// WrapListener wraps ln with the profile's AcceptDropRate. A nil or
-// rate-less profile returns ln unchanged.
-func WrapListener(ln net.Listener, p *NetProfile, label string) net.Listener {
-	if p == nil || p.AcceptDropRate <= 0 {
-		return ln
-	}
-	return &chaosListener{Listener: ln, p: p, key: rng.HashString(label)}
-}
-
-func (l *chaosListener) Accept() (net.Conn, error) {
-	for {
-		c, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		op := l.op.Add(1) - 1
-		if !l.p.clean(op) && l.p.hit(l.p.AcceptDropRate, chNetAccept, l.key, uint64(op)) {
-			c.Close()
-			continue
-		}
-		return c, nil
 	}
 }

@@ -139,9 +139,6 @@ func (b *Builder) Pre(bank int) *Builder {
 	return b.Cmd(dram.Command{Op: dram.OpPre, Bank: bank})
 }
 
-// PreAll appends a PREA.
-func (b *Builder) PreAll() *Builder { return b.Cmd(dram.Command{Op: dram.OpPreAll}) }
-
 // Rd appends a RD.
 func (b *Builder) Rd(bank, col int) *Builder {
 	return b.Cmd(dram.Command{Op: dram.OpRd, Bank: bank, Col: col})
@@ -258,33 +255,6 @@ func (b *Builder) View() *Program {
 	return &b.view
 }
 
-// Device is the hardware surface the executor drives: one module's
-// raw command interface plus the bulk-hammer fast path and its clock.
-// *dram.Module implements Device; fault-injection wrappers
-// (internal/inject) interpose on it to model a misbehaving FPGA link
-// without the executor or the programs knowing.
-type Device interface {
-	Exec(cmd dram.Command, now dram.Picos) (uint64, error)
-	HammerBulk(bank int, rows []int, count int64, aggOn, aggOff dram.Picos, start dram.Picos) (dram.Picos, error)
-	// WrRowBulk/RdRowBulk execute a whole column burst (KWrRow/KRdRow)
-	// in one call, bit-identical to the equivalent per-command
-	// sequence; RdRowBulk appends the beats to dst.
-	WrRowBulk(bank int, data []uint64, step, start dram.Picos) error
-	RdRowBulk(bank, cols int, step, start dram.Picos, dst []uint64) ([]uint64, error)
-	// CmpRowBulk executes a compare-read (KCmpRow): the read burst of
-	// RdRowBulk over len(want) columns, reporting whether any beat
-	// differs from want[col]. The device may skip applying flips it
-	// only had to detect (see dram.Module.CmpRowBulk), so the caller
-	// must overwrite such a row in full before anything else touches
-	// it.
-	CmpRowBulk(bank int, want []uint64, step, start dram.Picos) (bool, error)
-	// Settle applies every disturbance the device deferred while rows
-	// were open (see the dram package note), so device state between
-	// programs equals eager sensing. RunInto calls it before returning.
-	Settle()
-	Timing() dram.Timing
-}
-
 // TraceEntry records one issued command for verification (Fig. 6).
 type TraceEntry struct {
 	At  dram.Picos
@@ -304,26 +274,22 @@ type Result struct {
 	Trace []TraceEntry
 }
 
-// Executor runs programs against one device. Time persists across
+// Executor runs programs against one module. Time persists across
 // Run calls (like a powered-up board).
 type Executor struct {
-	mod   Device
+	mod   *dram.Module
 	now   dram.Picos
 	tck   dram.Picos
 	trace bool
 }
 
 // NewExecutor returns an executor clocked at the module timing's tCK.
-func NewExecutor(mod *dram.Module) *Executor { return NewExecutorOn(mod) }
-
-// NewExecutorOn returns an executor driving an arbitrary Device —
-// usually a fault-injection wrapper around a real module.
-func NewExecutorOn(dev Device) *Executor {
-	return &Executor{mod: dev, tck: dev.Timing().TCK}
+func NewExecutor(mod *dram.Module) *Executor {
+	return &Executor{mod: mod, tck: mod.Timing().TCK}
 }
 
-// Reset returns the executor to the state NewExecutorOn builds for its
-// device: time 0 and tracing off. The device itself is not touched.
+// Reset returns the executor to the state NewExecutor builds for its
+// module: time 0 and tracing off. The module itself is not touched.
 func (e *Executor) Reset() {
 	e.now = 0
 	e.trace = false
@@ -354,7 +320,7 @@ func (e *Executor) Run(p *Program) (*Result, error) {
 // and refilling its Reads/Trace buffers in place — the
 // allocation-free variant of Run for hot measurement loops. On error,
 // execution stops at the offending instruction; the partial result
-// remains in res. Either way the device is settled before RunInto
+// remains in res. Either way the module is settled before RunInto
 // returns, so no deferred sensing crosses a program boundary.
 func (e *Executor) RunInto(p *Program, res *Result) error {
 	res.Reads = res.Reads[:0]

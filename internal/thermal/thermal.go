@@ -27,10 +27,6 @@ type Plant struct {
 	// power (0 = heater-only rig, the study's configuration; Defense
 	// Improvement 4 motivates adding cooling capacity).
 	CoolerMaxW float64
-	// DisturbW is extra uncontrolled power dumped into the plant each
-	// step — the knob fault injectors use to model drafts, neighbouring
-	// heaters, or a detached pad. Positive heats, negative cools.
-	DisturbW float64
 
 	tempC float64
 }
@@ -72,7 +68,7 @@ func (p *Plant) Step(dt, duty float64) {
 	if duty < 0 {
 		power = duty * p.CoolerMaxW
 	}
-	dT := (power + p.DisturbW - (p.tempC-p.AmbientC)/p.ResistanceCPerW) / p.CapacityJPerC
+	dT := (power - (p.tempC-p.AmbientC)/p.ResistanceCPerW) / p.CapacityJPerC
 	p.tempC += dT * dt
 }
 
@@ -160,11 +156,6 @@ type Chamber struct {
 	HoldSteps int
 	// MaxSettleSeconds bounds a settle operation.
 	MaxSettleSeconds float64
-	// Disturb, when non-nil, is sampled every control step and its
-	// return value is applied as uncontrolled plant power (W). Fault
-	// injectors use it to drive deterministic thermal drift; the PID
-	// fights it like the real chamber fights a draft.
-	Disturb func(elapsedSeconds float64) float64
 
 	setpoint float64
 	elapsed  float64
@@ -185,8 +176,7 @@ func NewChamber(seed uint64) *Chamber {
 
 // Clone returns an independent deep copy of the chamber: plant, PID
 // state, setpoint, elapsed time and the thermocouple's noise stream,
-// so the copy's future readings equal the original's. The Disturb
-// hook is shared, not copied.
+// so the copy's future readings equal the original's.
 func (ch *Chamber) Clone() *Chamber {
 	c := &Chamber{Plant: new(Plant), PID: new(PID), TC: &Thermocouple{rnd: new(rng.Stream)}}
 	c.CopyFrom(ch)
@@ -244,13 +234,9 @@ func (ch *Chamber) SetAndSettle(tempC float64) error {
 	return ErrSettleTimeout
 }
 
-// step advances one control period toward the current setpoint,
-// sampling the disturbance hook first, and returns the measured
-// temperature.
+// step advances one control period toward the current setpoint and
+// returns the measured temperature.
 func (ch *Chamber) step() float64 {
-	if ch.Disturb != nil {
-		ch.Plant.DisturbW = ch.Disturb(ch.elapsed)
-	}
 	measured := ch.TC.Read(ch.Plant)
 	duty := ch.PID.Update(ch.setpoint-measured, ch.StepSeconds)
 	ch.Plant.Step(ch.StepSeconds, duty)

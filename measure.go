@@ -130,9 +130,11 @@ const (
 	spatialRowBudget = 40
 )
 
-// moduleWCDP finds the module's worst-case pattern on a small victim
-// probe, the first step of every per-module measurement.
-func (t *Tester) moduleWCDP(ctx context.Context, sc MeasureScope) (PatternKind, error) {
+// ProbeWCDP finds the module's worst-case data pattern (§4.2) on a
+// small victim probe: the first step of every per-module fleet
+// measurement and of every characterization experiment. sc.Scale
+// must be filled (FillMeasureDefaults).
+func (t *Tester) ProbeWCDP(ctx context.Context, sc MeasureScope) (PatternKind, error) {
 	victims := sc.Scale.SampleRows(t.b.Geometry(), wcdpProbeRows)
 	if len(victims) == 0 {
 		return PatCheckered, fmt.Errorf("rowhammer: no victim rows available")
@@ -179,7 +181,7 @@ func (t *Tester) MeasureModuleHCFirst(ctx context.Context, sc MeasureScope) (Pat
 	if err != nil {
 		return PatCheckered, nil, nil, err
 	}
-	pat, err := t.moduleWCDP(ctx, sc)
+	pat, err := t.ProbeWCDP(ctx, sc)
 	if err != nil {
 		return pat, nil, nil, err
 	}
@@ -214,7 +216,7 @@ func (t *Tester) MeasureModuleBER(ctx context.Context, sc MeasureScope) (Pattern
 	if err != nil {
 		return PatCheckered, nil, nil, err
 	}
-	pat, err := t.moduleWCDP(ctx, sc)
+	pat, err := t.ProbeWCDP(ctx, sc)
 	if err != nil {
 		return pat, nil, nil, err
 	}
@@ -269,7 +271,7 @@ func (t *Tester) MeasureModuleSpatial(ctx context.Context, sc MeasureScope) (Pat
 	if err != nil {
 		return PatCheckered, nil, nil, err
 	}
-	pat, err := t.moduleWCDP(ctx, sc)
+	pat, err := t.ProbeWCDP(ctx, sc)
 	if err != nil {
 		return pat, nil, nil, err
 	}

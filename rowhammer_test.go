@@ -270,6 +270,22 @@ func TestAdjacencyProbeFindsPhysicalNeighbors(t *testing.T) {
 	}
 }
 
+func TestMaskRange(t *testing.T) {
+	for _, tc := range []struct {
+		mask   uint32
+		lo, hi int
+	}{
+		{0, -1, -1},
+		{1 << 4, 4, 4},
+		{1<<0 | 1<<31, 0, 31},
+		{0b1011_0100, 2, 7}, // gaps at 3 and 6 do not narrow the range
+	} {
+		if lo, hi := MaskRange(tc.mask); lo != tc.lo || hi != tc.hi {
+			t.Errorf("MaskRange(%#b) = (%d, %d), want (%d, %d)", tc.mask, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
 func TestTemperatureSweepClustering(t *testing.T) {
 	b := newBenchFor(t, "A", 25)
 	tst := NewTester(b)

@@ -49,6 +49,16 @@ type TempSweepResult struct {
 	Cells map[CellID]uint32
 }
 
+// MaskRange returns the lowest and highest temperature index set in a
+// Cells mask — the cell's vulnerable temperature range — or (-1, -1)
+// for a zero mask.
+func MaskRange(mask uint32) (lo, hi int) {
+	if mask == 0 {
+		return -1, -1
+	}
+	return bits.TrailingZeros32(mask), 31 - bits.LeadingZeros32(mask)
+}
+
 // TemperatureSweep runs BER tests for every victim at every
 // temperature, recording per-cell flip observations (§5).
 func (t *Tester) TemperatureSweep(cfg TempSweepConfig) (*TempSweepResult, error) {
@@ -239,8 +249,7 @@ func (r *TempSweepResult) ClusterByRange() *TempClusterMatrix {
 		if mask == 0 {
 			continue
 		}
-		lo := bits.TrailingZeros32(mask)
-		hi := 31 - bits.LeadingZeros32(mask)
+		lo, hi := MaskRange(mask)
 		m.Counts[hi][lo]++
 		m.Total++
 		span := hi - lo + 1
