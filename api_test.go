@@ -1,6 +1,7 @@
 package rowhammer
 
 import (
+	"context"
 	"testing"
 
 	"rowhammer/internal/dram"
@@ -99,7 +100,7 @@ func TestHCFirstNotFoundOnInvulnerableConfig(t *testing.T) {
 
 func TestTemperatureSweepValidation(t *testing.T) {
 	b := newBenchFor(t, "A", 43)
-	if _, err := NewTester(b).TemperatureSweep(TempSweepConfig{Bank: 0}); err == nil {
+	if _, err := NewTester(b).TemperatureSweep(context.Background(), TempSweepConfig{Bank: 0}); err == nil {
 		t.Fatal("expected error for empty victim list")
 	}
 }

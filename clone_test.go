@@ -77,7 +77,7 @@ func TestResetClonesMatchFreshClones(t *testing.T) {
 		t.Fatal("no row found an HCfirst; test vacuous")
 	}
 	for _, workers := range []int{1, 2, len(optionsRows)} {
-		got, err := optionsTester(t, workers).RowHCFirstProfileCtx(ctx, 0, optionsRows, optionsHC, 2)
+		got, err := optionsTester(t, workers).RowHCFirstProfile(ctx, 0, optionsRows, optionsHC, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestResetClonesMatchFreshClones(t *testing.T) {
 		}
 	}
 
-	serial, err := optionsTester(t, 1).TemperatureSweepCtx(ctx, optionsSweep)
+	serial, err := optionsTester(t, 1).TemperatureSweep(ctx, optionsSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestResetClonesMatchFreshClones(t *testing.T) {
 	}
 	units := len(optionsSweep.Temps) * len(optionsSweep.Victims)
 	for _, workers := range []int{2, units} {
-		got, err := optionsTester(t, workers).TemperatureSweepCtx(ctx, optionsSweep)
+		got, err := optionsTester(t, workers).TemperatureSweep(ctx, optionsSweep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestParallelCoresCloneBudget(t *testing.T) {
 	for _, workers := range []int{2, 3} {
 		tester := optionsTester(t, workers)
 		before := tester.clones.Load()
-		if _, err := tester.RowHCFirstProfileCtx(ctx, 0, optionsRows, optionsHC, 1); err != nil {
+		if _, err := tester.RowHCFirstProfile(ctx, 0, optionsRows, optionsHC, 1); err != nil {
 			t.Fatal(err)
 		}
 		if n := tester.clones.Load() - before; n < 1 || n > int64(tester.effectiveWorkers()) {
@@ -121,7 +121,7 @@ func TestParallelCoresCloneBudget(t *testing.T) {
 				workers, len(optionsRows), n, tester.effectiveWorkers())
 		}
 		before = tester.clones.Load()
-		if _, err := tester.TemperatureSweepCtx(ctx, optionsSweep); err != nil {
+		if _, err := tester.TemperatureSweep(ctx, optionsSweep); err != nil {
 			t.Fatal(err)
 		}
 		if n := tester.clones.Load() - before; n < 1 || n > int64(tester.effectiveWorkers()) {

@@ -63,6 +63,10 @@ type daemon struct {
 	base string // http://host:port
 	logs *bytes.Buffer
 	mu   sync.Mutex
+	// logsDone closes when the stderr reader hits EOF; cmd.Wait must
+	// not run before it, since Wait closes the pipe and drops any
+	// line still unread.
+	logsDone chan struct{}
 }
 
 // startDaemon launches rhserved against dir on an ephemeral port and
@@ -79,11 +83,12 @@ func startDaemon(t *testing.T, dir string, extraArgs ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd, logs: &bytes.Buffer{}}
+	d := &daemon{cmd: cmd, logs: &bytes.Buffer{}, logsDone: make(chan struct{})}
 	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
 
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(d.logsDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -119,6 +124,7 @@ func (d *daemon) signalAndWait(t *testing.T, sig syscall.Signal) int {
 	if err := d.cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
+	<-d.logsDone
 	err := d.cmd.Wait()
 	if err == nil {
 		return 0

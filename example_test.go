@@ -1,6 +1,7 @@
 package rowhammer_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,9 +44,9 @@ func Example() {
 	// HCfirst found: true
 }
 
-// ExampleTester_WorstCasePattern finds the Table 1 data pattern that
+// ExampleTester_SurveyPatterns finds the Table 1 data pattern that
 // maximizes bit flips on a module (§4.2).
-func ExampleTester_WorstCasePattern() {
+func ExampleTester_SurveyPatterns() {
 	bench, err := rh.NewBench(rh.BenchConfig{
 		Profile: rh.ProfileByName("C"),
 		Seed:    5,
@@ -58,11 +59,11 @@ func ExampleTester_WorstCasePattern() {
 		log.Fatal(err)
 	}
 	tester := rh.NewTester(bench)
-	pat, err := tester.WorstCasePattern(0, []int{64, 128, 192}, 200_000)
+	s, err := tester.SurveyPatterns(context.Background(), 0, []int{64, 128, 192}, 200_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = pat // module-specific; one of the seven Table 1 patterns
+	_ = s.Best // module-specific; one of the seven Table 1 patterns
 	fmt.Println(len(rh.AllPatterns), "candidate patterns")
 	// Output: 7 candidate patterns
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 		}
 		rows = append(rows, r)
 	}
-	profile, err := tester.RowHCFirstProfile(0, rows, rh.HCFirstConfig{Pattern: rh.PatCheckered}, 3)
+	profile, err := tester.RowHCFirstProfile(context.Background(), 0, rows, rh.HCFirstConfig{Pattern: rh.PatCheckered}, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,10 +26,11 @@ func main() {
 
 	// Worst-case data pattern over a few sample victims (§4.2).
 	victims := []int{100, 200, 300}
-	pattern, err := tester.WorstCasePattern(0, victims, 150_000)
+	survey, err := tester.SurveyPatterns(context.Background(), 0, victims, 150_000)
 	if err != nil {
 		log.Fatal(err)
 	}
+	pattern := survey.Best
 	fmt.Printf("worst-case data pattern: %v\n", pattern)
 
 	// Double-sided hammer at the paper's BER operating point.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func profileModule(seed uint64, geometry rh.Geometry, rowsPerSub int) ([]rh.Suba
 			rows = append(rows, sub*geometry.SubarrayRows+k*step)
 		}
 	}
-	profile, err := tester.RowHCFirstProfile(0, rows, rh.HCFirstConfig{Pattern: rh.PatCheckered}, 1)
+	profile, err := tester.RowHCFirstProfile(context.Background(), 0, rows, rh.HCFirstConfig{Pattern: rh.PatCheckered}, 1)
 	if err != nil {
 		return nil, err
 	}

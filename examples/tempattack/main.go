@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,10 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 	tester := rh.NewTester(bench)
+	ctx := context.Background()
 
 	// Improvement 1: temperature-resolved victim planning.
 	candidates := []int{50, 150, 250, 350, 450, 550, 650, 750}
-	planner, err := attack.BuildPlanner(tester, 0, candidates, []float64{50, 70, 90})
+	planner, err := attack.BuildPlanner(ctx, tester, 0, candidates, []float64{50, 70, 90})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func main() {
 
 	// Improvement 2: find a cell usable as an "at or above 70 °C"
 	// trigger and demonstrate it.
-	sweep, err := tester.TemperatureSweep(rh.TempSweepConfig{
+	sweep, err := tester.TemperatureSweep(ctx, rh.TempSweepConfig{
 		Bank:    0,
 		Victims: candidates,
 		Hammers: 300_000,

@@ -233,22 +233,6 @@ func LoadCampaignCheckpointReport(path string, spec *CampaignSpec) (*CampaignRes
 	return campaign.LoadCheckpointReport(path, opts)
 }
 
-// CompactCampaignCheckpoint rewrites a checkpoint to one deduplicated
-// record per job in canonical order, publishing the result atomically
-// (the original is untouched if compaction fails anywhere). A nil spec
-// trusts the file's own v2 header; a non-nil spec is verified against
-// it, and is required to compact a headerless v1 file.
-func CompactCampaignCheckpoint(path string, spec *CampaignSpec) (*CampaignResumeReport, error) {
-	if spec == nil {
-		return campaign.CompactCheckpointFile(path, nil)
-	}
-	cs, _, _, err := lowerSpec(*spec)
-	if err != nil {
-		return nil, err
-	}
-	return campaign.CompactCheckpointFile(path, &cs)
-}
-
 // RunCampaign expands the spec into per-module jobs, runs them on a
 // bounded worker pool with panic recovery and bounded retry, streams
 // records to the checkpoint, and aggregates the fleet summary. On

@@ -172,7 +172,7 @@ func TestModuleSeedKeyedAndStable(t *testing.T) {
 	}
 }
 
-func TestSurveyPatternsMatchesWorstCasePattern(t *testing.T) {
+func TestSurveyPatternsBestOutflipsWorst(t *testing.T) {
 	b, err := NewBench(BenchConfig{Profile: ProfileByName("A"), Seed: 7, Geometry: Geometry{Banks: 1, RowsPerBank: 256, SubarrayRows: 64, Chips: 4, ChipWidth: 8, ColumnsPerRow: 16}})
 	if err != nil {
 		t.Fatal(err)
@@ -182,13 +182,6 @@ func TestSurveyPatternsMatchesWorstCasePattern(t *testing.T) {
 	s, err := tester.SurveyPatterns(context.Background(), 0, victims, 200_000)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := tester.WorstCasePattern(0, victims, 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s.Best {
-		t.Fatalf("WorstCasePattern = %v, SurveyPatterns best = %v", got, s.Best)
 	}
 	if s.BestFlips < s.WorstFlips {
 		t.Fatalf("best flips %d < worst flips %d", s.BestFlips, s.WorstFlips)

@@ -12,6 +12,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -128,9 +129,10 @@ func abs(x float64) float64 {
 	return x
 }
 
-// BuildPlanner profiles the given rows at the given temperatures.
-func BuildPlanner(t *rh.Tester, bank int, rows []int, temps []float64) (*Planner, error) {
-	hcByTemp, err := t.HCFirstAtTemps(bank, rows, temps, rh.HCFirstConfig{
+// BuildPlanner profiles the given rows at the given temperatures,
+// checking ctx between rows.
+func BuildPlanner(ctx context.Context, t *rh.Tester, bank int, rows []int, temps []float64) (*Planner, error) {
+	hcByTemp, err := t.HCFirstAtTemps(ctx, bank, rows, temps, rh.HCFirstConfig{
 		Pattern: rh.PatCheckered,
 	}, 1)
 	if err != nil {

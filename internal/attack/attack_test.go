@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	rh "rowhammer"
@@ -47,7 +48,7 @@ func TestPlannerInformedBeatsUninformed(t *testing.T) {
 	b := smallBench(t, "A", 31)
 	tst := rh.NewTester(b)
 	rows := []int{20, 40, 60, 80, 100, 120, 140, 160}
-	planner, err := BuildPlanner(tst, 0, rows, []float64{50, 70, 90})
+	planner, err := BuildPlanner(context.Background(), tst, 0, rows, []float64{50, 70, 90})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestTempTriggerDetectsTemperature(t *testing.T) {
 	b := smallBench(t, "A", 33)
 	tst := rh.NewTester(b)
 	victims := []int{30, 60, 90, 120, 150, 180, 210}
-	sweep, err := tst.TemperatureSweep(rh.TempSweepConfig{
+	sweep, err := tst.TemperatureSweep(context.Background(), rh.TempSweepConfig{
 		Bank: 0, Victims: victims, Hammers: 250_000,
 		Pattern: rh.PatCheckered, Repetitions: 1,
 	})
@@ -211,5 +212,36 @@ func TestFindTriggerExactTemperature(t *testing.T) {
 	}
 	if above.Row != 11 {
 		t.Fatalf("picked row %d for at-or-above", above.Row)
+	}
+}
+
+// TestFindTriggerPicksLowestCell: with several qualifying cells,
+// FindTrigger returns the one with the lowest (row, bit) on every
+// call, whatever order the sweep's cell map yields them in.
+func TestFindTriggerPicksLowestCell(t *testing.T) {
+	temps := []float64{50, 55, 60, 65, 70, 75, 80, 85, 90}
+	exact := uint32(1 << 4)      // flips only at 70 °C
+	above := uint32(1<<9 - 1<<4) // flips from 70 °C to the top
+	sweep := &rh.TempSweepResult{Temps: temps, Cells: map[rh.CellID]uint32{}}
+	for _, row := range []int{650, 50, 250, 750, 40} {
+		for _, bit := range []int{9, 2, 5} {
+			sweep.Cells[rh.CellID{Row: row, Bit: bit}] = exact
+			sweep.Cells[rh.CellID{Row: row + 1, Bit: bit}] = above
+		}
+	}
+	sweep.Cells[rh.CellID{Row: 30, Bit: 0}] = 1<<9 - 1 // full range: neither kind
+	for _, tc := range []struct {
+		kind TriggerKind
+		row  int
+	}{{ExactTemperature, 40}, {AtOrAbove, 41}} {
+		for i := 0; i < 20; i++ {
+			trig, err := FindTrigger(sweep, tc.kind, 70, 0, 1000, rh.PatCheckered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trig.Row != tc.row || trig.Bit != 2 {
+				t.Fatalf("kind %v call %d: picked row %d bit %d, want row %d bit 2", tc.kind, i, trig.Row, trig.Bit, tc.row)
+			}
+		}
 	}
 }

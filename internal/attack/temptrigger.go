@@ -37,7 +37,9 @@ const (
 )
 
 // FindTrigger scans a temperature sweep's per-cell observations for a
-// sensor cell of the requested kind at the target temperature.
+// sensor cell of the requested kind at the target temperature. Of
+// several qualifying cells it returns the one with the lowest
+// (row, bit), so the choice does not depend on map order.
 func FindTrigger(sweep *rh.TempSweepResult, kind TriggerKind, targetC float64, bank int, hammers int64, pat rh.PatternKind) (*TempTrigger, error) {
 	ti := -1
 	for i, t := range sweep.Temps {
@@ -48,23 +50,27 @@ func FindTrigger(sweep *rh.TempSweepResult, kind TriggerKind, targetC float64, b
 	if ti < 0 {
 		return nil, fmt.Errorf("attack: target %.0f °C not in sweep", targetC)
 	}
+	var best *rh.CellID
 	for cell, mask := range sweep.Cells {
 		lo, hi := rh.MaskRange(mask)
+		var ok bool
 		switch kind {
 		case ExactTemperature:
 			// Flips at the target and nowhere else.
-			if lo == ti && hi == ti {
-				return &TempTrigger{Bank: bank, Row: cell.Row, Bit: cell.Bit, Hammers: hammers, Pattern: pat}, nil
-			}
+			ok = lo == ti && hi == ti
 		case AtOrAbove:
 			// Lower bound at the target; upper bound reaching the top
 			// of the tested range (censored: extends above).
-			if lo == ti && hi == len(sweep.Temps)-1 {
-				return &TempTrigger{Bank: bank, Row: cell.Row, Bit: cell.Bit, Hammers: hammers, Pattern: pat}, nil
-			}
+			ok = lo == ti && hi == len(sweep.Temps)-1
+		}
+		if ok && (best == nil || cell.Row < best.Row || cell.Row == best.Row && cell.Bit < best.Bit) {
+			best = &cell
 		}
 	}
-	return nil, fmt.Errorf("attack: no %v trigger cell at %.0f °C", kind, targetC)
+	if best == nil {
+		return nil, fmt.Errorf("attack: no %v trigger cell at %.0f °C", kind, targetC)
+	}
+	return &TempTrigger{Bank: bank, Row: best.Row, Bit: best.Bit, Hammers: hammers, Pattern: pat}, nil
 }
 
 // Probe hammers the sensor row and reports whether the sensor cell

@@ -101,6 +101,9 @@ func DefCompare(cfg Config) (DefCompareResult, error) {
 	}
 
 	for _, mc := range mechs {
+		if err := cfg.Ctx.Err(); err != nil {
+			return res, err
+		}
 		b, err := mkBench()
 		if err != nil {
 			return res, err

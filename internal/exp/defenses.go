@@ -192,7 +192,7 @@ func Defense3(cfg Config) (Defense3Result, error) {
 	}
 	t := rh.NewTester(bs[0])
 	rows := sampleRows(cfg, tempSweepRows)
-	sweep, err := t.TemperatureSweep(rh.TempSweepConfig{
+	sweep, err := t.TemperatureSweep(cfg.Ctx, rh.TempSweepConfig{
 		Bank: 0, Victims: rows, Hammers: cfg.Scale.Hammers,
 		Pattern: rh.PatCheckered, Repetitions: 1,
 	})
@@ -326,6 +326,9 @@ func Defense5(cfg Config) (Defense5Result, error) {
 	tm := b.Timing()
 	rows := sampleRows(cfg, 4)
 	victim := rows[len(rows)/2]
+	if err := cfg.Ctx.Err(); err != nil {
+		return res, err
+	}
 
 	base, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
 	if err != nil {
@@ -351,6 +354,9 @@ func Defense5(cfg Config) (Defense5Result, error) {
 	res.LimitedHC = lim.HCfirst
 	res.ExtraActs = limiter.ExtraActs
 
+	if err := cfg.Ctx.Err(); err != nil {
+		return res, err
+	}
 	// Scheduler-level benign cost: a row-buffer-friendly workload
 	// under open-page vs the capped policy.
 	reqs := sched.Generate(sched.WorkloadConfig{

@@ -32,7 +32,7 @@ func ddr3Mfr(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
 		return nil, err
 	}
 	t := rh.NewTester(b)
-	sweep, err := t.TemperatureSweep(rh.TempSweepConfig{
+	sweep, err := t.TemperatureSweep(cfg.Ctx, rh.TempSweepConfig{
 		Bank:        0,
 		Victims:     sampleRows(cfg, tempSweepRows),
 		Hammers:     2 * cfg.Scale.Hammers,
@@ -116,6 +116,9 @@ func trrAttack(cfg Config, aggressors []int, victim int, rounds int64) (int, int
 		logical[i] = t.LogicalRow(a)
 	}
 	for issued := int64(0); issued < rounds; issued += chunk {
+		if err := cfg.Ctx.Err(); err != nil {
+			return 0, 0, err
+		}
 		n := chunk
 		if issued+n > rounds {
 			n = rounds - issued
@@ -232,6 +235,9 @@ func Interference(cfg Config) (InterferenceResult, error) {
 	}
 	t := rh.NewTester(b)
 	victim := sampleRows(cfg, 4)[1]
+	if err := cfg.Ctx.Err(); err != nil {
+		return res, err
+	}
 	start := b.Exec.Now()
 	if _, err := t.Hammer(rh.HammerConfig{
 		Bank: 0, VictimPhys: victim, Hammers: cfg.Scale.MaxHammers,
@@ -245,6 +251,9 @@ func Interference(cfg Config) (InterferenceResult, error) {
 
 	// 3: ECC masking on an otherwise identical module.
 	mkFlips := func(ecc bool) (int, error) {
+		if err := cfg.Ctx.Err(); err != nil {
+			return 0, err
+		}
 		be, err := rh.NewBench(rh.BenchConfig{
 			Profile:  rh.ProfileByName("A"),
 			Seed:     moduleSeed(cfg, "A", 11),

@@ -30,7 +30,7 @@ func fig11Mfr(cfg Config, mfr string) ([][]float64, rh.RowVariationSummary, erro
 		if err != nil {
 			return nil, rh.RowVariationSummary{}, err
 		}
-		profile, err := t.RowHCFirstProfileCtx(cfg.Ctx, 0, rows, rh.HCFirstConfig{
+		profile, err := t.RowHCFirstProfile(cfg.Ctx, 0, rows, rh.HCFirstConfig{
 			Pattern: pat, MaxHammers: cfg.Scale.MaxHammers,
 		}, cfg.Scale.Repetitions)
 		if err != nil {
@@ -381,7 +381,7 @@ func profileSubarrays(cfg Config, mfr string) ([][]rh.SubarrayStat, error) {
 		if err != nil {
 			return nil, err
 		}
-		profile, err := t.RowHCFirstProfileCtx(cfg.Ctx, 0, rows, rh.HCFirstConfig{
+		profile, err := t.RowHCFirstProfile(cfg.Ctx, 0, rows, rh.HCFirstConfig{
 			Pattern: pat, MaxHammers: cfg.Scale.MaxHammers,
 		}, cfg.Scale.Repetitions)
 		if err != nil {

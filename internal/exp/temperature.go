@@ -30,7 +30,7 @@ func runTempSweeps(cfg Config, mfr string, singles bool) ([]*rh.TempSweepResult,
 		if err != nil {
 			return nil, err
 		}
-		sweep, err := t.TemperatureSweepCtx(cfg.Ctx, rh.TempSweepConfig{
+		sweep, err := t.TemperatureSweep(cfg.Ctx, rh.TempSweepConfig{
 			Bank:    0,
 			Victims: rows,
 			// 2x the BER hammer count: the paper picks 150K as "high
@@ -329,7 +329,7 @@ func fig5Mfr(cfg Config, mfr string) (fig5Changes, error) {
 		if err != nil {
 			return c, err
 		}
-		hc, err := t.HCFirstAtTemps(0, rows, temps, rh.HCFirstConfig{
+		hc, err := t.HCFirstAtTemps(cfg.Ctx, 0, rows, temps, rh.HCFirstConfig{
 			Pattern:    pat,
 			MaxHammers: cfg.Scale.MaxHammers,
 		}, cfg.Scale.Repetitions)

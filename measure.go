@@ -68,7 +68,8 @@ type PatternSurvey struct {
 
 // SurveyPatterns hammers the victim sample once per Table 1 pattern
 // and tallies the victims' flips (it reads nothing else), identifying
-// the module's worst-case data pattern. It checks ctx between patterns.
+// the module's worst-case data pattern (WCDP, §4.2). It checks ctx
+// between patterns.
 func (t *Tester) SurveyPatterns(ctx context.Context, bank int, victims []int, hammers int64) (PatternSurvey, error) {
 	var s PatternSurvey
 	if len(victims) == 0 {
@@ -186,7 +187,7 @@ func (t *Tester) MeasureModuleHCFirst(ctx context.Context, sc MeasureScope) (Pat
 		return pat, nil, nil, err
 	}
 	rows := sc.Scale.SampleRows(t.b.Geometry(), hcProfileRows)
-	profile, err := t.RowHCFirstProfileCtx(ctx, sc.Bank, rows, HCFirstConfig{
+	profile, err := t.RowHCFirstProfile(ctx, sc.Bank, rows, HCFirstConfig{
 		Pattern: pat, MaxHammers: sc.Scale.MaxHammers,
 	}, sc.Scale.Repetitions)
 	if err != nil {
@@ -221,7 +222,7 @@ func (t *Tester) MeasureModuleBER(ctx context.Context, sc MeasureScope) (Pattern
 		return pat, nil, nil, err
 	}
 	rows := sc.Scale.SampleRows(t.b.Geometry(), berMeasureRows)
-	sweep, err := t.TemperatureSweepCtx(ctx, TempSweepConfig{
+	sweep, err := t.TemperatureSweep(ctx, TempSweepConfig{
 		Bank:        sc.Bank,
 		Victims:     rows,
 		Temps:       sc.Temps,
@@ -276,7 +277,7 @@ func (t *Tester) MeasureModuleSpatial(ctx context.Context, sc MeasureScope) (Pat
 		return pat, nil, nil, err
 	}
 	rows := sc.Scale.SampleRows(t.b.Geometry(), spatialRowBudget)
-	profile, err := t.RowHCFirstProfileCtx(ctx, sc.Bank, rows, HCFirstConfig{
+	profile, err := t.RowHCFirstProfile(ctx, sc.Bank, rows, HCFirstConfig{
 		Pattern: pat, MaxHammers: sc.Scale.MaxHammers,
 	}, sc.Scale.Repetitions)
 	if err != nil {
@@ -310,8 +311,9 @@ func (t *Tester) MeasureModuleSpatial(ctx context.Context, sc MeasureScope) (Pat
 	return pat, metrics, series, nil
 }
 
-// RowHCFirstProfileCtx is RowHCFirstProfile with cooperative
-// cancellation between rows. With more than one worker configured
+// RowHCFirstProfile measures HCfirst (minimum over repetitions) for
+// every given victim row — the Fig. 11 measurement — checking ctx
+// between rows. With more than one worker configured
 // (SetWorkers) the sampled rows are fanned out over the pool and merged
 // back in row order. Each worker builds one hermetic bench clone and,
 // before every row, resets it to a snapshot of this bench's chamber
@@ -320,7 +322,7 @@ func (t *Tester) MeasureModuleSpatial(ctx context.Context, sc MeasureScope) (Pat
 // measurement is independent on real hardware too (writing the data
 // pattern re-senses and resets every row the test touches), so the
 // parallel profile is bit-identical to the serial one.
-func (t *Tester) RowHCFirstProfileCtx(ctx context.Context, bank int, rows []int, cfg HCFirstConfig, reps int) ([]RowHC, error) {
+func (t *Tester) RowHCFirstProfile(ctx context.Context, bank int, rows []int, cfg HCFirstConfig, reps int) ([]RowHC, error) {
 	if t.effectiveWorkers() > 1 && len(rows) > 1 {
 		snap := t.b.Chamber.Clone()
 		newClone := func() (*Tester, error) { return t.cloneAt(snap) }
@@ -351,10 +353,4 @@ func (t *Tester) RowHCFirstProfileCtx(ctx context.Context, bank int, rows []int,
 		out = append(out, RowHC{Row: row, HCfirst: res.HCfirst, Found: res.Found})
 	}
 	return out, nil
-}
-
-// TemperatureSweepCtx is TemperatureSweep with cooperative
-// cancellation between temperature points.
-func (t *Tester) TemperatureSweepCtx(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
-	return t.temperatureSweep(ctx, cfg)
 }

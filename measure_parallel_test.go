@@ -35,12 +35,12 @@ func TestRowHCFirstProfileWorkerInvariance(t *testing.T) {
 	rows := []int{8, 9, 10, 20, 33, 40}
 	cfg := HCFirstConfig{Pattern: PatCheckered, MaxHammers: 512_000}
 
-	serial, err := parallelTestTester(t, 1).RowHCFirstProfileCtx(context.Background(), 0, rows, cfg, 2)
+	serial, err := parallelTestTester(t, 1).RowHCFirstProfile(context.Background(), 0, rows, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := parallelTestTester(t, workers).RowHCFirstProfileCtx(context.Background(), 0, rows, cfg, 2)
+		par, err := parallelTestTester(t, workers).RowHCFirstProfile(context.Background(), 0, rows, cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestRowHCFirstProfileWorkerInvarianceAtTemperature(t *testing.T) {
 		}
 		tester := NewTester(b)
 		tester.SetWorkers(workers)
-		p, err := tester.RowHCFirstProfileCtx(context.Background(), 0, rows, HCFirstConfig{Pattern: PatCheckered}, 1)
+		p, err := tester.RowHCFirstProfile(context.Background(), 0, rows, HCFirstConfig{Pattern: PatCheckered}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestTemperatureSweepWorkerInvariance(t *testing.T) {
 	}
 	run := func(workers int) outcome {
 		tester := parallelTestTester(t, workers)
-		sweep, err := tester.TemperatureSweepCtx(context.Background(), cfg)
+		sweep, err := tester.TemperatureSweep(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestTemperatureSweepWorkerInvarianceOnUsedBench(t *testing.T) {
 		tester.SetWorkers(workers)
 		var out []*TempSweepResult
 		for _, pat := range []PatternKind{PatCheckered, PatRowStripe, PatRandom} {
-			sweep, err := tester.TemperatureSweep(TempSweepConfig{
+			sweep, err := tester.TemperatureSweep(context.Background(), TempSweepConfig{
 				Victims: []int{100, 201}, Temps: []float64{50, 70, 90},
 				Hammers: 250_000, Pattern: pat, Repetitions: 2,
 			})

@@ -173,7 +173,7 @@ func TestTempGridPointLimit(t *testing.T) {
 	cfg := TempSweepConfig{Victims: []int{40}, Temps: long, Hammers: 300_000, Pattern: PatCheckered, Repetitions: 1}
 	for _, workers := range []int{1, 2} {
 		tester := newTester(workers)
-		if _, err := tester.TemperatureSweep(cfg); !errors.As(err, &tge) {
+		if _, err := tester.TemperatureSweep(context.Background(), cfg); !errors.As(err, &tge) {
 			t.Fatalf("workers=%d: TemperatureSweep(33 points) = %v, want *TempGridSizeError", workers, err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestTempGridPointLimit(t *testing.T) {
 	}
 	var sweeps []*TempSweepResult
 	for _, workers := range []int{1, 2} {
-		sweep, err := newTester(workers).TemperatureSweep(cfg)
+		sweep, err := newTester(workers).TemperatureSweep(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: TemperatureSweep(32 points) = %v", workers, err)
 		}

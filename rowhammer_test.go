@@ -1,6 +1,7 @@
 package rowhammer
 
 import (
+	"context"
 	"testing"
 
 	"rowhammer/internal/dram"
@@ -170,14 +171,15 @@ func TestHCFirstMinTakesMinimum(t *testing.T) {
 	}
 }
 
-func TestWorstCasePatternBeatsAverage(t *testing.T) {
+func TestSurveyPatternsBestBeatsAverage(t *testing.T) {
 	b := newBenchFor(t, "C", 13)
 	tst := NewTester(b)
 	victims := []int{40, 80, 120}
-	wc, err := tst.WorstCasePattern(0, victims, 200_000)
+	s, err := tst.SurveyPatterns(context.Background(), 0, victims, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wc := s.Best
 	count := func(p PatternKind) int {
 		total := 0
 		for _, v := range victims {
@@ -290,7 +292,7 @@ func TestTemperatureSweepClustering(t *testing.T) {
 	b := newBenchFor(t, "A", 25)
 	tst := NewTester(b)
 	victims := []int{30, 60, 90, 120, 150, 180}
-	sweep, err := tst.TemperatureSweep(TempSweepConfig{
+	sweep, err := tst.TemperatureSweep(context.Background(), TempSweepConfig{
 		Bank: 0, Victims: victims, Hammers: 200_000, Pattern: PatCheckered, Repetitions: 1,
 	})
 	if err != nil {

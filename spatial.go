@@ -1,7 +1,6 @@
 package rowhammer
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -16,12 +15,6 @@ type RowHC struct {
 	Row     int
 	HCfirst int64
 	Found   bool
-}
-
-// RowHCFirstProfile measures HCfirst (minimum over repetitions) for
-// every given victim row — the Fig. 11 measurement.
-func (t *Tester) RowHCFirstProfile(bank int, rows []int, cfg HCFirstConfig, reps int) ([]RowHC, error) {
-	return t.RowHCFirstProfileCtx(context.Background(), bank, rows, cfg, reps)
 }
 
 // VulnerableHCs extracts the HCfirst values of rows where flips were

@@ -60,14 +60,9 @@ func MaskRange(mask uint32) (lo, hi int) {
 }
 
 // TemperatureSweep runs BER tests for every victim at every
-// temperature, recording per-cell flip observations (§5).
-func (t *Tester) TemperatureSweep(cfg TempSweepConfig) (*TempSweepResult, error) {
-	return t.temperatureSweep(context.Background(), cfg)
-}
-
-// temperatureSweep implements TemperatureSweep, checking ctx between
-// temperature points.
-func (t *Tester) temperatureSweep(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
+// temperature, recording per-cell flip observations (§5), and checks
+// ctx between temperature points.
+func (t *Tester) TemperatureSweep(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
 	if len(cfg.Victims) == 0 {
 		return nil, fmt.Errorf("rowhammer: temperature sweep needs victim rows")
 	}
@@ -303,9 +298,9 @@ func (m *TempClusterMatrix) NoGapFraction() float64 {
 }
 
 // HCFirstAtTemps measures every row's HCfirst at each temperature
-// (the Fig. 5 measurement). Result indexing: [tempIdx][rowIdx]; an
-// unfound HCfirst is reported as 0.
-func (t *Tester) HCFirstAtTemps(bank int, rows []int, temps []float64, cfg HCFirstConfig, reps int) ([][]int64, error) {
+// (the Fig. 5 measurement), checking ctx between rows. Result
+// indexing: [tempIdx][rowIdx]; an unfound HCfirst is reported as 0.
+func (t *Tester) HCFirstAtTemps(ctx context.Context, bank int, rows []int, temps []float64, cfg HCFirstConfig, reps int) ([][]int64, error) {
 	out := make([][]int64, len(temps))
 	for ti, temp := range temps {
 		if err := t.b.SetTemperature(temp); err != nil {
@@ -313,6 +308,9 @@ func (t *Tester) HCFirstAtTemps(bank int, rows []int, temps []float64, cfg HCFir
 		}
 		out[ti] = make([]int64, len(rows))
 		for ri, row := range rows {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			c := cfg
 			c.Bank = bank
 			c.VictimPhys = row

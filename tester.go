@@ -1,7 +1,6 @@
 package rowhammer
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -81,7 +80,7 @@ func (t *Tester) UseMapping(m dram.RemapScheme) {
 }
 
 // SetWorkers bounds the worker pool of the parallel measurement cores
-// (RowHCFirstProfileCtx, TemperatureSweepCtx, and the Measure* cores
+// (RowHCFirstProfile, TemperatureSweep, and the Measure* cores
 // built on them). n < 1 selects one worker per CPU; n == 1 forces the
 // serial in-place path. Each pool worker builds one hermetic bench
 // clone per call and resets it before every unit it runs, so a call
@@ -475,17 +474,6 @@ func (t *Tester) victimFlipped(cfg HammerConfig) (bool, error) {
 		return false, err
 	}
 	return t.res.Differs, nil
-}
-
-// WorstCasePattern finds the module's worst-case data pattern (WCDP):
-// the Table 1 pattern maximizing bit flips on the sampled victim rows
-// (§4.2).
-func (t *Tester) WorstCasePattern(bank int, victims []int, hammers int64) (dram.PatternKind, error) {
-	s, err := t.SurveyPatterns(context.Background(), bank, victims, hammers)
-	if err != nil {
-		return s.Best, err
-	}
-	return s.Best, nil
 }
 
 // declareTrialSalts announces the upcoming min-of-R trial batch

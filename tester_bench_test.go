@@ -84,7 +84,7 @@ func BenchmarkTemperatureSweepParallel(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.TemperatureSweep(cfg); err != nil {
+		if _, err := tr.TemperatureSweep(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkRowHCFirstProfileParallel(b *testing.B) {
 	cfg := rh.HCFirstConfig{Pattern: rh.PatCheckered}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		profile, err := tr.RowHCFirstProfileCtx(context.Background(), 0, rows, cfg, 1)
+		profile, err := tr.RowHCFirstProfile(context.Background(), 0, rows, cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

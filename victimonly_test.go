@@ -198,7 +198,7 @@ func TestTemperatureSweepVictimOnlyMatchesFullReads(t *testing.T) {
 						Victims: []int{100, 201}, Temps: []float64{50, 70, 90},
 						Hammers: 250_000, Pattern: pat, Repetitions: 2, Singles: singles,
 					}
-					got, err := fast.TemperatureSweep(cfg)
+					got, err := fast.TemperatureSweep(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -266,7 +266,7 @@ func TestVictimOnlyMeasurementsSenseOneRow(t *testing.T) {
 			return err
 		}},
 		{"TemperatureSweep", len(sweep.Temps) * len(victims) * sweep.Repetitions, func(tr *Tester) (int, error) {
-			res, err := tr.TemperatureSweep(sweep)
+			res, err := tr.TemperatureSweep(context.Background(), sweep)
 			if err != nil {
 				return 0, err
 			}
