@@ -25,16 +25,18 @@ test:
 # measurement cores run here too: their worker-invariance, clone
 # reset and clone-budget tests exercise the per-worker bench clones,
 # the compare-read and existence-probe tests drive HCfirst
-# searches whose existence walks share the kernel cache, and the
+# searches whose existence walks share the kernel cache, the
 # victim-only tests run parallel sweeps on per-worker clones, each
-# with its own row arena. The share test runs the measurement runner
-# at an inner fan-out of NumCPU and of 1 (pool.Share), and the
-# narrow-beat tests run the cores on 32-bit beats.
+# with its own row arena, and the sweep-replay test drives the fault
+# model's temperature batch through a full-grid sweep. The share test
+# runs the measurement runner at an inner fan-out of NumCPU and of 1
+# (pool.Share), and the narrow-beat tests run the cores on 32-bit
+# beats.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/durable/... ./internal/pool/... ./internal/exp/... \
 		./internal/store/... ./internal/server/... ./internal/faultmodel/... ./internal/dram/... \
 		./internal/leasesvc/... ./internal/shard/...
-	$(GO) test -race -run 'WorkerInvariance|Reset|Clone|CompareRead|Existence|ProbeLadder|VictimOnly|Arena|InvariantToShare|NarrowBeat' .
+	$(GO) test -race -run 'WorkerInvariance|Reset|Clone|CompareRead|Existence|ProbeLadder|VictimOnly|SweepReplays|Arena|InvariantToShare|NarrowBeat' .
 
 vet:
 	$(GO) vet ./...
@@ -74,7 +76,7 @@ bench-check:
 
 # One-iteration pass over the disturb hot-path benchmarks, the
 # Tester-operation benchmarks (warm and cold HCfirst search, WCDP
-# survey, parallel temperature sweep, parallel HCfirst profile), the
+# survey, temperature sweep, parallel HCfirst profile), the
 # cold candidate-build benchmark and the shard-checkpoint read (B/op
 # and allocs/op of one load, as the coordinator and the merge read a
 # finished shard)
@@ -83,7 +85,7 @@ bench-check:
 # per-worker clones, and keeps the benchmark bodies themselves
 # compiling and running in CI without benchmark-grade runtime.
 bench-smoke:
-	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|HCFirstCold|SurveyPatterns|TemperatureSweepParallel|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'DisturbBatch|FlipApply|HCFirstMin|HCFirstCold|SurveyPatterns|TemperatureSweep|RowHCFirstProfileParallel' -run '^$$' -benchtime 1x .
 	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 	$(GO) test -race -bench 'LoadShardCheckpoint' -run '^$$' -benchtime 1x ./internal/shard/
 

@@ -2,6 +2,7 @@ package rowhammer
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"rowhammer/internal/dram"
@@ -98,10 +99,27 @@ func TestHCFirstNotFoundOnInvulnerableConfig(t *testing.T) {
 	}
 }
 
+// TestTemperatureSweepValidation: a sweep needs victims, and its grid
+// must strictly increase, as ValidateTempGrid requires of every other
+// entry point: a descending or duplicated grid would make the Cells
+// masks' indexes disagree with temperature order.
 func TestTemperatureSweepValidation(t *testing.T) {
 	b := newBenchFor(t, "A", 43)
 	if _, err := NewTester(b).TemperatureSweep(context.Background(), TempSweepConfig{Bank: 0}); err == nil {
 		t.Fatal("expected error for empty victim list")
+	}
+	for _, temps := range [][]float64{{90, 50}, {50, 70, 70, 90}} {
+		for _, workers := range []int{1, 2} {
+			tester := NewTester(b)
+			tester.SetWorkers(workers)
+			_, err := tester.TemperatureSweep(context.Background(), TempSweepConfig{
+				Victims: []int{100, 201}, Temps: temps, Hammers: 150_000, Pattern: PatCheckered,
+			})
+			var tse *TempStepError
+			if !errors.As(err, &tse) {
+				t.Fatalf("workers=%d: TemperatureSweep(%v) = %v, want *TempStepError", workers, temps, err)
+			}
+		}
 	}
 }
 

@@ -184,7 +184,7 @@ func TestHCFirstExistenceProbesBuildFewerCells(t *testing.T) {
 				t.Fatalf("%s victim %d: %+v, full reads %+v", prof, victim, got, want)
 			}
 		}
-		f, r := fast.b.Model.CellsMaterialized(), ref.b.Model.CellsMaterialized()
+		f, r := fast.b.Model.KernelStats().Cells, ref.b.Model.KernelStats().Cells
 		t.Logf("profile %s: %d cells with existence probes, %d with full reads", prof, f, r)
 		if 3*f > r {
 			t.Fatalf("profile %s: existence probes materialized %d cells, full reads %d; want at least 3× fewer", prof, f, r)

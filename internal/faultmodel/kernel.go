@@ -21,12 +21,12 @@ import (
 // computes the cutoff reachable at the ledger's effective hammer count,
 // then binary-searches it in the set and walks only the candidates
 // below it, evaluating the remaining per-call predicates lazily per
-// candidate. The walk is trial-batched: the cutoff search and the
-// trial-independent predicates (stored data orientation, gating
-// temperature, aggressor coupling) run once per candidate, and only
-// the per-trial noise comparison runs per salt, each salt accumulating
-// its own flip bitplane (see disturbBatch and the replay cache in
-// replay.go).
+// candidate. The walk is batched over trials and temperatures: the
+// cutoff search and the stored-data orientation run once per
+// candidate, the gating temperature once per temperature column, and
+// only the noise comparison per (column, salt), each pair accumulating
+// its own flip bitplane (see disturbBatch, Model.SetTempBatch and the
+// replay cache in replay.go).
 //
 // A set is cover-bounded: it holds exactly the cells with rel ≤ its
 // cover, because a walk never reaches past its cutoff. A row's first
@@ -396,15 +396,25 @@ func walkCut(rp rowParams, heff float64, salted bool) float64 {
 	return cut
 }
 
-// disturbBatch is the trial-batched kernel walk. A cell can flip only
-// when heff·coupling ≥ rowHC·rel·noise with coupling ≤ 1 and noise ≥
-// trialNoiseFloor, so candidates with rel above heff/rowHC (divided by
-// the noise floor when salted, padded by boundPad) are unreachable
-// under every salt: the set is only built up to that cutoff and the
-// sorted order lets a binary search skip everything past it. masks[i]
-// (len == len(ctx.Data), zeroed here) and flips[i] receive salt i's
-// flip bitplane and count.
-func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, heff, tempC float64, salts []uint64, masks [][]uint64, flips []int) {
+// walkCol is one temperature column of a kernel walk: one ledger of
+// the row, with its effective hammer count and gating temperature.
+type walkCol struct {
+	heff, tempC float64
+	led         dram.RowLedger
+}
+
+// disturbBatch is the batched kernel walk over temperature columns and
+// trial salts. A cell can flip only when heff·coupling ≥
+// rowHC·rel·noise with coupling ≤ 1 and noise ≥ trialNoiseFloor, so
+// candidates with rel above heff/rowHC (divided by the noise floor when
+// salted, padded by boundPad) are unreachable under every salt: the set
+// is only built up to the largest column's cutoff and the sorted order
+// lets a binary search skip everything past it; a column with a lower
+// cutoff rejects the cells beyond its own through the exact compares.
+// masks[ci·len(salts)+si] (len == len(ctx.Data), zeroed here) and
+// flips[ci·len(salts)+si] receive column ci's salt-si flip bitplane and
+// count.
+func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, cols []walkCol, salts []uint64, masks [][]uint64, flips []int) {
 	for i := range masks {
 		clearWords(masks[i])
 		flips[i] = 0
@@ -417,9 +427,25 @@ func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, heff, tempC 
 			break
 		}
 	}
-	cut := walkCut(rp, heff, salted)
+	cut := 0.0
+	for _, col := range cols {
+		cut = max(cut, walkCut(rp, col.heff, salted))
+	}
 	cells := m.candidatesUpTo(ctx.Bank, ctx.Row, cut)
 	n := sort.Search(len(cells), func(i int) bool { return cells[i].rel > cut })
+	// A cell's noise depends on the cell and the salt alone: with
+	// several columns, noise[si] keeps its factor under salts[si] for
+	// the others. One column skips that bookkeeping, a few percent of
+	// its walk.
+	ns := len(salts)
+	shared, noise := len(cols) > 1, m.walkNoise[:0]
+	if shared {
+		if cap(m.walkNoise) < ns {
+			m.walkNoise = make([]noiseDraw, ns)
+		}
+		noise = m.walkNoise[:ns]
+		clear(noise)
+	}
 
 	up, down := ctx.Up, ctx.Down
 	for i := 0; i < n; i++ {
@@ -431,38 +457,61 @@ func (m *Model) disturbBatch(ctx dram.DisturbContext, rp rowParams, heff, tempC 
 			continue
 		}
 
-		// Gate comparisons are false for −Inf/+Inf/NaN exactly where
-		// tempInRange accepts, so censored ranges and gap-free cells
-		// pass for free.
-		if tempC < c.loGate || tempC > c.hiGate || math.Abs(tempC-c.gapT) < tempMargin {
-			continue
-		}
-
-		coupling := minCoupling
-		if bitDiffers(up, word, off, stored) || bitDiffers(down, word, off, stored) {
-			coupling = 1.0
-		}
-
-		base := rp.hc * c.rel
-		eff := heff * coupling
-		for si, salt := range salts {
-			if salt == 0 {
-				if eff < base {
-					continue
-				}
-			} else if eff < base*trialNoiseFloor {
-				// Below even the most favorable truncated noise draw.
-				continue
-			} else if eff < base*trialNoiseCeil && eff < base*m.trialNoiseFactorFor(c.h, salt) {
-				// Marginal band: only here does the outcome depend on
-				// the cell's actual noise draw, so only here do we pay
-				// for it — once per (cell, salt) that lands in the band.
+		coupling, base := 0.0, 0.0
+		for ci := range cols {
+			col := &cols[ci]
+			// Gate comparisons are false for −Inf/+Inf/NaN exactly where
+			// tempInRange accepts, so censored ranges and gap-free cells
+			// pass for free.
+			if col.tempC < c.loGate || col.tempC > c.hiGate || math.Abs(col.tempC-c.gapT) < tempMargin {
 				continue
 			}
-			masks[si][word] |= 1 << off
-			flips[si]++
+			if coupling == 0 {
+				coupling = minCoupling
+				if bitDiffers(up, word, off, stored) || bitDiffers(down, word, off, stored) {
+					coupling = 1.0
+				}
+				base = rp.hc * c.rel
+			}
+			eff := col.heff * coupling
+			ms, fs := masks[ci*ns:(ci+1)*ns], flips[ci*ns:(ci+1)*ns]
+			for si, salt := range salts {
+				if salt == 0 {
+					if eff < base {
+						continue
+					}
+				} else if eff < base*trialNoiseFloor {
+					// Below even the most favorable truncated noise draw.
+					continue
+				} else if eff < base*trialNoiseCeil {
+					// Marginal band: only here does the outcome depend on
+					// the cell's actual noise draw, so only here do we pay
+					// for it — once per (cell, salt) that lands in the band.
+					var f float64
+					if shared {
+						if nd := &noise[si]; nd.cell != i+1 {
+							nd.cell, nd.f = i+1, m.trialNoiseFactor(c.h, salt)
+						}
+						f = noise[si].f
+					} else {
+						f = m.trialNoiseFactor(c.h, salt)
+					}
+					if eff < base*f {
+						continue
+					}
+				}
+				ms[si][word] |= 1 << off
+				fs[si]++
+			}
 		}
 	}
+}
+
+// noiseDraw is a cell's trial-noise factor f under one salt, drawn by
+// the cell at walk index cell−1 (0: none yet).
+type noiseDraw struct {
+	cell int
+	f    float64
 }
 
 // anyInitialSteps is how far below its cutoff an existence walk starts
@@ -544,7 +593,7 @@ func (m *Model) anyCellFlips(ctx dram.DisturbContext, rp rowParams, heff, tempC 
 			}
 		} else if eff < base*trialNoiseFloor {
 			continue
-		} else if eff < base*trialNoiseCeil && eff < base*m.trialNoiseFactorFor(c.h, salt) {
+		} else if eff < base*trialNoiseCeil && eff < base*m.trialNoiseFactor(c.h, salt) {
 			continue
 		}
 		return true

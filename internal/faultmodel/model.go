@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/rng"
@@ -110,8 +111,10 @@ type Model struct {
 
 	rowCache map[uint64]rowParams
 	// replay memoizes whole disturb evaluations by exact input
-	// (replay.go); per-model, unlocked.
-	replay *replayCache
+	// (replay.go); per-model, unlocked. replayHits counts the Disturb
+	// calls it answered, shared with forks like candCache.
+	replay     *replayCache
+	replayHits *atomic.Int64
 
 	salt uint64
 	// batchSalts is the declared trial batch (SetTrialSalts): every
@@ -119,13 +122,20 @@ type Model struct {
 	// evaluate them all.
 	batchSalts []uint64
 	soloSalt   [1]uint64
+	// batchTemps is the declared temperature batch (SetTempBatch), in
+	// the ledger's milli-°C.
+	batchTemps []int64
 
 	// Walk scratch, reused across Disturb calls (zero-alloc steady
 	// state): maskArena backs walkMasks, one row-sized bitplane per
-	// salt of the current batch.
+	// (temperature column, salt) of the current walk; walkCols or
+	// soloCol hold its columns, walkNoise its shared noise draws.
 	maskArena []uint64
 	walkMasks [][]uint64
 	walkFlips []int
+	walkCols  []walkCol
+	soloCol   [1]walkCol
+	walkNoise []noiseDraw
 	// buildKeys/buildTmp are the candidate builds' radix-sort buffers.
 	buildKeys, buildTmp []relBit
 }
@@ -150,12 +160,13 @@ func NewModel(cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("faultmodel: profile %s has invalid tail parameters", cfg.Profile.Name)
 	}
 	m := &Model{
-		p:         cfg.Profile,
-		seed:      cfg.ModuleSeed,
-		geo:       cfg.Geometry,
-		rowCache:  make(map[uint64]rowParams),
-		candCache: newCandLRU(candCacheBudgetBytes),
-		replay:    newReplayCache(),
+		p:          cfg.Profile,
+		seed:       cfg.ModuleSeed,
+		geo:        cfg.Geometry,
+		rowCache:   make(map[uint64]rowParams),
+		candCache:  newCandLRU(candCacheBudgetBytes),
+		replay:     newReplayCache(),
+		replayHits: new(atomic.Int64),
 	}
 
 	// Module-level base HCfirst: lognormal module-to-module variation.
@@ -241,17 +252,35 @@ func (m *Model) SetSalt(salt uint64) { m.salt = salt }
 // once and caches the per-salt flip bitplanes, so later trials over
 // the same hammer program replay instead of re-walking. Nil or empty
 // reverts to single-salt walks. Purely an evaluation-order hint:
-// results are bit-identical either way.
+// results are bit-identical either way. SetTempBatch is its
+// counterpart across temperatures; a walk evaluates both batches.
 func (m *Model) SetTrialSalts(salts []uint64) {
 	m.batchSalts = append(m.batchSalts[:0], salts...)
+}
+
+// SetTempBatch declares the temperatures at which an enclosing sweep
+// will repeat the same tests. When a walk's ledger was recorded
+// entirely at one declared temperature, the walk also evaluates, for
+// every other declared temperature, the ledger the same activations
+// would have recorded there, and caches each temperature's bitplanes
+// in the replay cache, so the sweep's later points replay instead of
+// walking again. Nil or empty reverts to single-temperature walks.
+// Like SetTrialSalts, purely an evaluation-order hint: results are
+// bit-identical either way.
+func (m *Model) SetTempBatch(tempsC []float64) {
+	m.batchTemps = m.batchTemps[:0]
+	for _, tempC := range tempsC {
+		m.batchTemps = append(m.batchTemps, int64(tempC*1000)) // as dram.RowLedger.Record
+	}
 }
 
 // Fork returns a model of the same module for another goroutine. It
 // shares m's immutable per-module state — profile, seed, geometry,
 // base HC, column-factor tables, temperature distribution — and its
 // sharded candidate cache, so parallel measurement cores neither
-// re-derive the tables nor rebuild each other's rows. Its row cache,
-// replay cache, salts and scratch start empty, as in a fresh NewModel.
+// re-derive the tables nor rebuild each other's rows, and its work
+// counters (KernelStats). Its row cache, replay cache, salts,
+// temperature batch and scratch start empty, as in a fresh NewModel.
 // Fork may run concurrently with m's use.
 func (m *Model) Fork() *Model {
 	return &Model{
@@ -265,6 +294,7 @@ func (m *Model) Fork() *Model {
 		candCache:  m.candCache,
 		rowCache:   make(map[uint64]rowParams),
 		replay:     newReplayCache(),
+		replayHits: m.replayHits,
 	}
 }
 
@@ -408,9 +438,11 @@ func (m *Model) disturbSetup(ctx dram.DisturbContext) (rp rowParams, heff, tempC
 // Disturb implements dram.Disturber via the memoized candidate-cell
 // kernel (kernel.go): it returns the flip count and a bitplane mask
 // for the module to XOR into the stored row. Repeated inputs replay a
-// cached bitplane (replay.go); fresh inputs run one trial-batched walk
-// over every salt declared via SetTrialSalts. The returned mask
-// aliases model-owned scratch and is valid until the next call.
+// cached bitplane (replay.go); fresh inputs run one walk over every
+// salt declared via SetTrialSalts and, for a ledger recorded at one
+// temperature declared via SetTempBatch, every declared temperature,
+// and cache each temperature's bitplanes. The returned mask aliases
+// model-owned scratch and is valid until the next call.
 func (m *Model) Disturb(ctx dram.DisturbContext) (int, []uint64) {
 	rp, heff, tempC, ok := m.disturbSetup(ctx)
 	if !ok {
@@ -419,15 +451,55 @@ func (m *Model) Disturb(ctx dram.DisturbContext) (int, []uint64) {
 	key := replayKey{bank: ctx.Bank, row: ctx.Row, led: *ctx.Ledger}
 	if e := m.replay.get(key, ctx); e != nil {
 		if si := saltIndex(e.salts, m.salt); si >= 0 {
+			m.replayHits.Add(1)
 			return e.flips[si], e.masks[si]
 		}
 	}
 	salts := m.walkSalts()
-	m.ensureWalkScratch(len(salts), len(ctx.Data))
-	m.disturbBatch(ctx, rp, heff, tempC, salts, m.walkMasks, m.walkFlips)
-	m.replay.put(key, ctx, salts, m.walkMasks, m.walkFlips)
+	cols := m.walkColumns(ctx, heff, tempC)
+	ns := len(salts)
+	m.ensureWalkScratch(len(cols)*ns, len(ctx.Data))
+	m.disturbBatch(ctx, rp, cols, salts, m.walkMasks, m.walkFlips)
+	for ci := range cols {
+		key.led = cols[ci].led
+		m.replay.put(key, ctx, salts, m.walkMasks[ci*ns:(ci+1)*ns], m.walkFlips[ci*ns:(ci+1)*ns])
+	}
 	si := saltIndex(salts, m.salt)
 	return m.walkFlips[si], m.walkMasks[si]
+}
+
+// walkColumns returns the temperature columns of a fresh walk of ctx,
+// whose ledger gives heff and tempC, ctx's own column first. A ledger
+// recorded entirely at one declared temperature τ — every distance
+// class has SumTempMilliC == Count·τ — also gets a column for each
+// other declared temperature whose ledger, the same activations
+// recorded there, gets past the early out.
+func (m *Model) walkColumns(ctx dram.DisturbContext, heff, tempC float64) []walkCol {
+	led := *ctx.Ledger
+	m.soloCol[0] = walkCol{heff: heff, tempC: tempC, led: led}
+	own := slices.IndexFunc(m.batchTemps, func(mc int64) bool { return led == recordedAt(led, mc) })
+	if own < 0 {
+		return m.soloCol[:]
+	}
+	m.walkCols = append(m.walkCols[:0], m.soloCol[0])
+	for ti, mc := range m.batchTemps {
+		col := walkCol{led: recordedAt(led, mc)}
+		c := ctx
+		c.Ledger = &col.led
+		var ok bool
+		if _, col.heff, col.tempC, ok = m.disturbSetup(c); ok && ti != own {
+			m.walkCols = append(m.walkCols, col)
+		}
+	}
+	return m.walkCols
+}
+
+// recordedAt returns led with every activation recorded at mc milli-°C.
+func recordedAt(led dram.RowLedger, mc int64) dram.RowLedger {
+	for di := range led.Dist {
+		led.Dist[di].SumTempMilliC = led.Dist[di].Count * mc
+	}
+	return led
 }
 
 // DisturbAny reports whether Disturb(ctx) would flip at least one bit
@@ -460,7 +532,7 @@ func (m *Model) DisturbBatch(ctx dram.DisturbContext, salts []uint64, masks [][]
 		}
 		return
 	}
-	m.disturbBatch(ctx, rp, heff, tempC, salts, masks, flips)
+	m.disturbBatch(ctx, rp, []walkCol{{heff: heff, tempC: tempC}}, salts, masks, flips)
 }
 
 // walkSalts selects the salt set for one walk: the declared trial
@@ -474,22 +546,22 @@ func (m *Model) walkSalts() []uint64 {
 	return m.soloSalt[:]
 }
 
-// ensureWalkScratch sizes the per-model walk scratch: nSalts bitplanes
+// ensureWalkScratch sizes the per-model walk scratch: planes bitplanes
 // of words each, carved from one flat arena, reused call to call.
-func (m *Model) ensureWalkScratch(nSalts, words int) {
-	need := nSalts * words
+func (m *Model) ensureWalkScratch(planes, words int) {
+	need := planes * words
 	if cap(m.maskArena) < need {
 		m.maskArena = make([]uint64, need)
 	}
 	m.maskArena = m.maskArena[:need]
 	m.walkMasks = m.walkMasks[:0]
-	for i := 0; i < nSalts; i++ {
+	for i := 0; i < planes; i++ {
 		m.walkMasks = append(m.walkMasks, m.maskArena[i*words:(i+1)*words:(i+1)*words])
 	}
-	if cap(m.walkFlips) < nSalts {
-		m.walkFlips = make([]int, nSalts)
+	if cap(m.walkFlips) < planes {
+		m.walkFlips = make([]int, planes)
 	}
-	m.walkFlips = m.walkFlips[:nSalts]
+	m.walkFlips = m.walkFlips[:planes]
 }
 
 // ReferenceDisturb is the naive per-bit disturb path: it re-derives
@@ -549,7 +621,7 @@ func (m *Model) disturbReference(ctx dram.DisturbContext, rp rowParams, heff, te
 		threshold := rp.hc * rel
 
 		if m.salt != 0 {
-			threshold *= m.trialNoiseFactor(h)
+			threshold *= m.trialNoiseFactor(h, m.salt)
 		}
 		if heff < threshold*minCoupling {
 			continue
@@ -587,16 +659,10 @@ func (m *Model) disturbReference(ctx dram.DisturbContext, rp rowParams, heff, te
 }
 
 // trialNoiseFactor returns the multiplicative per-trial threshold
-// noise for a cell under the current salt: lognormal with sigma
-// trialNoiseSigma, deviate truncated to ±trialNoiseZMax. Both disturb
-// paths share it so the truncation semantics cannot drift apart.
-func (m *Model) trialNoiseFactor(h uint64) float64 {
-	return m.trialNoiseFactorFor(h, m.salt)
-}
-
-// trialNoiseFactorFor is trialNoiseFactor under an explicit salt; the
-// trial-batched walk evaluates every declared salt in one pass.
-func (m *Model) trialNoiseFactorFor(h, salt uint64) float64 {
+// noise for a cell under a salt: lognormal with sigma trialNoiseSigma,
+// deviate truncated to ±trialNoiseZMax. Both disturb paths share it so
+// the truncation semantics cannot drift apart.
+func (m *Model) trialNoiseFactor(h, salt uint64) float64 {
 	z := rng.NormalFromHash(
 		rng.Hash64x3(h, keyNoise1, salt),
 		rng.Hash64x3(h, keyNoise2, salt))
@@ -663,10 +729,17 @@ func (m *Model) Cell(bank, row, bit int) CellInfo {
 	}
 }
 
-// CellsMaterialized returns how many candidate cells the builds and
-// extensions of m's candidate cache — shared with its forks — have
-// materialized so far (test and diagnostic use).
-func (m *Model) CellsMaterialized() int { return m.candCache.stats().cells }
+// KernelStats counts the disturb kernel's work on one module since
+// NewModel, over the model and its forks: the candidate cache's row
+// builds and extensions, the candidate cells those materialized, and
+// the Disturb calls a replay cache answered (test and diagnostic use).
+type KernelStats struct{ Builds, Extensions, Cells, ReplayHits int }
+
+// KernelStats returns the kernel's work counters.
+func (m *Model) KernelStats() KernelStats {
+	st := m.candCache.stats()
+	return KernelStats{Builds: st.misses, Extensions: st.extensions, Cells: st.cells, ReplayHits: int(m.replayHits.Load())}
+}
 
 // RowBaseHC returns the generated base HCfirst of a physical row.
 func (m *Model) RowBaseHC(bank, row int) float64 { return m.rowParamsFor(bank, row).hc }

@@ -19,13 +19,14 @@ import "rowhammer/internal/dram"
 // memcmp, never a hash — so a replay is bit-identical by construction:
 // any input difference, down to one bit of one neighbor row, misses
 // and re-walks. Entries hold the whole declared trial batch
-// (Model.SetTrialSalts), which is how one batched walk serves every
-// trial of a repetition loop.
+// (Model.SetTrialSalts), and a temperature-batched walk puts one per
+// declared temperature (Model.SetTempBatch), which is how one walk
+// serves every trial and sweep point of a victim's row.
 
-// replayMaxEntries bounds the cache. An entry at the paper-scale
-// 8 KiB row plane with five trial salts is ~64 KiB, so the cache stays
-// under ~8 MiB per model even in the worst case; bench geometries are
-// two orders of magnitude smaller.
+// replayMaxEntries bounds the cache. It holds a sweep victim's rows
+// at every point: 3 rows × MaxSweepTemps (32) = 96 entries. An entry
+// at the paper-scale 8 KiB row plane with five trial salts is ~64 KiB,
+// so the cache stays under ~8 MiB per model even in the worst case.
 const replayMaxEntries = 128
 
 // replayKey identifies a disturb input cheaply: the victim coordinate

@@ -91,11 +91,12 @@ func TestRowHCFirstProfileWorkerInvarianceAtTemperature(t *testing.T) {
 	}
 }
 
-// TestTemperatureSweepWorkerInvariance proves the parallel
-// (temperature, victim) sweep — including the per-shard chamber
-// trajectory replay — reproduces the serial sweep bit-for-bit, and
-// that a follow-on measurement on the same tester is also unaffected
-// by the worker count (the main bench is left in the serial state).
+// TestTemperatureSweepWorkerInvariance holds the sweep on 1, 2 and 4
+// workers to fullReadSweep, the independent temperature-major sweep on
+// one shared bench: the victim-major units — on the tester's own bench
+// or on reset clones, each point starting from its chamber snapshot —
+// must record the same results and cells, and leave the bench where
+// the reference leaves its own, so a follow-on hammer also agrees.
 func TestTemperatureSweepWorkerInvariance(t *testing.T) {
 	cfg := TempSweepConfig{
 		Victims:     []int{10, 21},
@@ -104,72 +105,89 @@ func TestTemperatureSweepWorkerInvariance(t *testing.T) {
 		Pattern:     PatCheckered,
 		Repetitions: 2,
 	}
-
-	type outcome struct {
-		sweep    *TempSweepResult
-		followOn HammerResult
+	ref := parallelTestTester(t, 1)
+	want, err := fullReadSweep(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(workers int) outcome {
-		tester := parallelTestTester(t, workers)
-		sweep, err := tester.TemperatureSweep(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The follow-on hammer exercises the post-sweep bench state
-		// (chamber restored to 50 °C, module re-patternable).
-		hr, err := tester.Hammer(HammerConfig{
-			Bank: 0, VictimPhys: 33, Hammers: 300_000, Pattern: PatCheckered, Trial: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{sweep: sweep, followOn: hr}
-	}
-
-	serial := run(1)
-	for _, workers := range []int{2, 4} {
-		par := run(workers)
-		if !reflect.DeepEqual(serial.sweep, par.sweep) {
-			t.Fatalf("workers=%d sweep diverged from serial", workers)
-		}
-		if !reflect.DeepEqual(serial.followOn, par.followOn) {
-			t.Fatalf("workers=%d follow-on hammer diverged from serial", workers)
-		}
-	}
-	if len(serial.sweep.Cells) == 0 {
+	if len(want.Cells) == 0 {
 		t.Fatal("sweep observed no flips; invariance test vacuous")
+	}
+	// The follow-on hammer exercises the post-sweep bench state
+	// (chamber restored to 50 °C, module re-patternable).
+	follow := HammerConfig{Bank: 0, VictimPhys: 33, Hammers: 300_000, Pattern: PatCheckered, Trial: 1}
+	wantFollow, err := ref.Hammer(follow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		tester := parallelTestTester(t, workers)
+		got, err := tester.TemperatureSweep(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSweep(got, want, false); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		gotFollow, err := tester.Hammer(follow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(gotFollow, wantFollow, true); err != nil {
+			t.Fatalf("workers=%d follow-on hammer: %v", workers, err)
+		}
 	}
 }
 
 // TestTemperatureSweepWorkerInvarianceOnUsedBench: successive sweeps
-// on one bench agree across worker counts. A sweep leaves the chamber
-// at 50 °C but not in its construction state, so the parallel sweep
-// must settle its point snapshots from the bench's current chamber, as
-// the serial sweep's SetTemperature calls do.
+// on one bench agree with successive full-read sweeps on another, on 1,
+// 2 and 4 workers. A sweep leaves the chamber at 50 °C but not in its
+// construction state, so each sweep must settle its point snapshots
+// from the bench's current chamber, as the reference's SetTemperature
+// calls do; a follow-on hammer checks the state the last one leaves.
 func TestTemperatureSweepWorkerInvarianceOnUsedBench(t *testing.T) {
-	run := func(workers int) []*TempSweepResult {
+	pats := []PatternKind{PatCheckered, PatRowStripe, PatRandom}
+	sweep := func(pat PatternKind) TempSweepConfig {
+		return TempSweepConfig{
+			Victims: []int{100, 201}, Temps: []float64{50, 70, 90},
+			Hammers: 250_000, Pattern: pat, Repetitions: 2,
+		}
+	}
+	ref := NewTester(newBenchFor(t, "D", 35))
+	var want []*TempSweepResult
+	for _, pat := range pats {
+		res, err := fullReadSweep(ref, sweep(pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cells) == 0 {
+			t.Fatalf("%v sweep observed no flips; test vacuous", pat)
+		}
+		want = append(want, res)
+	}
+	follow := HammerConfig{Bank: 0, VictimPhys: 102, Hammers: 300_000, Pattern: PatRandom, Trial: 2}
+	wantFollow, err := ref.Hammer(follow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
 		tester := NewTester(newBenchFor(t, "D", 35))
 		tester.SetWorkers(workers)
-		var out []*TempSweepResult
-		for _, pat := range []PatternKind{PatCheckered, PatRowStripe, PatRandom} {
-			sweep, err := tester.TemperatureSweep(context.Background(), TempSweepConfig{
-				Victims: []int{100, 201}, Temps: []float64{50, 70, 90},
-				Hammers: 250_000, Pattern: pat, Repetitions: 2,
-			})
+		for i, pat := range pats {
+			got, err := tester.TemperatureSweep(context.Background(), sweep(pat))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, sweep)
+			if err := sameSweep(got, want[i], false); err != nil {
+				t.Fatalf("workers=%d sweep %d on a used bench: %v", workers, i, err)
+			}
 		}
-		return out
-	}
-	serial, par := run(1), run(2)
-	for i := range serial {
-		if len(serial[i].Cells) == 0 {
-			t.Fatalf("sweep %d observed no flips; test vacuous", i)
+		gotFollow, err := tester.Hammer(follow)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial[i].Cells, par[i].Cells) {
-			t.Fatalf("sweep %d on a used bench: parallel cells differ from serial", i)
+		if err := sameResult(gotFollow, wantFollow, true); err != nil {
+			t.Fatalf("workers=%d follow-on hammer: %v", workers, err)
 		}
 	}
 }

@@ -19,10 +19,12 @@ type CellID struct {
 type TempSweepConfig struct {
 	Bank    int
 	Victims []int
-	// Temps defaults to StudyTemps(). At most MaxSweepTemps points:
-	// each flipped cell records the temperatures it flipped at as one
-	// bit per point of a 32-bit mask (TempSweepResult.Cells); a longer
-	// grid is rejected with a *TempGridSizeError.
+	// Temps defaults to StudyTemps(). Its points must strictly
+	// increase, or the sweep is rejected with a *TempStepError: each
+	// flipped cell records the temperatures it flipped at as one bit
+	// per point of a 32-bit mask (TempSweepResult.Cells), read in grid
+	// order. A grid of more than MaxSweepTemps points is rejected with
+	// a *TempGridSizeError.
 	Temps []float64
 	// Hammers per BER test (paper: 150K).
 	Hammers int64
@@ -60,8 +62,17 @@ func MaskRange(mask uint32) (lo, hi int) {
 }
 
 // TemperatureSweep runs BER tests for every victim at every
-// temperature, recording per-cell flip observations (§5), and checks
-// ctx between temperature points.
+// temperature, recording per-cell flip observations (§5). The chamber
+// trajectory through the grid is settled once, from a copy of the
+// bench's chamber, into one snapshot per point. Each victim is one unit
+// that tests at every point in grid order from the point's snapshot,
+// with the points' plant temperatures declared to the fault model
+// (Model.SetTempBatch), so a row read walks the kernel once and replays
+// at the other points. Units run on per-worker bench clones reset to
+// each snapshot, or with one worker on the tester's own bench, which
+// takes each snapshot's chamber and temperature; results are
+// bit-identical either way. The bench ends settled back at 50 °C from
+// the last point. ctx is checked between points.
 func (t *Tester) TemperatureSweep(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
 	if len(cfg.Victims) == 0 {
 		return nil, fmt.Errorf("rowhammer: temperature sweep needs victim rows")
@@ -69,103 +80,96 @@ func (t *Tester) TemperatureSweep(ctx context.Context, cfg TempSweepConfig) (*Te
 	if len(cfg.Temps) == 0 {
 		cfg.Temps = StudyTemps()
 	}
-	if len(cfg.Temps) > MaxSweepTemps {
-		return nil, &TempGridSizeError{Points: len(cfg.Temps)}
+	if err := ValidateTempGrid(cfg.Temps); err != nil {
+		return nil, err
 	}
 	if cfg.Repetitions < 1 {
 		cfg.Repetitions = 1
 	}
-	if t.effectiveWorkers() > 1 && len(cfg.Temps)*len(cfg.Victims) > 1 {
-		return t.temperatureSweepParallel(ctx, cfg)
+	points := make([]*thermal.Chamber, len(cfg.Temps))
+	plant := make([]float64, len(cfg.Temps))
+	ch := t.b.Chamber.Clone()
+	for ti, temp := range cfg.Temps {
+		if err := ch.SetAndSettle(temp); err != nil {
+			return nil, err
+		}
+		points[ti], plant[ti] = ch.Clone(), ch.Plant.Temperature()
 	}
-	t.declareTrialSalts(cfg.Repetitions)
+	workers, bench := 1, func() (*Tester, error) { return t, nil }
+	if w := t.effectiveWorkers(); w > 1 && len(cfg.Victims) > 1 {
+		workers, bench = w, func() (*Tester, error) { return t.cloneAt(t.b.settled) }
+	}
+	units, err := pool.MapWith(ctx, workers, len(cfg.Victims), bench, func(sub *Tester, ri int) (sweepUnit, error) {
+		return sub.sweepVictim(ctx, cfg, cfg.Victims[ri], points, plant, sub != t)
+	})
+	if err != nil {
+		return nil, err
+	}
+	cells := 0
+	for _, u := range units {
+		cells += len(u.bits)
+	}
 	res := &TempSweepResult{
 		Temps: cfg.Temps,
 		Rows:  cfg.Victims,
-		Cells: make(map[CellID]uint32),
+		Flips: make([][]HammerResult, len(cfg.Temps)),
+		Cells: make(map[CellID]uint32, cells),
 	}
-	for ti, temp := range cfg.Temps {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for ti := range res.Flips {
+		res.Flips[ti] = make([]HammerResult, len(units))
+		for ri, u := range units {
+			res.Flips[ti][ri] = u.worst[ti]
 		}
-		if err := t.b.SetTemperature(temp); err != nil {
-			return nil, err
-		}
-		perRow := make([]HammerResult, len(cfg.Victims))
-		for ri, victim := range cfg.Victims {
-			// worst/cur swap headers instead of copying, so repetitions
-			// reuse buffers; worst's buffers escape into perRow, so they
-			// are scoped per victim.
-			var worst, cur HammerResult
-			for rep := 0; rep < cfg.Repetitions; rep++ {
-				if err := t.hammerInto(HammerConfig{
-					Bank:       cfg.Bank,
-					VictimPhys: victim,
-					Hammers:    cfg.Hammers,
-					Pattern:    cfg.Pattern,
-					Trial:      uint64(rep) + 1,
-				}, &cur, cfg.Singles); err != nil {
-					return nil, err
-				}
-				for _, bit := range cur.Victim.Bits {
-					res.Cells[CellID{Row: victim, Bit: bit}] |= 1 << uint(ti)
-				}
-				if rep == 0 || cur.Victim.Count() > worst.Victim.Count() {
-					worst, cur = cur, worst
-				}
-			}
-			perRow[ri] = worst
-		}
-		res.Flips = append(res.Flips, perRow)
 	}
-	// Restore the baseline temperature.
+	for ri, u := range units {
+		for i, bit := range u.bits {
+			res.Cells[CellID{Row: cfg.Victims[ri], Bit: bit}] |= u.masks[i]
+		}
+	}
+	t.b.Chamber.CopyFrom(points[len(points)-1])
 	if err := t.b.SetTemperature(50); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// sweepUnit is one (temperature, victim) shard of a parallel sweep.
+// sweepUnit is one victim's share of a sweep.
 type sweepUnit struct {
-	worst HammerResult
-	// bits is the union over repetitions of flipped victim bits, in
-	// first-flip order.
-	bits []int
+	// worst[ti] is the worst-repetition result at point ti.
+	worst []HammerResult
+	// bits are the victim bits that flipped at any point, in first-flip
+	// order, and masks[i] the points at which bits[i] flipped.
+	bits  []int
+	masks []uint32
 }
 
-// temperatureSweepParallel fans the (temperature, victim) grid out
-// over the pool and merges the units back in grid order. The chamber
-// trajectory the bench follows through the sweep is settled once, from
-// a copy of its current chamber (a bench that already ran a sweep is
-// not back at its construction state), into one snapshot per
-// temperature point. Each worker builds one hermetic bench clone and,
-// before every unit, resets it to the unit's point snapshot — the
-// state a clone replaying the trajectory would reach — so the settled
-// plant temperature, and with it every recorded measurement, is
-// bit-identical to the shared-bench serial sweep.
-func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConfig) (*TempSweepResult, error) {
-	points := make([]*thermal.Chamber, len(cfg.Temps))
-	ch := t.b.Chamber.Clone()
-	for ti, temp := range cfg.Temps {
-		if err := ch.SetAndSettle(temp); err != nil {
-			return nil, err
+// sweepVictim runs one victim's tests at every point of a sweep, each
+// point starting from its chamber snapshot: a clone (reset) is reset to
+// it, the sweeping tester's own bench only takes the snapshot's chamber
+// and temperature.
+func (t *Tester) sweepVictim(ctx context.Context, cfg TempSweepConfig, victim int, points []*thermal.Chamber, plant []float64, reset bool) (sweepUnit, error) {
+	t.declareTrialSalts(cfg.Repetitions)
+	t.b.Model.SetTempBatch(plant)
+	defer t.b.Model.SetTempBatch(nil)
+	unit := sweepUnit{worst: make([]HammerResult, len(points))}
+	var cur HammerResult // swaps with unit.worst[ti], as in BER
+	// flipped[bit] is the mask of the points at which bit flipped.
+	flipped := make([]uint32, t.b.Geometry().RowBits())
+	for ti, point := range points {
+		if err := ctx.Err(); err != nil {
+			return sweepUnit{}, err
 		}
-		points[ti] = ch.Clone()
-	}
-	nR := len(cfg.Victims)
-	seenWords := t.b.Geometry().RowWords() // a flip's index is its row bit
-	newClone := func() (*Tester, error) { return t.cloneAt(t.b.settled) }
-	units, err := pool.MapWith(ctx, t.effectiveWorkers(), len(cfg.Temps)*nR, newClone, func(sub *Tester, u int) (sweepUnit, error) {
-		ti, ri := u/nR, u%nR
-		sub.b.resetAt(points[ti])
-		sub.declareTrialSalts(cfg.Repetitions)
-		var unit sweepUnit
-		var cur HammerResult // swaps with unit.worst, as in BER
-		seen := make([]uint64, seenWords)
+		if reset {
+			t.b.resetAt(point)
+		} else {
+			t.b.Chamber.CopyFrom(point)
+			t.b.Module.SetTemperature(plant[ti])
+		}
+		worst := &unit.worst[ti]
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			if err := sub.hammerInto(HammerConfig{
+			if err := t.hammerInto(HammerConfig{
 				Bank:       cfg.Bank,
-				VictimPhys: cfg.Victims[ri],
+				VictimPhys: victim,
 				Hammers:    cfg.Hammers,
 				Pattern:    cfg.Pattern,
 				Trial:      uint64(rep) + 1,
@@ -173,49 +177,21 @@ func (t *Tester) temperatureSweepParallel(ctx context.Context, cfg TempSweepConf
 				return sweepUnit{}, err
 			}
 			for _, bit := range cur.Victim.Bits {
-				if w, m := bit/64, uint64(1)<<(bit%64); seen[w]&m == 0 {
-					seen[w] |= m
+				if flipped[bit] == 0 {
 					unit.bits = append(unit.bits, bit)
 				}
+				flipped[bit] |= 1 << uint(ti)
 			}
-			if rep == 0 || cur.Victim.Count() > unit.worst.Victim.Count() {
-				unit.worst, cur = cur, unit.worst
-			}
-		}
-		return unit, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &TempSweepResult{
-		Temps: cfg.Temps,
-		Rows:  cfg.Victims,
-		Cells: make(map[CellID]uint32),
-	}
-	for ti := range cfg.Temps {
-		perRow := make([]HammerResult, nR)
-		for ri := 0; ri < nR; ri++ {
-			unit := units[ti*nR+ri]
-			perRow[ri] = unit.worst
-			for _, bit := range unit.bits {
-				res.Cells[CellID{Row: cfg.Victims[ri], Bit: bit}] |= 1 << uint(ti)
+			if rep == 0 || cur.Victim.Count() > worst.Victim.Count() {
+				*worst, cur = cur, *worst
 			}
 		}
-		res.Flips = append(res.Flips, perRow)
 	}
-	// Leave the main bench exactly where the serial sweep would:
-	// replay the temperature trajectory and restore the baseline, so
-	// follow-on measurements on this tester do not depend on the
-	// worker count.
-	for _, temp := range cfg.Temps {
-		if err := t.b.SetTemperature(temp); err != nil {
-			return nil, err
-		}
+	unit.masks = make([]uint32, len(unit.bits))
+	for i, bit := range unit.bits {
+		unit.masks[i] = flipped[bit]
 	}
-	if err := t.b.SetTemperature(50); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return unit, nil
 }
 
 // TempClusterMatrix is the Fig. 3 artifact: vulnerable cells clustered

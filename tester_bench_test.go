@@ -1,15 +1,17 @@
 // Benchmarks for the Tester-operation layer: one complete §4.2
 // measurement — an HCfirst search repeated over trials, a WCDP survey,
-// a parallel temperature sweep and a parallel HCfirst profile — on a
+// a temperature sweep and a parallel HCfirst profile — on a
 // small module, with allocations reported. `make bench-smoke` runs
 // them once under the race detector.
 package rowhammer_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	rh "rowhammer"
+	"rowhammer/internal/faultmodel"
 )
 
 // testerBench builds the Tester the operation benchmarks drive.
@@ -70,11 +72,15 @@ func BenchmarkHCFirstCold(b *testing.B) {
 	}
 }
 
-// BenchmarkTemperatureSweepParallel times one two-worker temperature
-// sweep (the Fig. 3/4 and Table 3 measurement): three temperature
-// points × two victims × two repetitions, each shard on a bench clone.
-func BenchmarkTemperatureSweepParallel(b *testing.B) {
-	tr := testerBench(b, 2)
+// BenchmarkTemperatureSweep times one temperature sweep (the Fig. 3/4
+// and Table 3 measurement) of a fresh module: three temperature points
+// × two victims × two repetitions, twelve victim reads, on one worker
+// (the tester's own bench) and on two (one bench clone per worker).
+// Besides time and allocations it reports the fault model's work per
+// sweep, which is exact and the same on every run: candidate-set
+// builds and extensions, the candidate cells they materialized, and
+// the victim reads answered from the replay cache.
+func BenchmarkTemperatureSweep(b *testing.B) {
 	cfg := rh.TempSweepConfig{
 		Victims:     []int{100, 201},
 		Temps:       []float64{50, 65, 80},
@@ -82,11 +88,29 @@ func BenchmarkTemperatureSweepParallel(b *testing.B) {
 		Pattern:     rh.PatCheckered,
 		Repetitions: 2,
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.TemperatureSweep(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var work faultmodel.KernelStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := testerBench(b, workers)
+				b.StartTimer()
+				if _, err := tr.TemperatureSweep(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+				st := tr.Bench().Model.KernelStats()
+				work.Builds += st.Builds
+				work.Extensions += st.Extensions
+				work.Cells += st.Cells
+				work.ReplayHits += st.ReplayHits
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(work.Builds)/n, "builds/op")
+			b.ReportMetric(float64(work.Extensions)/n, "extensions/op")
+			b.ReportMetric(float64(work.Cells)/n, "cells/op")
+			b.ReportMetric(float64(work.ReplayHits)/n, "replay-hits/op")
+		})
 	}
 }
 

@@ -99,6 +99,31 @@ func sameResult(got, want HammerResult, singles bool) error {
 	return nil
 }
 
+// sameSweep compares a sweep with the full-read sweep: the same grid,
+// victims, per-point results and cell masks. singles is as for
+// sameResult.
+func sameSweep(got, want *TempSweepResult, singles bool) error {
+	if !slices.Equal(got.Temps, want.Temps) || !slices.Equal(got.Rows, want.Rows) || len(got.Flips) != len(want.Flips) {
+		return fmt.Errorf("sweep shape differs from the full-read sweep")
+	}
+	for ti := range want.Flips {
+		for ri := range want.Flips[ti] {
+			if err := sameResult(got.Flips[ti][ri], want.Flips[ti][ri], singles); err != nil {
+				return fmt.Errorf("temp %v victim %d: %v", got.Temps[ti], got.Rows[ri], err)
+			}
+		}
+	}
+	if len(got.Cells) != len(want.Cells) {
+		return fmt.Errorf("%d cells, full-read sweep %d", len(got.Cells), len(want.Cells))
+	}
+	for id, mask := range want.Cells {
+		if got.Cells[id] != mask {
+			return fmt.Errorf("cell %+v mask %#x, full-read sweep %#x", id, got.Cells[id], mask)
+		}
+	}
+	return nil
+}
+
 // sameFollowOn hammers one more victim on both testers and requires
 // identical full readbacks: skipping reads left no state behind that a
 // later measurement observes.
@@ -182,9 +207,9 @@ func TestBERVictimOnlyMatchesFullReads(t *testing.T) {
 }
 
 // TestTemperatureSweepVictimOnlyMatchesFullReads: a sweep without
-// Singles — on the serial path and on the parallel one — records the
-// same victim results and cells as a full-read sweep; with Singles it
-// also carries the same single-sided results.
+// Singles — on the tester's own bench (one worker) and on bench clones
+// (two) — records the same victim results and cells as a full-read
+// sweep; with Singles it also carries the same single-sided results.
 func TestTemperatureSweepVictimOnlyMatchesFullReads(t *testing.T) {
 	cells := 0
 	for _, prof := range []string{"A", "B", "C", "D"} {
@@ -206,24 +231,8 @@ func TestTemperatureSweepVictimOnlyMatchesFullReads(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("profile %s workers %d singles %v %v", prof, workers, singles, pat)
-					if !slices.Equal(got.Temps, want.Temps) || !slices.Equal(got.Rows, want.Rows) || len(got.Flips) != len(want.Flips) {
-						t.Fatalf("%s: sweep shape differs from the full-read sweep", name)
-					}
-					for ti := range want.Flips {
-						for ri := range want.Flips[ti] {
-							if err := sameResult(got.Flips[ti][ri], want.Flips[ti][ri], singles); err != nil {
-								t.Fatalf("%s: temp %v victim %d: %v", name, got.Temps[ti], got.Rows[ri], err)
-							}
-						}
-					}
-					if len(got.Cells) != len(want.Cells) {
-						t.Fatalf("%s: %d cells, full-read sweep %d", name, len(got.Cells), len(want.Cells))
-					}
-					for id, mask := range want.Cells {
-						if got.Cells[id] != mask {
-							t.Fatalf("%s: cell %+v mask %#x, full-read sweep %#x", name, id, got.Cells[id], mask)
-						}
+					if err := sameSweep(got, want, singles); err != nil {
+						t.Fatalf("profile %s workers %d singles %v %v: %v", prof, workers, singles, pat, err)
 					}
 					cells += len(got.Cells)
 				}
@@ -282,7 +291,7 @@ func TestVictimOnlyMeasurementsSenseOneRow(t *testing.T) {
 				b := newBenchFor(t, "A", 21)
 				counter := &earlyOutCounter{inner: b.Model}
 				tr := NewTester(withDisturber(t, b, counter))
-				tr.SetWorkers(1) // the serial path runs on b's module
+				tr.SetWorkers(1) // one worker runs on b's module
 				return tr, counter
 			}
 			tr, counter := counted()
@@ -304,5 +313,33 @@ func TestVictimOnlyMeasurementsSenseOneRow(t *testing.T) {
 				t.Fatalf("full readbacks made %d Disturb calls past the early out, victim-only %d; want more", refCounter.full, counter.full)
 			}
 		})
+	}
+}
+
+// TestTemperatureSweepReplaysLaterPoints: on a grid of MaxSweepTemps
+// points with Singles, every test reads three rows (V, V−2, V+2), so one
+// victim leaves MaxSweepTemps × 3 = 96 replay entries, which must fit in
+// the fault model's replay cache until the victim's last point: each
+// row read walks the kernel once per victim, and every later read of it
+// past the early out replays.
+func TestTemperatureSweepReplaysLaterPoints(t *testing.T) {
+	b := newBenchFor(t, "A", 21)
+	counter := &earlyOutCounter{inner: b.Model}
+	tr := NewTester(withDisturber(t, b, counter))
+	tr.SetWorkers(1) // the sweep runs on b's module
+	temps := make([]float64, MaxSweepTemps)
+	for i := range temps {
+		temps[i] = 50 + float64(i)
+	}
+	cfg := TempSweepConfig{
+		Victims: []int{100, 201}, Temps: temps, Hammers: 400_000,
+		Pattern: PatCheckered, Repetitions: 2, Singles: true,
+	}
+	if _, err := tr.TemperatureSweep(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	hits := b.Model.KernelStats().ReplayHits
+	if walks, most := counter.full-hits, 3*len(cfg.Victims); walks > most || hits == 0 {
+		t.Fatalf("%d reads past the early out, %d replayed: %d walks, want at most %d", counter.full, hits, walks, most)
 	}
 }
