@@ -129,18 +129,12 @@ func main() {
 		fmt.Fprintf(banner, "=== %s: %s ===\n", e.ID, e.Title)
 		start := time.Now()
 		a, err := e.ComputeAll(ctx, cfg)
+		var b []byte
 		if err == nil {
-			switch *format {
-			case "text":
-				err = e.Render(payload, a)
-			case "json":
-				var buf []byte
-				if buf, err = a.Encode(); err == nil {
-					_, err = payload.Write(buf)
-				}
-			case "tsv":
-				_, err = payload.Write(a.EncodeTSV())
-			}
+			b, err = e.Encode(a, *format)
+		}
+		if err == nil {
+			_, err = payload.Write(b)
 		}
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

@@ -45,7 +45,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -61,7 +60,6 @@ import (
 	rh "rowhammer"
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/durable"
-	"rowhammer/internal/exp"
 	"rowhammer/internal/inject"
 	"rowhammer/internal/profiling"
 	"rowhammer/internal/server"
@@ -213,7 +211,8 @@ rhfleet processes per checkpoint.
 	if rerr != nil {
 		fatal(rerr)
 	}
-	cs, runner, expE := rsv.Spec, rsv.Runner, rsv.Exp
+	cs, runner := rsv.Spec, rsv.Runner
+	outs := outputs{format: *format, summary: *sumOut, artifact: *artOut}
 
 	// Distributed modes run over -shard-dir and never touch -out.
 	switch {
@@ -228,10 +227,10 @@ rhfleet processes per checkpoint.
 			dir: *shardDir, shards: *coordinate, wire: ws, rsv: rsv,
 			faults: *faults, quiet: *quiet, timeout: *timeout, drainTO: *drainTO,
 			leaseTTL: *leaseTTL, maxRespawns: *maxRespawn, leaseListen: *leaseListen,
-			format: *format, sumOut: *sumOut, artOut: *artOut,
+			outs: outs,
 		}))
 	case *mergeShards:
-		exit(runMergeShards(*shardDir, rsv, *format, *sumOut, *artOut))
+		exit(runMergeShards(*shardDir, rsv, outs))
 	}
 
 	// Advisory exclusivity: one rhfleet per checkpoint file. The kernel
@@ -315,16 +314,8 @@ rhfleet processes per checkpoint.
 		}
 	}
 
-	base := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		base, cancel = context.WithTimeout(base, *timeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-
-	drainCh := armDrainSignals(ctx, cancel, *drainTO)
+	ctx, drainCh, stop := runContext(*timeout, *drainTO)
+	defer stop()
 
 	if profile != nil {
 		runner = inject.WrapRunner(runner, profile)
@@ -349,91 +340,121 @@ rhfleet processes per checkpoint.
 	if cerr := cw.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
+	o := outcome{err: err}
 	if res != nil {
 		fmt.Fprintf(os.Stderr, "rhfleet: %d run, %d resumed, %d retried, %d failed in %v\n",
 			res.Completed, res.Skipped, res.Retried, res.Failed, time.Since(start).Round(time.Millisecond))
-		if expE != nil {
-			// Experiment campaign: the deliverable is the merged artifact,
-			// and only a complete campaign publishes it — atomically, so
-			// readers see the old file or the new one, never a torn one.
-			if err == nil && res.Failed == 0 {
-				if perr := publishArtifact(*expE, res, *format, *artOut); perr != nil {
-					fatal(perr)
-				}
-			}
-		} else {
-			summary, merr := campaign.Aggregate(res).MarshalIndent()
-			if merr != nil {
-				fatal(merr)
-			}
-			fmt.Println(string(summary))
-			// Only a complete campaign publishes the summary artifact, and it
-			// lands atomically: readers see the old file or the new one,
-			// never a torn in-between.
-			if *sumOut != "" && err == nil {
-				if werr := durable.AtomicWriteFile(*sumOut, append(summary, '\n'), 0o644); werr != nil {
-					fatal(werr)
-				}
+		o.quarantined = res.QuarantinedModules()
+		// A summary is printed for any run; an experiment artifact
+		// exists only once every shard has succeeded.
+		if rsv.Exp == nil || err == nil {
+			if perr := outs.publish(rsv, res, err == nil); perr != nil {
+				fatal(perr)
 			}
 		}
 	}
-	if err != nil {
-		switch {
-		case errors.Is(err, rh.ErrCampaignDrained):
-			fmt.Fprintf(os.Stderr, "rhfleet: drained; checkpoint flushed — resume with -resume %s\n", *out)
-			exit(3)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "rhfleet: interrupted (%v); resume with -resume %s\n", err, *out)
-			exit(3)
-		case res != nil && res.Quarantined > 0:
-			fmt.Fprintf(os.Stderr, "rhfleet: partial result: %d jobs quarantined (modules %s); coverage accounting is in the summary\n",
-				res.Quarantined, strings.Join(res.QuarantinedModules(), ", "))
-			exit(4)
-		default:
-			fatal(err)
-		}
-	}
-	exit(0)
+	exit(conclude(o, "", "resume with -resume "+*out))
 }
 
-// publishArtifact merges the experiment records, prints the artifact
-// in the requested format, and — when a path is given — publishes the
-// same bytes atomically via the durability layer.
-func publishArtifact(e exp.Experiment, res *campaign.Result, format, path string) error {
-	a, err := exp.MergeFleet(e, res.Records)
+// outputs says where a finished campaign's deliverable goes besides
+// stdout: the experiment artifact -format, the -summary path of a
+// measurement kind and the -artifact path of an experiment.
+type outputs struct{ format, summary, artifact string }
+
+// publish is rhfleet's one publishing path: it prints the campaign's
+// deliverable (server.Resolved.Deliverable) on stdout and, when the
+// campaign is complete and its output path is set, writes the same
+// bytes there atomically — readers see the old file or the new one,
+// never a torn one.
+func (o outputs) publish(rsv server.Resolved, res *campaign.Result, complete bool) error {
+	b, err := rsv.Deliverable(res, o.format)
 	if err != nil {
 		return err
 	}
-	var payload []byte
-	switch format {
-	case "json":
-		if payload, err = a.Encode(); err != nil {
-			return err
-		}
-	case "tsv":
-		payload = a.EncodeTSV()
-	case "text":
-		var buf bytes.Buffer
-		if err := e.Render(&buf, a); err != nil {
-			return err
-		}
-		payload = buf.Bytes()
+	os.Stdout.Write(b)
+	path := o.summary
+	if rsv.Exp != nil {
+		path = o.artifact
 	}
-	os.Stdout.Write(payload)
-	if path != "" {
-		if err := durable.AtomicWriteFile(path, payload, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "rhfleet: published %s (%d bytes)\n", path, len(payload))
+	if !complete || path == "" {
+		return nil
 	}
+	if err := durable.AtomicWriteFile(path, b, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "rhfleet: published %s (%d bytes)\n", path, len(b))
 	return nil
 }
 
-// armDrainSignals installs the two-stage shutdown: the first
+// outcome is what a finished rhfleet role reports: the run's error,
+// the modules the circuit breaker quarantined, and — for a merged
+// result — whether jobs are missing and how many failed.
+type outcome struct {
+	err         error
+	quarantined []string
+	missing     bool
+	failed      int
+}
+
+// exitCode maps an outcome to rhfleet's exit code: 1 for a fenced
+// shard worker; 3 for a drain, an interrupt or a merge with jobs
+// missing (all resumable); 4 for a partial result with quarantined
+// modules; 1 for any other error or failed jobs; 0 otherwise.
+func exitCode(o outcome) int {
+	switch {
+	case errors.Is(o.err, shard.ErrFenced):
+		return 1
+	case errors.Is(o.err, campaign.ErrDrained), errors.Is(o.err, context.Canceled),
+		errors.Is(o.err, context.DeadlineExceeded), o.err == nil && o.missing:
+		return 3
+	case len(o.quarantined) > 0:
+		return 4
+	case o.err != nil, o.failed > 0:
+		return 1
+	}
+	return 0
+}
+
+// conclude reports a failed role's outcome on stderr and returns its
+// exit code. who names the role ("shard 2/4", "worker w1"; empty for
+// a whole campaign) and resume says how a drained or interrupted run
+// picks up again.
+func conclude(o outcome, who, resume string) int {
+	code := exitCode(o)
+	if o.err == nil {
+		return code
+	}
+	prefix := "rhfleet: "
+	if who != "" {
+		prefix += who + ": "
+	}
+	switch {
+	case errors.Is(o.err, shard.ErrFenced):
+		fmt.Fprintf(os.Stderr, "%sfenced: a successor holds a newer lease token — this worker's remaining appends were refused (%v)\n", prefix, o.err)
+	case errors.Is(o.err, campaign.ErrDrained):
+		fmt.Fprintf(os.Stderr, "%sdrained; checkpoint flushed — %s\n", prefix, resume)
+	case code == 3:
+		fmt.Fprintf(os.Stderr, "%sinterrupted (%v); %s\n", prefix, o.err, resume)
+	case code == 4:
+		fmt.Fprintf(os.Stderr, "%spartial result: %d jobs quarantined (modules %s); coverage accounting is in the summary\n",
+			prefix, len(o.quarantined), strings.Join(o.quarantined, ", "))
+	default:
+		fmt.Fprintf(os.Stderr, "%s%v\n", prefix, o.err)
+	}
+	return code
+}
+
+// runContext returns the context a role runs under, bounded by
+// -timeout when it is set, and arms the two-stage shutdown: the first
 // SIGINT/SIGTERM closes the returned drain channel (dispatch stops,
 // in-flight jobs finish under drainTO), the second — or the drain
-// deadline — aborts hard via cancel.
-func armDrainSignals(ctx context.Context, cancel context.CancelFunc, drainTO time.Duration) <-chan struct{} {
+// deadline — cancels the context. stop releases both.
+func runContext(timeout, drainTO time.Duration) (ctx context.Context, drain <-chan struct{}, stop func()) {
+	base, stopTimeout := context.Background(), func() {}
+	if timeout > 0 {
+		base, stopTimeout = context.WithTimeout(base, timeout)
+	}
+	ctx, cancel := context.WithCancel(base)
 	drainCh := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -457,7 +478,7 @@ func armDrainSignals(ctx context.Context, cancel context.CancelFunc, drainTO tim
 		case <-ctx.Done():
 		}
 	}()
-	return drainCh
+	return ctx, drainCh, func() { cancel(); stopTimeout() }
 }
 
 // buildWireSpec assembles the campaign's wire spec from a JSON file

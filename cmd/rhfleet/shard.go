@@ -85,15 +85,8 @@ func runShardWorker(cfg shardWorkerConfig) int {
 	if err != nil {
 		fatalUsage(err)
 	}
-	base := context.Background()
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		base, cancel = context.WithTimeout(base, cfg.timeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
+	ctx, drainCh, stop := runContext(cfg.timeout, cfg.drainTO)
+	defer stop()
 
 	runner := cfg.rsv.Runner
 	if cfg.profile != nil {
@@ -124,27 +117,11 @@ func runShardWorker(cfg shardWorkerConfig) int {
 		fmt.Fprintf(os.Stderr, "rhfleet: shard %s: %d run, %d resumed, %d retried, %d failed in %v\n",
 			a, res.Completed, res.Skipped, res.Retried, res.Failed, time.Since(start).Round(time.Millisecond))
 	}
-	if err != nil {
-		switch {
-		case errors.Is(err, shard.ErrFenced):
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s fenced: a successor holds a newer lease token — this worker's remaining appends were refused (%v)\n", a, err)
-			return 1
-		case errors.Is(err, rh.ErrCampaignDrained):
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s drained; checkpoint flushed — the coordinator (or a rerun) resumes it\n", a)
-			return 3
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s interrupted (%v)\n", a, err)
-			return 3
-		case res != nil && res.Quarantined > 0:
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s partial: %d jobs quarantined (modules %s)\n",
-				a, res.Quarantined, strings.Join(res.QuarantinedModules(), ", "))
-			return 4
-		default:
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s: %v\n", a, err)
-			return 1
-		}
+	o := outcome{err: err}
+	if res != nil {
+		o.quarantined = res.QuarantinedModules()
 	}
-	return 0
+	return conclude(o, "shard "+a.String(), "the coordinator (or a rerun) resumes it")
 }
 
 // shardProgress reports each finished job of shard a on stderr.
@@ -193,15 +170,8 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 	if err != nil {
 		fatalUsage(err)
 	}
-	base := context.Background()
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		base, cancel = context.WithTimeout(base, cfg.timeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
+	ctx, drainCh, stop := runContext(cfg.timeout, cfg.drainTO)
+	defer stop()
 	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) }
 
 	run := func(ctx context.Context, p leasesvc.Placement, drain <-chan struct{}) error {
@@ -242,17 +212,13 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 		Drain:    drainCh,
 		Log:      logf,
 	})
-	switch {
-	case errors.Is(err, campaign.ErrDrained):
+	// Draining is how a worker is asked to leave: a success, since the
+	// scheduler reassigns whatever its placements did not finish.
+	if errors.Is(err, campaign.ErrDrained) {
 		fmt.Fprintf(os.Stderr, "rhfleet: worker %s drained; placements checkpointed — the scheduler reassigns what remains\n", id)
 		return 0
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintf(os.Stderr, "rhfleet: worker %s interrupted (%v)\n", id, err)
-		return 3
-	default:
-		fmt.Fprintf(os.Stderr, "rhfleet: worker %s: %v\n", id, err)
-		return 1
 	}
+	return conclude(outcome{err: err}, "worker "+id, "the scheduler reassigns its placements")
 }
 
 // coordinatorConfig parameterizes a -coordinate N run.
@@ -268,9 +234,7 @@ type coordinatorConfig struct {
 	leaseTTL    time.Duration
 	maxRespawns int
 	leaseListen string
-	format      string
-	sumOut      string
-	artOut      string
+	outs        outputs
 }
 
 // serveLeases self-hosts the coordinator's lease service over HTTP on
@@ -315,15 +279,8 @@ func runCoordinator(cfg coordinatorConfig) int {
 	if err != nil {
 		fatal(err)
 	}
-	base := context.Background()
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		base, cancel = context.WithTimeout(base, cfg.timeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
+	ctx, drainCh, stop := runContext(cfg.timeout, cfg.drainTO)
+	defer stop()
 
 	leases, leaseURL, leaseShutdown, err := serveLeases(cfg.leaseListen, cfg.leaseTTL)
 	if err != nil {
@@ -373,26 +330,16 @@ func runCoordinator(cfg coordinatorConfig) int {
 			cfg.shards, rep.Records, res.Total, rep.Failed, time.Since(start).Round(time.Millisecond))
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, rh.ErrCampaignDrained):
-			fmt.Fprintf(os.Stderr, "rhfleet: drained; rerun `rhfleet -coordinate %d -shard-dir %s` to finish\n", cfg.shards, cfg.dir)
-			return 3
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "rhfleet: interrupted (%v); rerun -coordinate to resume\n", err)
-			return 3
-		default:
-			fmt.Fprintf(os.Stderr, "rhfleet: %v\n", err)
-			return 1
-		}
+		return conclude(outcome{err: err}, "", fmt.Sprintf("rerun `rhfleet -coordinate %d -shard-dir %s` to resume", cfg.shards, cfg.dir))
 	}
-	return emitMerged(cfg.rsv, res, rep, cfg.format, cfg.sumOut, cfg.artOut)
+	return emitMerged(cfg.rsv, res, rep, cfg.outs)
 }
 
 // runMergeShards is the -merge-shards mode: fold whatever shard
 // checkpoints exist under dir into the campaign deliverable. Partial
 // directories merge too (exit 3, coverage accounted in the summary);
 // a checkpoint from a different campaign is a named, typed refusal.
-func runMergeShards(dir string, rsv server.Resolved, format, sumOut, artOut string) int {
+func runMergeShards(dir string, rsv server.Resolved, outs outputs) int {
 	paths, err := filepath.Glob(shard.CheckpointGlob(dir))
 	if err != nil {
 		fatal(err)
@@ -407,59 +354,30 @@ func runMergeShards(dir string, rsv server.Resolved, format, sumOut, artOut stri
 	}
 	fmt.Fprintf(os.Stderr, "rhfleet: merged %d shard checkpoint(s): %d record(s), %d superseded, %d failed, %d missing\n",
 		rep.Files, rep.Records, rep.Duplicates, rep.Failed, len(rep.Missing))
-	return emitMerged(rsv, res, rep, format, sumOut, artOut)
+	return emitMerged(rsv, res, rep, outs)
 }
 
 // emitMerged prints and publishes a merged result exactly as the
-// single-process path would: the experiment artifact (complete,
-// failure-free campaigns only) or the fleet summary, published
-// atomically when an output path is set. Exit codes match the
-// single-process conventions: 0 complete, 3 incomplete (resumable),
-// 4 quarantined coverage loss, 1 failed jobs.
-func emitMerged(rsv server.Resolved, res *campaign.Result, rep *shard.MergeReport, format, sumOut, artOut string) int {
-	if rsv.Exp != nil {
-		if !rep.Complete() || rep.Failed > 0 {
-			fmt.Fprintf(os.Stderr, "rhfleet: experiment artifact not published: %d job(s) missing, %d failed\n",
-				len(rep.Missing), rep.Failed)
-			if !rep.Complete() {
-				return 3
-			}
-			return 1
-		}
-		if err := publishArtifact(*rsv.Exp, res, format, artOut); err != nil {
-			fatal(err)
-		}
-		return 0
+// single-process path would: the fleet summary, written to -summary
+// only when no job is missing, or the experiment artifact, which
+// exists only when every shard succeeded. Exit codes follow exitCode:
+// 0 complete, 3 incomplete (resumable), 4 quarantined coverage loss,
+// 1 failed jobs.
+func emitMerged(rsv server.Resolved, res *campaign.Result, rep *shard.MergeReport, outs outputs) int {
+	o := outcome{missing: !rep.Complete(), failed: rep.Failed}
+	if rsv.Exp != nil && (o.missing || o.failed > 0) {
+		fmt.Fprintf(os.Stderr, "rhfleet: experiment artifact not published: %d job(s) missing, %d failed\n",
+			len(rep.Missing), rep.Failed)
+		return exitCode(o)
 	}
-	summary, err := campaign.Aggregate(res).MarshalIndent()
-	if err != nil {
+	if rsv.Exp == nil {
+		// Only a summary accounts for quarantined coverage.
+		o.quarantined = res.QuarantinedModules()
+	}
+	if err := outs.publish(rsv, res, rep.Complete()); err != nil {
 		fatal(err)
 	}
-	fmt.Println(string(summary))
-	if sumOut != "" && rep.Complete() {
-		if err := durable.AtomicWriteFile(sumOut, append(summary, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	switch {
-	case !rep.Complete():
-		return 3
-	case quarantinedCount(res) > 0:
-		return 4
-	case rep.Failed > 0:
-		return 1
-	}
-	return 0
-}
-
-func quarantinedCount(res *campaign.Result) int {
-	n := 0
-	for _, rec := range res.Records {
-		if rec.Quarantined {
-			n++
-		}
-	}
-	return n
+	return exitCode(o)
 }
 
 // execWorker adapts an exec'd rhfleet -shard subprocess to the

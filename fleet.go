@@ -158,9 +158,15 @@ var ErrCampaignSpecMismatch = campaign.ErrSpecMismatch
 // checkpoint taken at one scale must not resume into another. A
 // malformed temperature grid is rejected here, before it can reach a
 // sweep loop: a zero or negative step with a typed *TempStepError,
-// more than MaxSweepTemps points with a *TempGridSizeError.
+// more than MaxSweepTemps points with a *TempGridSizeError. It is
+// where a measurement kind is validated: a kind without a
+// measureCores entry is rejected before anything else.
 func lowerSpec(spec CampaignSpec) (campaign.Spec, Scale, Geometry, error) {
 	scale, geom := spec.Scale, spec.Geometry
+	if _, ok := measureCores[spec.Kind]; !ok && spec.Kind != "" {
+		return campaign.Spec{}, scale, geom, fmt.Errorf(
+			"unknown experiment kind %q (have hcfirst, ber, wcdp, spatial, or a paper experiment id from rhchar -list)", spec.Kind)
+	}
 	if err := FillMeasureDefaults(&scale, &geom, nil, nil); err != nil {
 		return campaign.Spec{}, scale, geom, err
 	}
@@ -269,10 +275,10 @@ func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (
 	}, err
 }
 
-// measureCores maps the built-in measurement campaign kinds to their
-// per-module cores — the table-driven replacement of the old closed
-// switch. Experiment campaigns (exp.* kinds) register their own
-// runners through campaign.RegisterKind and exp.FleetRunner instead
+// measureCores maps the measurement campaign kinds to their
+// per-module cores. It is the one list of measurement kinds:
+// lowerSpec rejects any other kind. Experiment campaigns (exp:* kinds)
+// are resolved by internal/server and run by exp.FleetRunner instead
 // of extending this table.
 var measureCores = map[string]func(*Tester, context.Context, MeasureScope) (PatternKind, map[string]float64, map[string][]float64, error){
 	campaign.KindHCFirst: (*Tester).MeasureModuleHCFirst,
@@ -284,9 +290,10 @@ var measureCores = map[string]func(*Tester, context.Context, MeasureScope) (Patt
 // CampaignEngine lowers the public spec to the engine spec and the
 // measurement runner that executes it — the seam that lets callers
 // (rhfleet, rhserved) drive campaign.Run directly, side by side with
-// experiment-generic runners from internal/exp. It rejects every spec
-// the engine would reject — a watchdog without a job timeout, a job
-// count beyond campaign.MaxJobs — before anything expands its jobs.
+// experiment-generic runners from internal/exp. It rejects an unknown
+// kind and every spec the engine would reject — a watchdog without a
+// job timeout, a job count beyond campaign.MaxJobs — before anything
+// expands its jobs.
 func CampaignEngine(spec CampaignSpec) (campaign.Spec, campaign.Runner, error) {
 	cs, scale, geom, err := lowerSpec(spec)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,6 +49,33 @@ func TestRunCampaignAllKinds(t *testing.T) {
 				t.Fatalf("summary has no fleet metrics")
 			}
 		})
+	}
+}
+
+// TestCampaignRejectsUnknownKind: the root lowering owns the list of
+// measurement kinds — CampaignEngine and RunCampaign refuse a kind
+// without a measurement core, experiment kinds included, before any
+// job runs; an empty kind still selects hcfirst.
+func TestCampaignRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []string{"bogus", "exp:fig5"} {
+		spec := tinyFleetSpec(kind, 1)
+		if _, _, err := CampaignEngine(spec); err == nil || !strings.Contains(err.Error(), strconv.Quote(kind)) {
+			t.Errorf("CampaignEngine(%q): want an unknown-kind error, got %v", kind, err)
+		}
+		var ran atomic.Int32
+		res, err := RunCampaign(context.Background(), spec, CampaignOptions{
+			Progress: func(int, int, CampaignRecord) { ran.Add(1) },
+		})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(kind)) {
+			t.Errorf("RunCampaign(%q): want an unknown-kind error, got %v", kind, err)
+		}
+		if res != nil || ran.Load() != 0 {
+			t.Errorf("RunCampaign(%q) ran %d job(s)", kind, ran.Load())
+		}
+	}
+	cs, _, err := CampaignEngine(tinyFleetSpec("", 1))
+	if err != nil || cs.Kind != CampaignHCFirst {
+		t.Fatalf("empty kind: engine kind %q, err %v; want %q", cs.Kind, err, CampaignHCFirst)
 	}
 }
 

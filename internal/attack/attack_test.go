@@ -143,19 +143,6 @@ func TestOnTimeWithReads(t *testing.T) {
 	}
 }
 
-func TestReadsForOnTimeInvertsOnTime(t *testing.T) {
-	tm := dram.DDR4Timing()
-	for _, target := range []dram.Picos{dram.PicosFromNs(64.5), dram.PicosFromNs(154.5)} {
-		k := ReadsForOnTime(tm, target)
-		if got := OnTimeWithReads(tm, k); got < target {
-			t.Fatalf("k=%d gives %v < target %v", k, got, target)
-		}
-	}
-	if ReadsForOnTime(tm, tm.TRAS) != 0 {
-		t.Fatal("baseline target needs no extra reads")
-	}
-}
-
 func TestExtendedOnTimeBeatsBaselineDefenseThreshold(t *testing.T) {
 	// The headline of Improvement 3: with extended on-time, flips
 	// occur at hammer counts *below* the baseline HCfirst a defense

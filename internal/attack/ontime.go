@@ -24,16 +24,3 @@ func OnTimeWithReads(tm dram.Timing, k int) dram.Picos {
 	}
 	return on
 }
-
-// ReadsForOnTime returns the number of READs needed to hold the row
-// open for at least the target on-time.
-func ReadsForOnTime(tm dram.Timing, target dram.Picos) int {
-	if target <= tm.TRAS {
-		return 0
-	}
-	k := int((target - tm.TRCD - tm.TRTP + tm.TCCD - 1) / tm.TCCD)
-	if k < 1 {
-		k = 1
-	}
-	return k
-}

@@ -9,9 +9,12 @@
 //
 // The package is measurement-agnostic: jobs are executed by a Runner
 // callback supplied by the caller (the public rowhammer.RunCampaign
-// API wires it to the per-module measurement cores), which keeps this
-// engine free of import cycles and lets tests inject fault-injecting
-// runners.
+// API wires it to the per-module measurement cores, internal/exp to
+// the paper experiments), which keeps this engine free of import
+// cycles and lets tests inject fault-injecting runners. The engine
+// runs whatever kind its Runner runs: the layer that lowers outside
+// input to a Spec — the rowhammer package for measurement kinds,
+// internal/server for experiments — decides which kinds exist.
 package campaign
 
 import (
@@ -19,17 +22,16 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"rowhammer/internal/pool"
 	"rowhammer/internal/rng"
 )
 
-// The built-in experiment kinds a campaign can run per module.
-// They mirror the paper's characterization axes: HCfirst sweeps
-// (Fig. 11), BER across a temperature grid (§5), worst-case data
-// pattern surveys (§4.2/Table 1), and spatial subarray profiles (§7).
+// The per-module measurement kinds. They mirror the paper's
+// characterization axes: HCfirst sweeps (Fig. 11), BER across a
+// temperature grid (§5), worst-case data pattern surveys (§4.2/Table
+// 1), and spatial subarray profiles (§7).
 const (
 	KindHCFirst = "hcfirst"
 	KindBER     = "ber"
@@ -37,52 +39,8 @@ const (
 	KindSpatial = "spatial"
 )
 
-// Kinds lists the built-in experiment kinds.
+// Kinds lists the built-in measurement kinds.
 func Kinds() []string { return []string{KindHCFirst, KindBER, KindWCDP, KindSpatial} }
-
-// extraKinds holds caller-registered experiment kinds. The engine is
-// experiment-generic: any registered kind can be expanded into jobs,
-// checkpointed and resumed; the registering layer supplies the Runner
-// that executes it (internal/exp registers one kind per experiment).
-var (
-	extraKindsMu sync.Mutex
-	extraKinds   = map[string]bool{}
-)
-
-// RegisterKind opens the campaign engine to a new experiment kind.
-// Registration is idempotent and typically happens in the registering
-// package's init.
-func RegisterKind(kind string) {
-	extraKindsMu.Lock()
-	defer extraKindsMu.Unlock()
-	extraKinds[kind] = true
-}
-
-// RegisteredKinds lists every valid kind — built-ins plus registered
-// experiment kinds — sorted.
-func RegisteredKinds() []string {
-	out := Kinds()
-	extraKindsMu.Lock()
-	for k := range extraKinds {
-		out = append(out, k)
-	}
-	extraKindsMu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// ValidKind reports whether kind names a built-in or registered
-// experiment kind.
-func ValidKind(kind string) bool {
-	for _, k := range Kinds() {
-		if k == kind {
-			return true
-		}
-	}
-	extraKindsMu.Lock()
-	defer extraKindsMu.Unlock()
-	return extraKinds[kind]
-}
 
 // Spec declares a fleet campaign. The zero value is normalized to a
 // four-manufacturer, four-modules-each HCfirst campaign.
@@ -171,15 +129,12 @@ func (e *JobCountError) Error() string {
 		e.Mfrs, e.ModulesPerMfr, MaxJobs)
 }
 
-// Normalize fills Spec defaults and validates the kind and the job
-// count (*JobCountError beyond MaxJobs).
+// Normalize fills Spec defaults and validates the job count
+// (*JobCountError beyond MaxJobs). It does not judge the kind: the
+// Runner defines which kinds a campaign can run.
 func (s Spec) Normalize() (Spec, error) {
 	if s.Kind == "" {
 		s.Kind = KindHCFirst
-	}
-	if !ValidKind(s.Kind) {
-		return s, fmt.Errorf("campaign: unknown experiment kind %q (have %s)",
-			s.Kind, strings.Join(RegisteredKinds(), ", "))
 	}
 	if len(s.Mfrs) == 0 {
 		s.Mfrs = []string{"A", "B", "C", "D"}

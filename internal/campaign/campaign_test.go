@@ -56,10 +56,18 @@ func TestExpandDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestNormalizeRejectsUnknownKind(t *testing.T) {
-	_, err := Spec{Kind: "bogus"}.Normalize()
-	if err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("want unknown-kind error, got %v", err)
+// TestNormalizeAcceptsAnyKind: the engine does not judge kinds — an
+// experiment kind normalizes in a binary that links no experiment
+// package, and the kind passes through unchanged.
+func TestNormalizeAcceptsAnyKind(t *testing.T) {
+	for _, kind := range []string{"exp:fig5", KindBER} {
+		n, err := Spec{Kind: kind}.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize(%q): %v", kind, err)
+		}
+		if n.Kind != kind {
+			t.Fatalf("Normalize(%q) kind = %q", kind, n.Kind)
+		}
 	}
 }
 

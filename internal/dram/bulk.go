@@ -5,8 +5,8 @@ import "fmt"
 // HammerBulk performs count rounds of alternating open/close cycles of
 // the given logical rows in one bank — the hot loop of every hammering
 // test. Each round activates each row once for aggOn and precharges
-// for aggOff (clamped up to tRAS/tRP/tRC as the HammerPeriod rules
-// require).
+// for aggOff (clamped up to tRAS, tRP and a tRC-long round, as the
+// timing rules require).
 //
 // The first two rounds execute command-by-command through Exec so the
 // bank state machine and ledgers behave exactly as on hardware; the

@@ -127,22 +127,6 @@ func TestTimingValidate(t *testing.T) {
 	}
 }
 
-func TestHammerPeriod(t *testing.T) {
-	tm := DDR4Timing()
-	// Baseline: tRAS + tRP = 51 ns = tRC.
-	if got := tm.HammerPeriod(tm.TRAS, tm.TRP); got != tm.TRC {
-		t.Fatalf("baseline hammer period = %v, want tRC %v", got, tm.TRC)
-	}
-	// Longer on-time extends the period.
-	if got := tm.HammerPeriod(PicosFromNs(154.5), tm.TRP); got != PicosFromNs(154.5)+tm.TRP {
-		t.Fatalf("extended on-time period = %v", got)
-	}
-	// Sub-minimum requests clamp up to legal values.
-	if got := tm.HammerPeriod(0, 0); got != tm.TRC {
-		t.Fatalf("clamped period = %v, want %v", got, tm.TRC)
-	}
-}
-
 func TestOpString(t *testing.T) {
 	for op, want := range map[Op]string{
 		OpNop: "NOP", OpAct: "ACT", OpPre: "PRE", OpPreAll: "PREA",

@@ -83,20 +83,3 @@ func (t Timing) Validate() error {
 	}
 	return nil
 }
-
-// HammerPeriod returns the minimum time between successive activations
-// when hammering with the given on/off times: one full
-// open(tAggOn)+precharge(tAggOff) cycle, no less than tRC.
-func (t Timing) HammerPeriod(aggOn, aggOff Picos) Picos {
-	if aggOn < t.TRAS {
-		aggOn = t.TRAS
-	}
-	if aggOff < t.TRP {
-		aggOff = t.TRP
-	}
-	p := aggOn + aggOff
-	if p < t.TRC {
-		p = t.TRC
-	}
-	return p
-}

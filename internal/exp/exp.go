@@ -12,6 +12,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -108,6 +109,26 @@ func (e Experiment) Run(ctx context.Context, cfg Config) error {
 		return err
 	}
 	return e.Render(cfg.Out, a)
+}
+
+// Encode returns the experiment's deliverable bytes for a merged
+// artifact in one of the three output formats: json (a.Encode), tsv
+// (a.EncodeTSV) or text (the paper's report, Render). rhchar, rhfleet
+// and rhserved all publish through it.
+func (e Experiment) Encode(a *artifact.Artifact, format string) ([]byte, error) {
+	switch format {
+	case "json":
+		return a.Encode()
+	case "tsv":
+		return a.EncodeTSV(), nil
+	case "text":
+		var buf bytes.Buffer
+		if err := e.Render(&buf, a); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
+	return nil, fmt.Errorf("unknown artifact format %q (json, tsv, text)", format)
 }
 
 // Shard names: most experiments decompose per manufacturer (in paper

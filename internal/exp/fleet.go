@@ -10,13 +10,16 @@ import (
 	"rowhammer/internal/rng"
 )
 
-// Fleet bridge: every registered experiment is also a campaign kind,
-// so the fleet engine's worker pools, retry/backoff, circuit breaker,
-// fault injection, watchdog and checkpoint/resume apply to paper
-// experiments exactly as they do to the per-module measurement cores.
-// One campaign job is one experiment shard; the shard's artifact
-// fragment rides in Record.Artifact verbatim, and MergeFleet
-// reassembles the full artifact bit-identically to ComputeAll.
+// Fleet bridge: every experiment can run as a campaign of kind
+// "exp:<id>", so the fleet engine's worker pools, retry/backoff,
+// circuit breaker, fault injection, watchdog and checkpoint/resume
+// apply to paper experiments exactly as they do to the per-module
+// measurement cores. One campaign job is one experiment shard; the
+// shard's artifact fragment rides in Record.Artifact verbatim, and
+// MergeFleet reassembles the full artifact bit-identically to
+// ComputeAll. The experiment registry (All, ByID) is the only list of
+// these kinds: server.ResolveExperiment maps a requested kind to an
+// experiment before FleetSpec builds its campaign.
 
 // fleetKindPrefix namespaces experiment kinds away from the built-in
 // measurement kinds (hcfirst, ber, ...).
@@ -33,12 +36,6 @@ func FleetExperiment(kind string) *Experiment {
 		return nil
 	}
 	return ByID(id)
-}
-
-func init() {
-	for _, e := range All() {
-		campaign.RegisterKind(FleetKind(e.ID))
-	}
 }
 
 // FleetSpec lowers an experiment and config into a campaign spec whose

@@ -167,6 +167,25 @@ func writeLeaseErr(w http.ResponseWriter, code int, err error) {
 	writeLeaseJSON(w, code, resp)
 }
 
+// writeResult answers a POST with its Service call's outcome: ok as
+// 200 JSON on success; otherwise the error under the one status map
+// every route shares — 409 for a lease held by another owner (ErrHeld)
+// or a superseded fencing token (ErrFenced), 404 for a lease or worker
+// the service never knew (ErrUnknown), 400 for anything else (a
+// malformed key, an empty worker id).
+func writeResult(w http.ResponseWriter, err error, ok any) {
+	switch {
+	case err == nil:
+		writeLeaseJSON(w, http.StatusOK, ok)
+	case errors.Is(err, ErrHeld), errors.Is(err, ErrFenced):
+		writeLeaseErr(w, http.StatusConflict, err)
+	case errors.Is(err, ErrUnknown):
+		writeLeaseErr(w, http.StatusNotFound, err)
+	default:
+		writeLeaseErr(w, http.StatusBadRequest, err)
+	}
+}
+
 func (s *Service) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireReq
 	if !decodeBody(w, r, &req) {
@@ -174,14 +193,7 @@ func (s *Service) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	}
 	key := Key{Campaign: req.Campaign, Shard: req.Shard, Of: req.Of}
 	grant, err := s.Acquire(r.Context(), key, req.Owner, time.Duration(req.TTLMillis)*time.Millisecond)
-	switch {
-	case errors.Is(err, ErrHeld):
-		writeLeaseErr(w, http.StatusConflict, err)
-	case err != nil:
-		writeLeaseErr(w, http.StatusBadRequest, err)
-	default:
-		writeLeaseJSON(w, http.StatusOK, acquireResp{Token: grant.Token, TTLMillis: grant.TTL.Milliseconds()})
-	}
+	writeResult(w, err, acquireResp{Token: grant.Token, TTLMillis: grant.TTL.Milliseconds()})
 }
 
 func (s *Service) handleBeat(w http.ResponseWriter, r *http.Request) {
@@ -191,16 +203,7 @@ func (s *Service) handleBeat(w http.ResponseWriter, r *http.Request) {
 	}
 	key := Key{Campaign: req.Campaign, Shard: req.Shard, Of: req.Of}
 	err := s.Beat(r.Context(), key, req.Token, Beat{Seq: req.Seq, Done: req.Done, Total: req.Total})
-	switch {
-	case errors.Is(err, ErrFenced):
-		writeLeaseErr(w, http.StatusConflict, err)
-	case errors.Is(err, ErrUnknown):
-		writeLeaseErr(w, http.StatusNotFound, err)
-	case err != nil:
-		writeLeaseErr(w, http.StatusBadRequest, err)
-	default:
-		writeLeaseJSON(w, http.StatusOK, struct{}{})
-	}
+	writeResult(w, err, struct{}{})
 }
 
 func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -210,14 +213,7 @@ func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	key := Key{Campaign: req.Campaign, Shard: req.Shard, Of: req.Of}
 	err := s.Release(r.Context(), key, req.Token)
-	switch {
-	case errors.Is(err, ErrUnknown):
-		writeLeaseErr(w, http.StatusNotFound, err)
-	case err != nil:
-		writeLeaseErr(w, http.StatusBadRequest, err)
-	default:
-		writeLeaseJSON(w, http.StatusOK, struct{}{})
-	}
+	writeResult(w, err, struct{}{})
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {

@@ -2,9 +2,6 @@ package leasesvc
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 )
@@ -87,11 +84,7 @@ func (s *Service) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	grant, err := s.RegisterWorker(r.Context(), req.ID, req.Owner, req.Slots, time.Duration(req.TTLMillis)*time.Millisecond)
-	if err != nil {
-		writeLeaseErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeLeaseJSON(w, http.StatusOK, acquireResp{Token: grant.Token, TTLMillis: grant.TTL.Milliseconds()})
+	writeResult(w, err, acquireResp{Token: grant.Token, TTLMillis: grant.TTL.Milliseconds()})
 }
 
 func (s *Service) handleWorkerBeat(w http.ResponseWriter, r *http.Request) {
@@ -100,19 +93,10 @@ func (s *Service) handleWorkerBeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ps, err := s.WorkerBeat(r.Context(), req.ID, req.Token, req.Seq)
-	switch {
-	case errors.Is(err, ErrFenced):
-		writeLeaseErr(w, http.StatusConflict, err)
-	case errors.Is(err, ErrUnknown):
-		writeLeaseErr(w, http.StatusNotFound, err)
-	case err != nil:
-		writeLeaseErr(w, http.StatusBadRequest, err)
-	default:
-		if ps == nil {
-			ps = []Placement{}
-		}
-		writeLeaseJSON(w, http.StatusOK, workerBeatResp{Placements: ps})
+	if ps == nil {
+		ps = []Placement{}
 	}
+	writeResult(w, err, workerBeatResp{Placements: ps})
 }
 
 func (s *Service) handleDeregisterWorker(w http.ResponseWriter, r *http.Request) {
@@ -121,14 +105,7 @@ func (s *Service) handleDeregisterWorker(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	err := s.DeregisterWorker(r.Context(), req.ID, req.Token)
-	switch {
-	case errors.Is(err, ErrUnknown):
-		writeLeaseErr(w, http.StatusNotFound, err)
-	case err != nil:
-		writeLeaseErr(w, http.StatusBadRequest, err)
-	default:
-		writeLeaseJSON(w, http.StatusOK, struct{}{})
-	}
+	writeResult(w, err, struct{}{})
 }
 
 func (s *Service) handleWorkers(w http.ResponseWriter, _ *http.Request) {
@@ -173,40 +150,6 @@ func (c *Client) DeregisterWorker(ctx context.Context, id string, token uint64) 
 	return c.call(ctx, "/v1/workers/deregister", "worker-deregister/"+id, deregisterWorkerReq{
 		ID: id, Token: token,
 	}, nil)
-}
-
-// WorkersList fetches the registered-worker inventory — diagnostics
-// for operators; schedulers use the in-process Workers.
-func (c *Client) WorkersList(ctx context.Context) ([]WorkerView, error) {
-	callCtx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(callCtx, http.MethodGet, c.BaseURL+"/v1/workers", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("leasesvc: workers: HTTP %d", resp.StatusCode)
-	}
-	var wire []wireWorker
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		return nil, err
-	}
-	out := make([]WorkerView, len(wire))
-	for i, w := range wire {
-		out[i] = WorkerView{
-			ID: w.ID, Owner: w.Owner, Token: w.Token, Alive: w.Alive,
-			Slots: w.Slots, Seq: w.Seq,
-			SinceAdvance: time.Duration(w.SinceAdvanceMS) * time.Millisecond,
-			TTL:          time.Duration(w.TTLMillis) * time.Millisecond,
-			Assignments:  w.Assignments,
-		}
-	}
-	return out, nil
 }
 
 // Both halves of the wire implement the registry protocol.

@@ -2,7 +2,9 @@ package leasesvc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -123,9 +125,15 @@ func TestWorkerRegistryOverHTTP(t *testing.T) {
 	if err != nil || len(ps) != 1 || ps[0] != p {
 		t.Fatalf("beat = %v, err %v; want [%v]", ps, err, p)
 	}
-	views, err := c.WorkersList(ctx)
+	resp, err := http.Get(srv.URL + "/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []wireWorker
+	err = json.NewDecoder(resp.Body).Decode(&views)
+	resp.Body.Close()
 	if err != nil || len(views) != 1 {
-		t.Fatalf("workers list = %v, err %v", views, err)
+		t.Fatalf("GET /v1/workers = %v, err %v", views, err)
 	}
 	if v := views[0]; v.ID != "w1" || !v.Alive || v.Slots != 3 || len(v.Assignments) != 1 {
 		t.Fatalf("worker view = %+v", v)

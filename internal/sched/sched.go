@@ -73,14 +73,6 @@ func (r Result) AvgLatencyNs() float64 {
 	return float64(r.TotalLatency) / float64(r.Requests) / 1000
 }
 
-// HitRate returns the row-buffer hit rate.
-func (r Result) HitRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.RowHits) / float64(r.Requests)
-}
-
 // bank tracks one bank's scheduling state.
 type bank struct {
 	open     bool

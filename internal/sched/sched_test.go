@@ -50,8 +50,8 @@ func TestOpenPageBeatsClosedPageOnStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open.HitRate() < 0.7 {
-		t.Fatalf("streaming hit rate %.2f under open-page", open.HitRate())
+	if hitRate := float64(open.RowHits) / float64(open.Requests); hitRate < 0.7 {
+		t.Fatalf("streaming hit rate %.2f under open-page", hitRate)
 	}
 	if closed.RowHits != 0 {
 		t.Fatalf("closed-page row hits = %d", closed.RowHits)

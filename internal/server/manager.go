@@ -14,7 +14,6 @@ import (
 
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/durable"
-	"rowhammer/internal/exp"
 	"rowhammer/internal/leasesvc"
 	"rowhammer/internal/shard"
 	"rowhammer/internal/store"
@@ -632,11 +631,16 @@ func (m *Manager) executeSharded(r *runState, n int) error {
 	return m.finish(r, res)
 }
 
-// ingest publishes the campaign's deliverable into the store:
-// experiment kinds store the merged artifact bit-identical to `rhchar
-// -format json` (and `rhfleet -artifact`); measurement kinds store
-// the fleet summary, bit-identical to `rhfleet -summary`.
+// ingest publishes the campaign's deliverable (Resolved.Deliverable)
+// into the store: experiment kinds store the merged artifact as json,
+// bit-identical to `rhchar -format json` and `rhfleet -artifact`;
+// measurement kinds store the fleet summary, bit-identical to
+// `rhfleet -summary`.
 func (m *Manager) ingest(r *runState, res *campaign.Result) (store.Meta, error) {
+	payload, err := r.resolved.Deliverable(res, "json")
+	if err != nil {
+		return store.Meta{}, err
+	}
 	cs := r.resolved.Spec
 	meta := store.Meta{
 		ID:    r.id,
@@ -645,23 +649,9 @@ func (m *Manager) ingest(r *runState, res *campaign.Result) (store.Meta, error) 
 		Seed:  cs.Seed,
 		Temps: cs.Temps,
 	}
-	var payload []byte
 	if e := r.resolved.Exp; e != nil {
-		a, err := exp.MergeFleet(*e, res.Records)
-		if err != nil {
-			return store.Meta{}, err
-		}
-		if payload, err = a.Encode(); err != nil {
-			return store.Meta{}, err
-		}
 		meta.Experiment = e.ID
 		meta.Schema = e.Schema
-	} else {
-		summary, err := campaign.Aggregate(res).MarshalIndent()
-		if err != nil {
-			return store.Meta{}, err
-		}
-		payload = append(summary, '\n')
 	}
 	return m.store.Put(meta, payload)
 }

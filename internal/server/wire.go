@@ -164,14 +164,32 @@ func Resolve(spec rh.CampaignSpec) (Resolved, error) {
 		}
 		return Resolved{Spec: n, Runner: exp.FleetRunner(ecfg), Exp: e}, nil
 	}
-	if err := validMeasurementKind(spec.Kind); err != nil {
-		return Resolved{}, err
-	}
 	cs, runner, err := rh.CampaignEngine(spec)
 	if err != nil {
 		return Resolved{}, err
 	}
 	return Resolved{Spec: cs, Runner: runner}, nil
+}
+
+// Deliverable returns the bytes a finished campaign publishes: for an
+// experiment, its merged artifact in format (json, tsv or text,
+// exp.Experiment.Encode) — the json bytes equal `rhchar -format json`;
+// for a measurement kind, the indented fleet summary plus a newline,
+// whatever the format. rhserved stores these bytes and rhfleet prints
+// and publishes them, so every path serves the same deliverable.
+func (r Resolved) Deliverable(res *campaign.Result, format string) ([]byte, error) {
+	if r.Exp == nil {
+		summary, err := campaign.Aggregate(res).MarshalIndent()
+		if err != nil {
+			return nil, err
+		}
+		return append(summary, '\n'), nil
+	}
+	a, err := exp.MergeFleet(*r.Exp, res.Records)
+	if err != nil {
+		return nil, err
+	}
+	return r.Exp.Encode(a, format)
 }
 
 // ResolvePlacement resolves the campaign a fleet placement belongs to:
@@ -214,18 +232,4 @@ func ResolveExperiment(kind string) *exp.Experiment {
 		}
 	}
 	return exp.ByID(kind)
-}
-
-// validMeasurementKind rejects unknown measurement kinds (empty
-// defaults later); experiment IDs are resolved before this runs.
-func validMeasurementKind(kind string) error {
-	if kind == "" {
-		return nil
-	}
-	for _, k := range rh.CampaignKinds() {
-		if kind == k {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown experiment kind %q (have hcfirst, ber, wcdp, spatial, or a paper experiment id from rhchar -list)", kind)
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -101,6 +103,80 @@ func TestResolveValidation(t *testing.T) {
 	}
 	if rsv.Runner == nil {
 		t.Fatal("nil runner")
+	}
+}
+
+// TestResolveAcceptsEveryExperiment: every registry experiment
+// resolves by its exp: kind, and by its bare ID — to the experiment,
+// or to the measurement kind that wins a name collision (wcdp).
+func TestResolveAcceptsEveryExperiment(t *testing.T) {
+	for _, e := range exp.All() {
+		for _, kind := range []string{e.ID, exp.FleetKind(e.ID)} {
+			rsv, err := Resolve(rh.CampaignSpec{Kind: kind, Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), Seed: 1})
+			if err != nil {
+				t.Errorf("Resolve(%q): %v", kind, err)
+				continue
+			}
+			switch {
+			case rsv.Exp != nil && rsv.Exp.ID == e.ID && rsv.Spec.Kind == exp.FleetKind(e.ID):
+			case rsv.Exp == nil && kind == e.ID && rsv.Spec.Kind == e.ID:
+			default:
+				t.Errorf("Resolve(%q) = kind %q, experiment %v", kind, rsv.Spec.Kind, rsv.Exp)
+			}
+		}
+	}
+}
+
+// TestDeliverable: a finished campaign's deliverable is, for fig5,
+// the json artifact ComputeAll encodes (what `rhchar -format json`
+// prints) and, for a measurement kind, RunCampaign's fleet summary
+// plus a newline in every format.
+func TestDeliverable(t *testing.T) {
+	ctx := context.Background()
+	run := func(spec rh.CampaignSpec) (Resolved, *campaign.Result) {
+		t.Helper()
+		rsv, err := Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := campaign.Run(ctx, rsv.Spec, campaign.Options{Runner: rsv.Runner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rsv, res
+	}
+
+	rsv, res := run(rh.CampaignSpec{Kind: "fig5", Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), Seed: 1})
+	got, err := rsv.Deliverable(res, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fig5Bytes(t); !bytes.Equal(got, want) {
+		t.Errorf("fig5 deliverable differs from ComputeAll's artifact:\ngot  %s\nwant %s", got, want)
+	}
+	if _, err := rsv.Deliverable(res, "yaml"); err == nil {
+		t.Error("unknown artifact format accepted")
+	}
+
+	spec := rh.CampaignSpec{Kind: "ber", Mfrs: []string{"A", "B"}, ModulesPerMfr: 1, Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), Seed: 1}
+	rsv, res = run(spec)
+	ref, err := rh.RunCampaign(ctx, spec, rh.CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Summary.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	for _, format := range []string{"json", "tsv", "text"} {
+		got, err := rsv.Deliverable(res, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("ber deliverable (%s) differs from the RunCampaign summary:\ngot  %s\nwant %s", format, got, want)
+		}
 	}
 }
 

@@ -158,9 +158,6 @@ func (b *Builder) Wait(d dram.Picos) *Builder {
 	return b
 }
 
-// WaitNs appends a delay given in nanoseconds.
-func (b *Builder) WaitNs(ns float64) *Builder { return b.Wait(dram.PicosFromNs(ns)) }
-
 // Hammer appends a hardware hammer loop: count rounds of
 // ACT(row)+wait(aggOn)+PRE+wait(aggOff) over rows.
 func (b *Builder) Hammer(bank int, rows []int, count int64, aggOn, aggOff dram.Picos) *Builder {

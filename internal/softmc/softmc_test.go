@@ -21,13 +21,13 @@ func newTestModule(t *testing.T) *dram.Module {
 
 func TestBuilderRoundsToClock(t *testing.T) {
 	b := NewBuilder(dram.PicosFromNs(1.25))
-	b.WaitNs(34.5) // 34.5/1.25 = 27.6 cycles → 28 cycles = 35 ns
+	b.Wait(dram.PicosFromNs(34.5)) // 34.5/1.25 = 27.6 cycles → 28 cycles = 35 ns
 	p := b.Program()
 	if got := p.Instrs[0].Delay; got != dram.PicosFromNs(35) {
 		t.Fatalf("rounded delay = %v ps, want 35000", got)
 	}
 	b2 := NewBuilder(dram.PicosFromNs(2.5))
-	b2.WaitNs(35) // exactly 14 cycles
+	b2.Wait(dram.PicosFromNs(35)) // exactly 14 cycles
 	if got := b2.Program().Instrs[0].Delay; got != dram.PicosFromNs(35) {
 		t.Fatalf("exact delay altered: %v", got)
 	}

@@ -203,13 +203,6 @@ func (ch *Chamber) Setpoint() float64 { return ch.setpoint }
 // Elapsed returns total simulated control-loop seconds.
 func (ch *Chamber) Elapsed() float64 { return ch.elapsed }
 
-// EnableCooler fits a Peltier cooler with the given heat-removal
-// power, allowing sub-ambient setpoints.
-func (ch *Chamber) EnableCooler(maxW float64) {
-	ch.Plant.CoolerMaxW = maxW
-	ch.PID.OutLo = -1
-}
-
 // SetAndSettle drives the chamber to tempC and blocks (in simulated
 // time) until the measured temperature stays within ToleranceC for
 // HoldSteps consecutive control periods.
@@ -244,36 +237,9 @@ func (ch *Chamber) step() float64 {
 	return measured
 }
 
-// Hold runs the loop for the given simulated seconds, maintaining the
-// current setpoint, and returns the worst absolute deviation observed.
-func (ch *Chamber) Hold(seconds float64) float64 {
-	worst, _ := ch.HoldWithin(seconds, 0)
-	return worst
-}
-
-// ErrGuardband reports that a guarded hold left the validity band.
+// ErrGuardband reports that a measurement left the study's ±0.5 °C
+// temperature-validity band (§4.1) and must be discarded and re-run.
 var ErrGuardband = errors.New("thermal: temperature drifted beyond guardband")
-
-// HoldWithin runs the loop like Hold but additionally enforces the
-// study's measurement-validity guardband: if bandC > 0 and the
-// measured temperature strays more than bandC from the setpoint
-// (±0.5 °C in §4.1), the hold keeps regulating to the end but returns
-// ErrGuardband so the caller can discard and re-run the measurement.
-func (ch *Chamber) HoldWithin(seconds, bandC float64) (float64, error) {
-	worst := 0.0
-	for t := 0.0; t < seconds; t += ch.StepSeconds {
-		measured := ch.step()
-		if d := measured - ch.setpoint; d > worst {
-			worst = d
-		} else if -d > worst {
-			worst = -d
-		}
-	}
-	if bandC > 0 && worst > bandC {
-		return worst, fmt.Errorf("%w: worst deviation %.2f °C exceeds ±%.2f °C", ErrGuardband, worst, bandC)
-	}
-	return worst, nil
-}
 
 // Temperature returns the current measured temperature.
 func (ch *Chamber) Temperature() float64 { return ch.TC.Read(ch.Plant) }

@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -106,17 +105,6 @@ func TestChamberSettlesAcrossStudyRange(t *testing.T) {
 	}
 }
 
-func TestChamberHoldStaysTight(t *testing.T) {
-	ch := NewChamber(2)
-	if err := ch.SetAndSettle(75); err != nil {
-		t.Fatal(err)
-	}
-	worst := ch.Hold(120)
-	if worst > 0.5 {
-		t.Fatalf("hold deviation %v °C too large", worst)
-	}
-}
-
 func TestChamberRejectsSubAmbient(t *testing.T) {
 	ch := NewChamber(3)
 	if err := ch.SetAndSettle(10); err == nil {
@@ -138,7 +126,9 @@ func TestChamberElapsedAdvances(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ch.Elapsed()
-	ch.Hold(10)
+	if err := ch.SetAndSettle(60); err != nil {
+		t.Fatal(err)
+	}
 	if ch.Elapsed() <= before {
 		t.Fatal("elapsed time did not advance")
 	}
@@ -146,7 +136,7 @@ func TestChamberElapsedAdvances(t *testing.T) {
 
 func TestCoolerEnablesSubAmbient(t *testing.T) {
 	ch := NewChamber(7)
-	ch.EnableCooler(80)
+	ch.Plant.CoolerMaxW, ch.PID.OutLo = 80, -1 // a fitted Peltier cooler
 	if err := ch.SetAndSettle(15); err != nil {
 		t.Fatalf("settle at 15 °C with cooler: %v", err)
 	}
@@ -166,37 +156,6 @@ func TestCoolerOffPlantClampsNegativeDuty(t *testing.T) {
 	q.Step(1, 0)
 	if math.Abs(passive-(before-q.Temperature())) > 1e-9 {
 		t.Fatal("negative duty without cooler should equal duty 0")
-	}
-}
-
-func TestChamberHoldWithinGuardband(t *testing.T) {
-	ch := NewChamber(8)
-	if err := ch.SetAndSettle(70); err != nil {
-		t.Fatal(err)
-	}
-	worst, err := ch.HoldWithin(60, 0.5)
-	if err != nil {
-		t.Fatalf("healthy chamber breached the guardband (worst %v): %v", worst, err)
-	}
-	if worst <= 0 {
-		t.Fatal("worst deviation should be positive (thermocouple noise)")
-	}
-	// A plant jolted 3 °C off the setpoint (a detached pad, a draft)
-	// breaches the band: the hold keeps regulating but reports it.
-	ch.Plant.SetTemperature(ch.Setpoint() + 3)
-	worst, err = ch.HoldWithin(60, 0.5)
-	if !errors.Is(err, ErrGuardband) {
-		t.Fatalf("jolted plant: expected ErrGuardband, got worst %v, err %v", worst, err)
-	}
-	if worst <= 0.5 {
-		t.Fatalf("reported worst %v should exceed the band", worst)
-	}
-	// The PID pulls the plant back: a fresh guarded hold is clean.
-	if err := ch.SetAndSettle(70); err != nil {
-		t.Fatalf("chamber did not recover: %v", err)
-	}
-	if _, err := ch.HoldWithin(60, 0.5); err != nil {
-		t.Fatalf("recovered chamber breached the guardband: %v", err)
 	}
 }
 
