@@ -173,4 +173,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLeaseRequests -fuzztime 30s ./internal/leasesvc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreReload -fuzztime 30s ./internal/store/
 
-check: build vet test race perfbench-check
+check: build vet test race perfbench-check chaos-exp

@@ -51,7 +51,10 @@ func TestScalePresets(t *testing.T) {
 }
 
 func TestPaperGeometryValid(t *testing.T) {
-	g := dram.PaperDDR4Geometry()
+	_, g, ok := NamedScale("paper")
+	if !ok {
+		t.Fatal(`NamedScale("paper") unknown`)
+	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

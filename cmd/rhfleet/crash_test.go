@@ -187,6 +187,37 @@ func TestCrashRhfleetExpKillResume(t *testing.T) {
 	}
 }
 
+// TestExitQuarantinedExperimentEveryRole: an experiment campaign whose
+// dead module the circuit breaker quarantines exits 4 from every role
+// that concludes a campaign — unsharded, coordinator and merge — and
+// none of them publishes the experiment artifact.
+func TestExitQuarantinedExperimentEveryRole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real subprocesses")
+	}
+	dir := t.TempDir()
+	shardDir := filepath.Join(dir, "shards")
+	art := filepath.Join(dir, "fig5.artifact.json")
+	common := []string{"-exp", "fig5", "-scale", "tiny", "-seed", "7", "-quiet",
+		"-fault-profile", "dead=A/0", "-breaker", "2", "-retries", "3", "-artifact", art}
+	roles := []struct {
+		name string
+		args []string
+	}{
+		{"unsharded", []string{"-out", filepath.Join(dir, "fig5.jsonl")}},
+		{"coordinator", []string{"-coordinate", "2", "-shard-dir", shardDir}},
+		{"merge", []string{"-merge-shards", "-shard-dir", shardDir}},
+	}
+	for _, r := range roles {
+		if code, killed := runFleet(t, -1, append(r.args, common...)...); code != 4 || killed {
+			t.Errorf("%s: exit %d (killed=%v), want 4", r.name, code, killed)
+		}
+		if _, err := os.Stat(art); !os.IsNotExist(err) {
+			t.Fatalf("%s: published the artifact of a campaign with a quarantined module", r.name)
+		}
+	}
+}
+
 // TestCrashRhfleetLockExclusion holds the checkpoint's advisory lock
 // and requires a second rhfleet to refuse to start rather than
 // interleave writes.

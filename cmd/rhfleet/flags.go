@@ -63,3 +63,19 @@ func validateModeFlags(f modeFlags) error {
 	}
 	return nil
 }
+
+// validateOutputFlags rejects output flags that do nothing for the
+// resolved kind: a measurement campaign publishes its JSON summary to
+// -summary, an experiment campaign its artifact in -format to
+// -artifact. The error is one line; fatalUsage turns it into exit 2.
+func validateOutputFlags(experiment bool, o outputs) error {
+	switch {
+	case experiment && o.summary != "":
+		return fmt.Errorf("-summary is for measurement kinds; an experiment campaign publishes -artifact")
+	case !experiment && o.artifact != "":
+		return fmt.Errorf("-artifact is for experiment kinds; a measurement campaign publishes -summary")
+	case !experiment && o.format != "json":
+		return fmt.Errorf("-format %s is for experiment kinds; a measurement campaign's summary is JSON", o.format)
+	}
+	return nil
+}

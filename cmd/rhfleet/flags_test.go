@@ -64,3 +64,37 @@ func TestValidateModeFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateOutputFlags: each output flag applies to one family of
+// kinds, and naming it for the other is a usage error, not a no-op.
+func TestValidateOutputFlags(t *testing.T) {
+	cases := []struct {
+		name       string
+		experiment bool
+		o          outputs
+		want       string // "" = legal; otherwise a substring of the error
+	}{
+		{"measurement summary", false, outputs{format: "json", summary: "s.json"}, ""},
+		{"experiment artifact", true, outputs{format: "json", artifact: "a.json"}, ""},
+		{"experiment tsv", true, outputs{format: "tsv", artifact: "a.tsv"}, ""},
+		{"experiment text", true, outputs{format: "text"}, ""},
+		{"summary on experiment", true, outputs{format: "json", summary: "s.json"}, "-summary is for measurement kinds"},
+		{"artifact on measurement", false, outputs{format: "json", artifact: "a.json"}, "-artifact is for experiment kinds"},
+		{"tsv on measurement", false, outputs{format: "tsv"}, "-format tsv is for experiment kinds"},
+		{"text on measurement", false, outputs{format: "text"}, "-format text is for experiment kinds"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateOutputFlags(tc.experiment, tc.o)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -152,7 +152,7 @@ rhfleet processes per checkpoint.
 	if *format != "json" && *format != "tsv" && *format != "text" {
 		fatalUsage(fmt.Errorf("unknown artifact format %q (json, tsv, text)", *format))
 	}
-	profile, err := rh.ParseFaultProfile(*faults)
+	profile, err := inject.Parse(*faults)
 	if err != nil {
 		fatalUsage(err)
 	}
@@ -213,6 +213,9 @@ rhfleet processes per checkpoint.
 	}
 	cs, runner := rsv.Spec, rsv.Runner
 	outs := outputs{format: *format, summary: *sumOut, artifact: *artOut}
+	if err := validateOutputFlags(rsv.Exp != nil, outs); err != nil {
+		fatalUsage(err)
+	}
 
 	// Distributed modes run over -shard-dir and never touch -out.
 	switch {

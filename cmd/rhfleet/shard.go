@@ -364,15 +364,11 @@ func runMergeShards(dir string, rsv server.Resolved, outs outputs) int {
 // 0 complete, 3 incomplete (resumable), 4 quarantined coverage loss,
 // 1 failed jobs.
 func emitMerged(rsv server.Resolved, res *campaign.Result, rep *shard.MergeReport, outs outputs) int {
-	o := outcome{missing: !rep.Complete(), failed: rep.Failed}
+	o := outcome{missing: !rep.Complete(), failed: rep.Failed, quarantined: res.QuarantinedModules()}
 	if rsv.Exp != nil && (o.missing || o.failed > 0) {
 		fmt.Fprintf(os.Stderr, "rhfleet: experiment artifact not published: %d job(s) missing, %d failed\n",
 			len(rep.Missing), rep.Failed)
 		return exitCode(o)
-	}
-	if rsv.Exp == nil {
-		// Only a summary accounts for quarantined coverage.
-		o.quarantined = res.QuarantinedModules()
 	}
 	if err := outs.publish(rsv, res, rep.Complete()); err != nil {
 		fatal(err)

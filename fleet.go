@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rowhammer/internal/campaign"
-	"rowhammer/internal/inject"
 	"rowhammer/internal/pool"
 	"rowhammer/internal/rng"
 )
@@ -37,14 +36,6 @@ type CampaignSummary = campaign.Summary
 // CampaignCoverage is the explicit coverage accounting a degraded
 // fleet summary carries (jobs completed / retried / quarantined).
 type CampaignCoverage = campaign.Coverage
-
-// FaultProfile configures the deterministic fault injector wrapped
-// around the per-module measurement cores (chaos testing).
-type FaultProfile = inject.Profile
-
-// ParseFaultProfile parses the CLI fault-profile syntax, e.g. "chaos",
-// "transient+seed=7", "dead=A/0,C/2". Empty or "none" yields nil.
-func ParseFaultProfile(s string) (*FaultProfile, error) { return inject.Parse(s) }
 
 // CampaignSpec declares a fleet characterization campaign.
 type CampaignSpec struct {
@@ -84,7 +75,8 @@ type CampaignSpec struct {
 	WatchdogFactor int
 }
 
-// CampaignOptions controls checkpointing and progress reporting.
+// CampaignOptions controls checkpointing, resume, graceful drain and
+// progress reporting.
 type CampaignOptions struct {
 	// Records, when non-nil, receives every finished record as it
 	// completes; use CreateCampaignCheckpoint or OpenCampaignCheckpoint
@@ -101,9 +93,6 @@ type CampaignOptions struct {
 	Resume map[string]CampaignRecord
 	// Progress, when non-nil, is called after every finished job.
 	Progress func(done, total int, rec CampaignRecord)
-	// FaultProfile, when non-nil, wraps the measurement runner with
-	// the deterministic fault injector — the chaos-testing knob.
-	FaultProfile *FaultProfile
 }
 
 // CampaignResult is the outcome of a campaign run.
@@ -249,12 +238,8 @@ func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (
 	if err != nil {
 		return nil, err
 	}
-	runner := moduleRunner(scale, geom)
-	if opts.FaultProfile != nil {
-		runner = inject.WrapRunner(runner, opts.FaultProfile)
-	}
 	res, err := campaign.Run(ctx, cspec, campaign.Options{
-		Runner:   runner,
+		Runner:   moduleRunner(scale, geom),
 		Records:  opts.Records,
 		Done:     opts.Resume,
 		Progress: opts.Progress,

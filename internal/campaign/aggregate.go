@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
 
 	"rowhammer/internal/stats"
 )
@@ -150,41 +148,6 @@ func Aggregate(res *Result) Summary {
 // keys, so two summaries are bit-identical iff their contents are.
 func (s Summary) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// Text renders a compact fixed-order textual summary for terminals.
-func (s Summary) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "campaign %s: %d/%d jobs done", s.Kind, s.Done, s.Jobs)
-	if s.Failed > 0 {
-		fmt.Fprintf(&b, " (%d failed)", s.Failed)
-	}
-	b.WriteByte('\n')
-	if c := s.Coverage; c != nil {
-		fmt.Fprintf(&b, "  coverage: %d/%d completed, %d retried, %d failed, %d quarantined\n",
-			c.Completed, c.Jobs, c.Retried, c.Failed, c.Quarantined)
-		if len(c.QuarantinedModules) > 0 {
-			fmt.Fprintf(&b, "  quarantined modules: %s\n", strings.Join(c.QuarantinedModules, ", "))
-		}
-		if len(c.FailedJobs) > 0 {
-			fmt.Fprintf(&b, "  failed jobs: %s\n", strings.Join(c.FailedJobs, ", "))
-		}
-	}
-	for _, ms := range s.Mfrs {
-		fmt.Fprintf(&b, "  Mfr. %s (%d modules)\n", ms.Mfr, ms.Modules)
-		for _, m := range ms.Metrics {
-			fmt.Fprintf(&b, "    %-18s n=%-4d min=%.4g p50=%.4g p90=%.4g max=%.4g mean=%.4g\n",
-				m.Metric, m.Stats.N, m.Stats.Min, m.Stats.Median, m.Stats.P90, m.Stats.Max, m.Stats.Mean)
-		}
-	}
-	if len(s.Fleet) > 0 {
-		fmt.Fprintf(&b, "  fleet\n")
-		for _, m := range s.Fleet {
-			fmt.Fprintf(&b, "    %-18s n=%-4d min=%.4g p50=%.4g p90=%.4g max=%.4g mean=%.4g\n",
-				m.Metric, m.Stats.N, m.Stats.Min, m.Stats.Median, m.Stats.P90, m.Stats.Max, m.Stats.Mean)
-		}
-	}
-	return b.String()
 }
 
 // sortedNames returns a string-keyed map's keys in canonical order.

@@ -203,25 +203,6 @@ func Expand(spec Spec) []Job {
 	return jobs
 }
 
-// Remaining lists, in canonical order, the jobs of the spec that have
-// no successful record in done — the work left after an interrupted
-// run. only, when non-nil, restricts the answer to that job-key slice
-// (a shard's assignment), which is how a coordinator computes exactly
-// what a dead shard still owed from the shard's own checkpoint.
-func Remaining(spec Spec, done map[string]Record, only map[string]bool) []Job {
-	var out []Job
-	for _, j := range Expand(spec) {
-		if only != nil && !only[j.Key()] {
-			continue
-		}
-		if rec, ok := done[j.Key()]; ok && !rec.Failed() {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
-}
-
 // Record is the result of one job — the unit streamed to the JSONL
 // checkpoint. Metrics and Series use maps so every experiment kind
 // shares one schema; encoding/json sorts map keys, which keeps the

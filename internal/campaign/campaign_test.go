@@ -291,20 +291,6 @@ func TestFailedRecordsAreRerunOnResume(t *testing.T) {
 	}
 }
 
-func TestSummaryTextStable(t *testing.T) {
-	res, err := Run(context.Background(), testSpec([]string{"A"}, 2), Options{Runner: fakeRunner(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt := Aggregate(res).Text()
-	if !strings.Contains(txt, "campaign hcfirst: 2/2 jobs done") {
-		t.Fatalf("unexpected summary text:\n%s", txt)
-	}
-	if !strings.Contains(txt, "Mfr. A (2 modules)") {
-		t.Fatalf("summary text missing per-mfr block:\n%s", txt)
-	}
-}
-
 func TestRunRequiresRunner(t *testing.T) {
 	_, err := Run(context.Background(), testSpec([]string{"A"}, 1), Options{})
 	if err == nil {

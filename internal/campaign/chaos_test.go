@@ -56,6 +56,16 @@ func summarize(t *testing.T, res *campaign.Result) []byte {
 	return b
 }
 
+// mustParseFaults builds a fault profile the way -fault-profile does.
+func mustParseFaults(t *testing.T, s string) *inject.Profile {
+	t.Helper()
+	p, err := inject.Parse(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestChaosTransientProfileBitIdentical is the acceptance invariant:
 // command errors + latency spikes + torn readouts + thermal drift,
 // all transient, must aggregate bit-identically to a fault-free run.
@@ -139,7 +149,7 @@ func TestChaosDeadModulesQuarantinedWithCoverage(t *testing.T) {
 	spec.BreakerThreshold = 2
 	spec.RetryBackoff = 0
 
-	profile := inject.Dead(7, "A/0", "C/2")
+	profile := mustParseFaults(t, "dead=A/0,C/2+seed=7")
 	res, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: inject.WrapRunner(pureRunner, profile)})
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("dead modules must surface as a quarantine error, got %v", err)
@@ -190,7 +200,8 @@ func TestChaosDeadModuleWithoutBreakerExhaustsRetries(t *testing.T) {
 	spec := chaosSpec()
 	spec.RetryBackoff = 0
 
-	res, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: inject.WrapRunner(pureRunner, inject.Dead(7, "B/1"))})
+	profile := mustParseFaults(t, "dead=B/1+seed=7")
+	res, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: inject.WrapRunner(pureRunner, profile)})
 	if err == nil {
 		t.Fatal("dead module must fail the campaign")
 	}

@@ -9,7 +9,6 @@ type Picos int64
 
 // Common conversion helpers.
 const (
-	Picosecond  Picos = 1
 	Nanosecond  Picos = 1000
 	Microsecond Picos = 1000 * Nanosecond
 	Millisecond Picos = 1000 * Microsecond

@@ -61,11 +61,6 @@ const (
 	ECCNoError ECCResult = iota
 	ECCCorrected
 	ECCDetectedUncorrectable
-	// ECCMiscorrected: ≥2 errors aliased onto a correctable syndrome;
-	// the decoder "corrected" the wrong bit. Only distinguishable in
-	// simulation (the caller knows ground truth); the decoder itself
-	// reports ECCCorrected for these.
-	ECCMiscorrected
 )
 
 // ECCDecode checks data against its stored check byte, returning the

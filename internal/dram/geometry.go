@@ -122,20 +122,6 @@ func DefaultDDR4Geometry() Geometry {
 	}
 }
 
-// PaperDDR4Geometry returns a full-scale geometry matching the tested
-// DDR4 modules (8Gb x8: 16 banks, 64K rows ... scaled to one bank
-// group's worth of banks; used by -scale=paper CLI runs).
-func PaperDDR4Geometry() Geometry {
-	return Geometry{
-		Banks:         16,
-		RowsPerBank:   65536,
-		SubarrayRows:  512,
-		Chips:         8,
-		ChipWidth:     8,
-		ColumnsPerRow: 1024,
-	}
-}
-
 // DefaultDDR3Geometry returns a reduced-scale DDR3 x8 geometry.
 func DefaultDDR3Geometry() Geometry {
 	return Geometry{

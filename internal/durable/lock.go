@@ -14,6 +14,3 @@ type Lock struct {
 	f    *os.File
 	path string
 }
-
-// Path returns the lockfile path.
-func (l *Lock) Path() string { return l.path }

@@ -5,7 +5,9 @@
 // paper's text report, generated from the artifact alone). The
 // registry is the only compute path: rhchar, rhfleet, rhserved, the
 // golden tests, the trend tests and the root benchmarks all read the
-// artifact ComputeAll (or MergeFleet) returns. A single-shard study
+// artifact ComputeAll (or MergeFleet) returns, and Encode is the only
+// output path: every binary and the text goldens turn that artifact
+// into bytes through it. A single-shard study
 // keeps an exported typed function (Table2, Fig6, Attack2, Defense3,
 // Defense5, ManySided, Interference, DefCompare) only because it is
 // the implementation behind its shard.
@@ -29,10 +31,6 @@ type Config struct {
 	Scale rh.Scale
 	// Seed derives per-module seeds.
 	Seed uint64
-	// Out receives the rendered report in Run; Compute never writes
-	// to it. A nil Out is rejected by Run rather than silently
-	// discarded.
-	Out io.Writer
 	// Geometry of the modules under test; zero value selects the
 	// reduced-scale DDR4 geometry.
 	Geometry rh.Geometry
@@ -96,19 +94,6 @@ func (e Experiment) ComputeAll(ctx context.Context, cfg Config) (*artifact.Artif
 		return nil, err
 	}
 	return artifact.Merge(e.ID, e.Schema, frags...)
-}
-
-// Run computes the full artifact and renders the text report to
-// cfg.Out.
-func (e Experiment) Run(ctx context.Context, cfg Config) error {
-	if cfg.Out == nil {
-		return fmt.Errorf("exp: %s: Config.Out is nil — the caller must supply a writer (or use ComputeAll for the artifact)", e.ID)
-	}
-	a, err := e.ComputeAll(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	return e.Render(cfg.Out, a)
 }
 
 // Encode returns the experiment's deliverable bytes for a merged

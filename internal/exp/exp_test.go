@@ -2,8 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"context"
-	"strings"
 	"testing"
 
 	rh "rowhammer"
@@ -64,14 +62,8 @@ func TestTable2Inventory(t *testing.T) {
 	if res.DDR4Modules != 22 || res.DDR3Modules != 3 {
 		t.Fatalf("module counts %d/%d, want 22/3", res.DDR4Modules, res.DDR3Modules)
 	}
-	var buf bytes.Buffer
-	cfg := tinyConfig()
-	cfg.Out = &buf
-	if err := ByID("table2").Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "248 DDR4 chips") {
-		t.Fatalf("output missing totals:\n%s", buf.String())
+	if out := renderText(t, *ByID("table2"), tinyConfig()); !bytes.Contains(out, []byte("248 DDR4 chips")) {
+		t.Fatalf("output missing totals:\n%s", out)
 	}
 }
 
@@ -528,14 +520,7 @@ func TestDefense6ColumnAwareECC(t *testing.T) {
 func TestRunAllPrintersProduceOutput(t *testing.T) {
 	// Smoke-run the cheap printers end to end.
 	for _, id := range []string{"table2", "fig6"} {
-		e := ByID(id)
-		var buf bytes.Buffer
-		cfg := tinyConfig()
-		cfg.Out = &buf
-		if err := e.Run(context.Background(), cfg); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if buf.Len() == 0 {
+		if out := renderText(t, *ByID(id), tinyConfig()); len(out) == 0 {
 			t.Fatalf("%s produced no output", id)
 		}
 	}
@@ -551,13 +536,7 @@ func TestCheapPrintersSmoke(t *testing.T) {
 			if e == nil {
 				t.Fatalf("experiment %s missing", id)
 			}
-			var buf bytes.Buffer
-			cfg := tinyConfig()
-			cfg.Out = &buf
-			if err := e.Run(context.Background(), cfg); err != nil {
-				t.Fatal(err)
-			}
-			if buf.Len() == 0 {
+			if out := renderText(t, *e, tinyConfig()); len(out) == 0 {
 				t.Fatal("no output")
 			}
 		})

@@ -61,6 +61,21 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
+// renderText returns the bytes `rhchar -format text` prints for e at
+// cfg: the merged artifact ComputeAll returns, encoded as text.
+func renderText(t *testing.T, e Experiment, cfg Config) []byte {
+	t.Helper()
+	a, err := e.ComputeAll(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Encode(a, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestGoldenText locks every experiment's rendered text at tiny scale:
 // the refactor onto the artifact pipeline must keep output
 // byte-identical to the pre-refactor printers.
@@ -69,13 +84,7 @@ func TestGoldenText(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			var buf bytes.Buffer
-			cfg := tinyConfig()
-			cfg.Out = &buf
-			if err := e.Run(context.Background(), cfg); err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, goldenPath(e.ID+".txt"), buf.Bytes())
+			compareGolden(t, goldenPath(e.ID+".txt"), renderText(t, e, tinyConfig()))
 		})
 	}
 }
@@ -88,15 +97,9 @@ func TestGoldenTextWorkerInvariance(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			var buf bytes.Buffer
 			cfg := tinyConfig()
-			cfg.Out = &buf
 			cfg.Workers = workers
-			e := ByID("fig5")
-			if err := e.Run(context.Background(), cfg); err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, goldenPath("fig5.txt"), buf.Bytes())
+			compareGolden(t, goldenPath("fig5.txt"), renderText(t, *ByID("fig5"), cfg))
 		})
 	}
 }

@@ -237,10 +237,6 @@ func NewModel(cfg Config) (*Model, error) {
 // Profile returns the manufacturer profile backing the model.
 func (m *Model) Profile() *Profile { return m.p }
 
-// ModuleBaseHC returns the module's most-vulnerable-row HCfirst at
-// reference conditions.
-func (m *Model) ModuleBaseHC() float64 { return m.baseHC }
-
 // SetSalt sets the measurement-noise salt. Salt 0 disables noise; any
 // other value yields an independent, deterministic noise realization
 // (one per test repetition).

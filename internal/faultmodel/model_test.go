@@ -303,11 +303,11 @@ func TestRowBaseHCDistribution(t *testing.T) {
 func TestModuleVariation(t *testing.T) {
 	a := newTestModel(t, MfrA(), 1)
 	b := newTestModel(t, MfrA(), 2)
-	if a.ModuleBaseHC() == b.ModuleBaseHC() {
+	if a.baseHC == b.baseHC {
 		t.Fatal("different module seeds should differ in base HC")
 	}
 	a2 := newTestModel(t, MfrA(), 1)
-	if a.ModuleBaseHC() != a2.ModuleBaseHC() {
+	if a.baseHC != a2.baseHC {
 		t.Fatal("same seed must reproduce base HC")
 	}
 }
@@ -455,24 +455,6 @@ func TestFig3MatricesRoughlyNormalized(t *testing.T) {
 			t.Fatalf("mfr %s: cluster mass %v, want ≈1", p.Name, sum)
 		}
 	}
-}
-
-func TestInvPhi(t *testing.T) {
-	cases := map[float64]float64{0.5: 0, 0.975: 1.96, 0.025: -1.96, 0.999: 3.09}
-	for p, want := range cases {
-		if got := invPhi(p); math.Abs(got-want) > 0.01 {
-			t.Fatalf("invPhi(%v) = %v, want %v", p, got, want)
-		}
-	}
-}
-
-func TestInvPhiPanicsOutOfDomain(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	invPhi(0)
 }
 
 // TestForkDisturbAllocs pins what a fresh fork costs: Model.Fork plus

@@ -117,15 +117,6 @@ func Chaos(seed uint64) *Profile {
 	}
 }
 
-// Dead returns a profile where the listed modules ("mfr/index") are
-// persistently wedged and everything else is healthy.
-func Dead(seed uint64, modules ...string) *Profile {
-	p := &Profile{Name: "dead", Seed: seed}
-	p.DeadModules = append(p.DeadModules, modules...)
-	sort.Strings(p.DeadModules)
-	return p
-}
-
 // Active reports whether the profile can inject anything.
 func (p *Profile) Active() bool {
 	if p == nil {

@@ -82,12 +82,6 @@ func NetFlaky(seed uint64, maxOps int64) *NetProfile {
 	}
 }
 
-// NetPartition returns a hard one-way partition covering transport
-// ops [from, from+dur) (dur < 0 = never heals), with no other faults.
-func NetPartition(seed uint64, from, dur int64) *NetProfile {
-	return &NetProfile{Name: "partition", Seed: seed, PartitionFrom: from, PartitionFor: dur}
-}
-
 // Active reports whether the profile can inject anything.
 func (p *NetProfile) Active() bool {
 	if p == nil {

@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// mustParseNet builds a network fault profile the way -net-chaos does.
+func mustParseNet(t *testing.T, s string) *NetProfile {
+	t.Helper()
+	p, err := ParseNet(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // outcomeString runs n GETs through a freshly wrapped transport and
 // encodes each outcome as one letter: o=ok, d=dropped, l=response
 // lost, e=503, x=other error.
@@ -82,7 +92,7 @@ func TestChaosNetOneWayPartitionWindow(t *testing.T) {
 		w.Write([]byte("ok"))
 	}))
 	defer srv.Close()
-	client := &http.Client{Transport: WrapTransport(nil, NetPartition(1, 2, 3), "w")}
+	client := &http.Client{Transport: WrapTransport(nil, mustParseNet(t, "partition=2:3+seed=1"), "w")}
 	for op := 0; op < 8; op++ {
 		resp, err := client.Get(srv.URL)
 		inWindow := op >= 2 && op < 5
@@ -107,7 +117,7 @@ func TestChaosNetOneWayPartitionWindow(t *testing.T) {
 func TestChaosNetNeverHealingPartition(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()
-	client := &http.Client{Transport: WrapTransport(nil, NetPartition(5, 0, -1), "w")}
+	client := &http.Client{Transport: WrapTransport(nil, mustParseNet(t, "partition=0:-1+seed=5"), "w")}
 	for op := 0; op < 6; op++ {
 		_, err := client.Get(srv.URL)
 		if err == nil {

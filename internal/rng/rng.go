@@ -208,32 +208,6 @@ func (r *Stream) NormalMS(mean, sd float64) float64 {
 	return mean + sd*r.Normal()
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (r *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.NormalMS(mu, sigma))
-}
-
-// TruncNormal returns a normal draw with the given mean and standard
-// deviation truncated (by rejection) to [lo, hi]. If the window is
-// improbable the draw degrades to clamping after 64 attempts, which is
-// fine for the simulator's use (windows always have non-trivial mass).
-func (r *Stream) TruncNormal(mean, sd, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		x := r.NormalMS(mean, sd)
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	x := mean
-	if x < lo {
-		x = lo
-	}
-	if x > hi {
-		x = hi
-	}
-	return x
-}
-
 // Bernoulli returns true with probability p.
 func (r *Stream) Bernoulli(p float64) bool { return r.Float64() < p }
 
@@ -258,9 +232,4 @@ func NormalFromHash(h1, h2 uint64) float64 {
 		u1 = 1e-300
 	}
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// LogNormalFromHash converts two hashes into exp(N(mu, sigma)).
-func LogNormalFromHash(h1, h2 uint64, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*NormalFromHash(h1, h2))
 }

@@ -163,34 +163,6 @@ func TestStreamNormalMoments(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	s := NewStream(6)
-	for i := 0; i < 1000; i++ {
-		if v := s.LogNormal(0, 0.5); v <= 0 {
-			t.Fatalf("lognormal draw %v <= 0", v)
-		}
-	}
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	s := NewStream(8)
-	for i := 0; i < 2000; i++ {
-		v := s.TruncNormal(0, 1, -0.5, 0.5)
-		if v < -0.5 || v > 0.5 {
-			t.Fatalf("truncated draw %v outside [-0.5, 0.5]", v)
-		}
-	}
-}
-
-func TestTruncNormalDegenerateWindowClamps(t *testing.T) {
-	s := NewStream(9)
-	// Window far in the tail: rejection will fail; result must clamp.
-	v := s.TruncNormal(0, 0.001, 10, 11)
-	if v < 10 || v > 11 {
-		t.Fatalf("degenerate window draw %v outside [10, 11]", v)
-	}
-}
-
 func TestBernoulliProbability(t *testing.T) {
 	s := NewStream(10)
 	hits := 0
@@ -231,26 +203,6 @@ func TestNormalFromHashMoments(t *testing.T) {
 	variance := sumSq/n - mean*mean
 	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.05 {
 		t.Fatalf("hash-normal mean=%v var=%v", mean, variance)
-	}
-}
-
-func TestLogNormalFromHashMedian(t *testing.T) {
-	// Median of exp(N(mu, sigma)) is exp(mu).
-	var vals []float64
-	const n = 20001
-	for i := uint64(0); i < n; i++ {
-		vals = append(vals, LogNormalFromHash(Hash64(i, 3), Hash64(i, 4), 2, 0.7))
-	}
-	// Median via counting below exp(2).
-	below := 0
-	for _, v := range vals {
-		if v < math.Exp(2) {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Fatalf("lognormal median fraction = %v, want ~0.5", frac)
 	}
 }
 

@@ -109,7 +109,7 @@ func (a Assignment) Jobs(spec campaign.Spec) []campaign.Job {
 }
 
 // Filter returns the assignment's job-key set — the engine's
-// Options.Only filter and the coordinator's remaining-job scope.
+// Options.Only filter.
 func (a Assignment) Filter(spec campaign.Spec) map[string]bool {
 	jobs := a.Jobs(spec)
 	only := make(map[string]bool, len(jobs))
@@ -117,11 +117,4 @@ func (a Assignment) Filter(spec campaign.Spec) map[string]bool {
 		only[j.Key()] = true
 	}
 	return only
-}
-
-// Remaining lists the assignment's jobs with no successful record in
-// done — what a dead or interrupted shard still owes, computed from
-// its checkpoint.
-func (a Assignment) Remaining(spec campaign.Spec, done map[string]campaign.Record) []campaign.Job {
-	return campaign.Remaining(spec, done, a.Filter(spec))
 }

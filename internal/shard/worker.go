@@ -21,8 +21,6 @@ type WorkerConfig struct {
 	// ID names the worker's registration (default leasesvc's host:pid
 	// owner string). Re-using an ID supersedes the previous holder.
 	ID string
-	// Owner labels the registration for diagnostics (default ID).
-	Owner string
 	// Slots is how many placements run concurrently (default 1).
 	Slots int
 	// TTL is the registration heartbeat TTL (default leasesvc's).
@@ -69,10 +67,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if id == "" {
 		id = leasesvc.DefaultOwner()
 	}
-	owner := cfg.Owner
-	if owner == "" {
-		owner = id
-	}
 	slots := cfg.Slots
 	if slots < 1 {
 		slots = 1
@@ -86,7 +80,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		logf = func(string, ...any) {}
 	}
 
-	grant, err := cfg.Registry.RegisterWorker(ctx, id, owner, slots, ttl)
+	grant, err := cfg.Registry.RegisterWorker(ctx, id, id, slots, ttl)
 	if err != nil {
 		return fmt.Errorf("shard: worker %s: register: %w", id, err)
 	}
@@ -224,7 +218,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			// running — their shard leases, not this registration,
 			// carry correctness.
 			logf("worker %s: registration superseded (%v); re-registering", id, err)
-			g, rerr := cfg.Registry.RegisterWorker(ctx, id, owner, slots, ttl)
+			g, rerr := cfg.Registry.RegisterWorker(ctx, id, id, slots, ttl)
 			if rerr != nil {
 				logf("worker %s: re-register: %v", id, rerr)
 				return

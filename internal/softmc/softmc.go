@@ -1,10 +1,11 @@
 // Package softmc implements a SoftMC-style programmable memory
 // controller: test programs are sequences of DRAM commands with
 // explicit inter-command delays at the controller's clock granularity
-// (1.25 ns for the DDR4 infrastructure, 2.5 ns for DDR3), plus a
-// hardware LOOP instruction that repeats a verified command block —
-// the mechanism real SoftMC uses to hammer at line rate without host
-// interaction.
+// (1.25 ns for the DDR4 infrastructure, 2.5 ns for DDR3). The one loop
+// construct is KHammerLoop, SoftMC's hardware LOOP over an ACT…PRE
+// block — the mechanism real SoftMC uses to hammer at line rate without
+// host interaction — executed analytically. Row-wide column bursts
+// (KWrRow, KRdRow, KCmpRow) run as one bulk device call each.
 //
 // The executor drives a dram.Module command-by-command, so every
 // timing and protocol rule is enforced exactly as on the FPGA.
@@ -30,11 +31,6 @@ const (
 	// fixed on/off times — the SoftMC LOOP construct specialized to
 	// hammering, executed analytically (cost independent of count).
 	KHammerLoop
-	// KLoop repeats an arbitrary instruction body Count times,
-	// executed by unrolling — the general SoftMC LOOP. Use KHammerLoop
-	// for high-count hammering; KLoop is for short structured
-	// sequences (e.g. multi-READ per activation patterns).
-	KLoop
 	// KWrRow writes one beat per column of the open row, commands
 	// spaced Delay apart — equivalent to len(Data) Wr+Wait pairs,
 	// executed as one bulk device call.
@@ -64,9 +60,6 @@ type Instr struct {
 	Count  int64
 	AggOn  dram.Picos
 	AggOff dram.Picos
-
-	// KLoop.
-	Body []Instr
 
 	// KWrRow: one beat per column; KCmpRow: the expected beat per
 	// column (KRdRow uses Count + Delay).
@@ -223,19 +216,6 @@ func (b *Builder) CmpRow(bank int, want []uint64, ccd dram.Picos) *Builder {
 	return b
 }
 
-// maxLoopUnroll bounds total KLoop body executions per loop, a
-// guard against runaway programs (use Hammer for high-count loops).
-const maxLoopUnroll = 1 << 20
-
-// Loop appends a general loop: body is assembled by fill on a nested
-// builder and repeated count times.
-func (b *Builder) Loop(count int64, fill func(*Builder)) *Builder {
-	nested := NewBuilder(b.tck)
-	fill(nested)
-	b.instrs = append(b.instrs, Instr{Kind: KLoop, Count: count, Body: nested.Program().Instrs})
-	return b
-}
-
 // Program finalizes the builder into a detached copy.
 func (b *Builder) Program() *Program {
 	p := &Program{Instrs: make([]Instr, len(b.instrs))}
@@ -323,24 +303,18 @@ func (e *Executor) RunInto(p *Program, res *Result) error {
 	res.Reads = res.Reads[:0]
 	res.Trace = res.Trace[:0]
 	res.Differs = false
-	justIssued := false
-	err := e.runInstrs(p.Instrs, res, &justIssued, 0)
+	err := e.runInstrs(p.Instrs, res)
 	e.mod.Settle()
 	res.End = e.now
 	return err
 }
 
-// loopDepthLimit bounds KLoop nesting.
-const loopDepthLimit = 8
-
 // runInstrs executes an instruction sequence. justIssued tracks the
 // tCK bus slot a command consumes: a Wait directly after a command
 // expresses the full command-to-command distance, so that slot is
 // credited against it.
-func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, depth int) error {
-	if depth > loopDepthLimit {
-		return fmt.Errorf("softmc: loop nesting exceeds %d", loopDepthLimit)
-	}
+func (e *Executor) runInstrs(instrs []Instr, res *Result) error {
+	justIssued := false
 	for i := range instrs {
 		in := &instrs[i]
 		switch in.Kind {
@@ -356,16 +330,16 @@ func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, dept
 				res.Reads = append(res.Reads, v)
 			}
 			e.now += e.tck
-			*justIssued = true
+			justIssued = true
 		case KWait:
 			d := in.Delay
-			if *justIssued {
+			if justIssued {
 				d -= e.tck
 			}
 			if d > 0 {
 				e.now += d
 			}
-			*justIssued = false
+			justIssued = false
 		case KHammerLoop:
 			if e.trace {
 				// Trace the loop header only; bodies are bulk.
@@ -376,7 +350,7 @@ func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, dept
 				return fmt.Errorf("softmc: instr %d (hammer): %w", i, err)
 			}
 			e.now = end
-			*justIssued = false
+			justIssued = false
 		case KWrRow:
 			if len(in.Data) == 0 {
 				continue
@@ -392,7 +366,7 @@ func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, dept
 				return fmt.Errorf("softmc: instr %d (wrrow): %w", i, err)
 			}
 			e.now += dram.Picos(len(in.Data)) * step
-			*justIssued = false
+			justIssued = false
 		case KRdRow:
 			if in.Count == 0 {
 				continue
@@ -410,7 +384,7 @@ func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, dept
 				return fmt.Errorf("softmc: instr %d (rdrow): %w", i, err)
 			}
 			e.now += dram.Picos(in.Count) * step
-			*justIssued = false
+			justIssued = false
 		case KCmpRow:
 			if len(in.Data) == 0 {
 				continue
@@ -428,17 +402,7 @@ func (e *Executor) runInstrs(instrs []Instr, res *Result, justIssued *bool, dept
 				return fmt.Errorf("softmc: instr %d (cmprow): %w", i, err)
 			}
 			e.now += dram.Picos(len(in.Data)) * step
-			*justIssued = false
-		case KLoop:
-			if in.Count*int64(len(in.Body)) > maxLoopUnroll {
-				return fmt.Errorf("softmc: instr %d: loop unrolls to %d instructions (max %d); use Hammer for high-count loops",
-					i, in.Count*int64(len(in.Body)), maxLoopUnroll)
-			}
-			for it := int64(0); it < in.Count; it++ {
-				if err := e.runInstrs(in.Body, res, justIssued, depth+1); err != nil {
-					return fmt.Errorf("softmc: instr %d iteration %d: %w", i, it, err)
-				}
-			}
+			justIssued = false
 		default:
 			return fmt.Errorf("softmc: instr %d: unknown kind %d", i, in.Kind)
 		}

@@ -2,8 +2,9 @@
 // used throughout the RowHammer characterization study: percentiles,
 // Tukey box-plot statistics, letter-value (boxen) statistics,
 // coefficient of variation, confidence intervals, linear regression
-// with R², histograms, and the Bhattacharyya distance between empirical
-// distributions (used by the subarray-similarity analysis, Fig. 15).
+// with R², histograms, and the Bhattacharyya coefficient between
+// empirical distributions (used by the subarray-similarity analysis,
+// Fig. 15).
 package stats
 
 import (
@@ -84,15 +85,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Sorted returns a sorted copy of xs.
@@ -347,39 +339,6 @@ func Histogram2D(x, y []float64, xlo, xhi float64, nx int, ylo, yhi float64, ny 
 	return grid
 }
 
-// BhattacharyyaHist returns the Bhattacharyya distance between two
-// empirical distributions, computed over a shared equal-width binning
-// of their pooled support with nBins bins:
-//
-//	BD = -ln( sum_i sqrt(p_i * q_i) )
-//
-// Identical distributions give BD=0; disjoint supports give +Inf.
-func BhattacharyyaHist(a, b []float64, nBins int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		panic(ErrEmpty)
-	}
-	lo := math.Min(Min(a), Min(b))
-	hi := math.Max(Max(a), Max(b))
-	if hi == lo {
-		// Point masses at the same location: identical distributions.
-		return 0
-	}
-	ha := Histogram(a, lo, hi, nBins)
-	hb := Histogram(b, lo, hi, nBins)
-	bc := 0.0
-	na, nb := float64(len(a)), float64(len(b))
-	for i := range ha {
-		bc += math.Sqrt(float64(ha[i]) / na * float64(hb[i]) / nb)
-	}
-	if bc <= 0 {
-		return math.Inf(1)
-	}
-	if bc > 1 {
-		bc = 1
-	}
-	return -math.Log(bc)
-}
-
 // BhattacharyyaCoefficient returns the Bhattacharyya coefficient
 // BC = sum sqrt(p q) in [0, 1] over a shared binning. The paper's
 // Fig. 15 normalizes BD(Sa,Sb) by BD(Sa,Sa); since a discrete self-
@@ -487,16 +446,6 @@ func SummarizeInts(xs []int) Summary {
 		fs[i] = float64(x)
 	}
 	return Summarize(fs)
-}
-
-// ECDF returns, for each probe point, the fraction of xs that is <= it.
-func ECDF(xs []float64, probes []float64) []float64 {
-	s := Sorted(xs)
-	out := make([]float64, len(probes))
-	for i, p := range probes {
-		out[i] = float64(sort.SearchFloat64s(s, math.Nextafter(p, math.Inf(1)))) / float64(len(s))
-	}
-	return out
 }
 
 // CrossingPercentile returns the percentage of values that are > 0,
